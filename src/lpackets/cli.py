@@ -175,12 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite fields, with a brute-force oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p, pipelines=True):
+    def add_group_args(p, q_help, pipelines=True):
         p.add_argument("--group", help="shortcut name, one of: "
                        + ", ".join(sorted(NAMED_SPECS)))
         p.add_argument("--config", help="JSON file with a group description")
-        p.add_argument("--q", type=int, default=None,
-                       help="field size (prime power up to 64)")
+        p.add_argument("--q", type=int, default=None, help=q_help)
         p.add_argument("--seed", type=int, default=None,
                        help="shuffle internal exploration order")
         p.add_argument("--json", action="store_true")
@@ -189,12 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=["auto", "spectral", "stratified", "both"])
 
     p_count = sub.add_parser("count", help="enumerate parameters and packets")
-    add_group_args(p_count)
+    add_group_args(p_count, "field size (any prime power)")
     p_count.set_defaults(func=cmd_count)
 
     p_cmp = sub.add_parser("compare",
                            help="count and check against the oracle")
-    add_group_args(p_cmp)
+    add_group_args(p_cmp, "field size (prime power up to 64, the limit of "
+                          "the oracle's field tables)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_cells = sub.add_parser("cells", help="two-sided cells of a Weyl group")
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_or = sub.add_parser("oracle", help="brute-force class count")
     p_or.add_argument("--group", required=True)
-    p_or.add_argument("--q", type=int, default=None)
+    p_or.add_argument("--q", type=int, default=None,
+                      help="field size (prime power up to 64)")
     p_or.add_argument("--json", action="store_true")
     p_or.set_defaults(func=cmd_oracle)
 

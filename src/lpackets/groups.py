@@ -5,11 +5,61 @@ all happen on groups of order at most a few dozen, so everything is stored as
 a full table.  Elements are indices into ``labels``; the label strings are the
 canonical element names used in reports, and ties are always broken by label
 so that output is deterministic.
+
+``orbits`` (a finite group acting on a finite set) and ``closure`` (the
+group some elements generate) are the package's one orbit loop and one
+closure loop.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+
+from .errors import InvariantError
+
+
+def orbits(items, group, act) -> list[set]:
+    """Orbits of a whole finite group on ``items``, in first-seen order.
+
+    The orbit of each point not seen before is its image set
+    ``{act(g, x) for g in group}``: one pass over the group, no closure.  An
+    image set that misses its start or meets an earlier orbit means the
+    acting set is not a group, and raises.
+    """
+    seen: set = set()
+    out = []
+    for x in items:
+        if x in seen:
+            continue
+        orbit = {act(g, x) for g in group}
+        if x not in orbit or not seen.isdisjoint(orbit):
+            raise InvariantError("the acting set is not a group: "
+                                 "its image sets do not partition the points")
+        seen |= orbit
+        out.append(orbit)
+    return out
+
+
+def closure(gens, mul, one, cap) -> set:
+    """The group generated by ``gens`` under ``mul``, as a set.
+
+    Raises ValueError once it holds more than ``cap`` elements; callers turn
+    that into their own error type.
+    """
+    seen = {one}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                ag = mul(a, g)
+                if ag not in seen:
+                    seen.add(ag)
+                    nxt.append(ag)
+                    if len(seen) > cap:
+                        raise ValueError(f"closure exceeds {cap} elements")
+        frontier = nxt
+    return seen
 
 
 class FiniteGroup:
@@ -87,25 +137,7 @@ class FiniteGroup:
         return FiniteGroup([self.labels[g] for g in idx], table, check=False)
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.order
-        classes = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for g in range(self.order):
-                    z = self.conj(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        stack.append(z)
-            for y in orbit:
-                seen[y] = True
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: c[0])
-        return classes
+        return self.twisted_orbits(range(self.order))
 
     def class_count(self) -> int:
         return len(self.conjugacy_classes())
@@ -129,25 +161,10 @@ class FiniteGroup:
         """
         if not self.is_automorphism(f):
             raise ValueError("twist is not an automorphism")
-        seen = [False] * self.order
-        orbits = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = {x}
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for b in range(self.order):
-                    z = self.table[self.table[b][y]][self.inverse[f[b]]]
-                    if z not in orbit:
-                        orbit.add(z)
-                        stack.append(z)
-            for y in orbit:
-                seen[y] = True
-            orbits.append(tuple(sorted(orbit)))
-        orbits.sort(key=lambda c: c[0])
-        return orbits
+        t, inv = self.table, self.inverse
+        everything = range(self.order)
+        return [tuple(sorted(orbit)) for orbit in
+                orbits(everything, everything, lambda b, x: t[t[b][x]][inv[f[b]]])]
 
     def twisted_centralizer(self, x: int, f) -> list[int]:
         """Subgroup of b with b x f(b)^-1 = x."""

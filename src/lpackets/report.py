@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .rootdata import GroupSpec, whittaker_torsor_size
 from .spectral import spectral_strata
-from .springer import TABLE_VERSION
+from .springer import TABLE_VERSION, group_structure_label
 from .strata import stratified_strata
 
 __all__ = ["StratumRow", "CountReport", "spectral_report", "stratified_report",
@@ -72,7 +72,7 @@ def spectral_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountReport
             labels={"class": st.pair.class_label()},
             group_desc=st.ext.description,
             packets=[{"x": e.x_label, "size": e.irr_count,
-                      "group": _structure(e.centralizer)}
+                      "group": group_structure_label(e.centralizer)}
                      for e in st.elements],
         ))
     return CountReport(group=spec.name, cartan=spec.datum.cartan_label,
@@ -96,11 +96,6 @@ def stratified_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountRepo
                        q=spec.q, pipeline="stratified", strata=rows,
                        oracle_total=oracle_total,
                        conventions=_conventions(spec))
-
-
-def _structure(g) -> str:
-    from .springer import group_structure_label
-    return group_structure_label(g)
 
 
 def both_reports(spec: GroupSpec, rng=None, oracle_total=None):

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
+from .fq import prime_power
+from .groups import closure, orbits
 from .lattice import (
     Matrix,
     Vector,
@@ -27,14 +29,14 @@ from .lattice import (
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
-    torsion_order,
+    solve_torsion,
     transpose,
 )
 
 __all__ = [
-    "RootDatum", "FrobeniusTwist", "GroupSpec", "TorsionPoint", "SubSystem",
+    "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "component_group_of_centralizer", "whittaker_torsor_size",
+    "stable_point_orbits", "whittaker_torsor_size",
     "reflection_on_y", "x_action", "weyl_closure", "NAMED_SPECS",
 ]
 
@@ -93,18 +95,6 @@ class GroupSpec:
         return self.twist.q
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
-    coordinates: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return torsion_order(self.coordinates)
-
-    def label(self) -> str:
-        return point_label(self.coordinates)
-
-
 def point_label(coords) -> str:
     return "(" + ",".join(str(Fraction(c) % 1) for c in coords) + ")"
 
@@ -129,24 +119,13 @@ def x_action(m_y: Matrix) -> Matrix:
     return transpose(mat_inv_unimodular(m_y))
 
 
-def weyl_closure(datum: RootDatum, extra=()) -> list[Matrix]:
-    """All products of simple reflections (and optional extra matrices), by BFS."""
+def weyl_closure(datum: RootDatum) -> list[Matrix]:
+    """All products of simple reflections, sorted."""
     gens = [reflection_on_y(datum, i) for i in datum.simple_indices]
-    gens.extend(extra)
-    seen = {identity(datum.rank)}
-    frontier = [identity(datum.rank)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = mat_mul(g, w)
-                if wg not in seen:
-                    seen.add(wg)
-                    nxt.append(wg)
-        frontier = nxt
-        if len(seen) > 20000:
-            raise InvariantError("reflection closure did not terminate")
-    return sorted(seen)
+    try:
+        return sorted(closure(gens, mat_mul, identity(datum.rank), 20000))
+    except ValueError:
+        raise InvariantError("reflection closure did not terminate") from None
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +264,7 @@ def _sublattice_datum(base: RootDatum, basis_rows, label) -> RootDatum:
     overlattice.  New coordinates: a root r becomes the solution c of
     c . basis = r, a coroot y becomes basis @ y.
     """
-    b = tuple(tuple(int(x) for x in row) for row in basis_rows)
-    if len(b) != base.rank or any(len(r) != base.rank for r in b):
-        raise ConfigError("sublattice basis must be a square integer matrix of full rank")
+    b = _int_matrix(basis_rows, base.rank, "sublattice basis")
     if det(b) == 0:
         raise ConfigError("sublattice basis is singular")
     new_roots = []
@@ -357,20 +334,6 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
 # ---------------------------------------------------------------------------
 # twists and component groups
 
-def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ConfigError("q must be a prime power >= 2")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    e = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ConfigError(f"q = {q} is not a prime power")
-    return p, e
-
-
 def _bad_primes(label: str) -> set[int]:
     bad = set()
     for factor in label.replace("+", "x").split("x"):
@@ -413,49 +376,37 @@ def _twist_from_permutation(datum: RootDatum, perm) -> Matrix:
     """
     k = len(datum.simple_indices)
     n = datum.rank
-    if sorted(perm) != list(range(k)):
+    if any(type(i) is not int for i in perm) or sorted(perm) != list(range(k)):
         raise ConfigError("twist permutation must permute the simple roots")
     cosimples = datum.simple_coroots
     if k != n or det(tuple(cosimples)) == 0:
         raise ConfigError(
             "twist permutations need the simple coroots to form a basis of the "
             "cocharacter lattice; give the twist as an explicit matrix instead")
-    # sigma @ src = dst columnwise, src columns the cosimples
+    # sigma @ src = dst with src columns the cosimples: row r of sigma
+    # combines the rows of src into row r of dst
     src = transpose(tuple(cosimples))
     dst = transpose(tuple(cosimples[perm[i]] for i in range(k)))
-    src_inv_rows = [[Fraction(x) for x in row] for row in _rational_inverse(src)]
     sigma = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            val = sum(Fraction(dst[r][j]) * src_inv_rows[j][c] for j in range(n))
-            if val.denominator != 1:
-                raise ConfigError("twist permutation does not extend to the lattice")
-            row.append(int(val))
-        sigma.append(tuple(row))
+    for row in dst:
+        coeffs = _solve_rational(src, row)
+        if any(c.denominator != 1 for c in coeffs):
+            raise ConfigError("twist permutation does not extend to the lattice")
+        sigma.append(tuple(int(c) for c in coeffs))
     return tuple(sigma)
-
-
-def _rational_inverse(m: Matrix):
-    n = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ConfigError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
 # the parser
+
+def _int_matrix(value, n: int, what: str) -> Matrix:
+    """An n x n matrix given as nested lists of Python ints, else ConfigError."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(row, (list, tuple)) and len(row) == n
+                    and all(type(x) is int for x in row) for row in value)):
+        raise ConfigError(f"{what} must be a {n}x{n} matrix of integers")
+    return tuple(tuple(row) for row in value)
+
 
 NAMED_SPECS = {
     "sl2": {"type": "A1", "isogeny": "sc"},
@@ -516,7 +467,7 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
         raise ConfigError("q is required (config key 'q' or the --q flag)")
     if not isinstance(q_eff, int):
         raise ConfigError("q must be an integer")
-    p, _ = _prime_power(q_eff)
+    p, _ = prime_power(q_eff)
     bad = _bad_primes(datum.cartan_label)
     if p in bad:
         raise UnsupportedTypeError(
@@ -529,9 +480,7 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
         sigma = identity(n)
     elif isinstance(twist_cfg, (list, tuple)) and twist_cfg and \
             isinstance(twist_cfg[0], (list, tuple)):
-        sigma = tuple(tuple(int(x) for x in row) for row in twist_cfg)
-        if len(sigma) != n or any(len(r) != n for r in sigma):
-            raise ConfigError("twist matrix has the wrong shape")
+        sigma = _int_matrix(twist_cfg, n, "twist matrix")
     elif isinstance(twist_cfg, (list, tuple)):
         sigma = _twist_from_permutation(datum, list(twist_cfg))
     else:
@@ -547,39 +496,23 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
     if comp_cfg is None:
         components = (identity(n),)
     else:
-        gens = []
-        for m in comp_cfg:
-            g = tuple(tuple(int(x) for x in row) for row in m)
-            if len(g) != n or any(len(r) != n for r in g):
-                raise ConfigError("component matrix has the wrong shape")
+        if not isinstance(comp_cfg, (list, tuple)):
+            raise ConfigError("component_group must be a list of matrices")
+        gens = [_int_matrix(m, n, "component matrix") for m in comp_cfg]
+        for g in gens:
             if abs(det(g)) != 1:
                 raise ConfigError("component matrices must be lattice automorphisms")
             if not _is_root_permuting(datum, g):
                 raise ConfigError("component matrices must permute the roots")
-            gens.append(g)
-        components = tuple(_close_group(gens, n))
+        try:
+            components = tuple(sorted(closure(gens, mat_mul, identity(n), 256)))
+        except ValueError:
+            raise ConfigError("component group is too large") from None
         _validate_components(datum, twist, components)
 
     spec_name = name or type_str
     return GroupSpec(datum=datum, twist=twist, components=components,
                      name=spec_name)
-
-
-def _close_group(gens, n, cap=256):
-    seen = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                ag = mat_mul(a, g)
-                if ag not in seen:
-                    seen.add(ag)
-                    nxt.append(ag)
-        frontier = nxt
-        if len(seen) > cap:
-            raise ConfigError("component group is too large")
-    return sorted(seen)
 
 
 def _validate_components(datum: RootDatum, twist: FrobeniusTwist, components):
@@ -751,18 +684,33 @@ def centralizer_subdatum(datum: RootDatum, point) -> SubSystem:
     )
 
 
-def component_group_of_centralizer(datum: RootDatum, point, weyl_elements) -> list[Matrix]:
-    """Elements w of the given Weyl set fixing the point and its subsystem positivity."""
-    coords = frac_vec_mod1(point)
-    sub = centralizer_subdatum(datum, point)
-    pos_set = {datum.roots[i] for i in sub.positive_positions}
+# ---------------------------------------------------------------------------
+# Frobenius-stable torsion points of the dual torus
+
+def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[tuple[Vector, ...]]:
+    """Orbits of the group ``acting`` on the torsion points s of the dual
+    torus with q sigma w (s) = s for some w in ``weyl``.
+
+    Each orbit is a sorted tuple and the orbits are sorted by their least
+    point; an ``rng`` shuffles the order the points are visited in.
+    """
+    sigma, q = spec.twist.sigma_x, spec.q
+    n = len(sigma)
+    points = set()
+    for w in weyl:
+        m = mat_mul(sigma, w)
+        a = tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
+                  for i in range(n))
+        points.update(solve_torsion(a))
+    visit = sorted(points)
+    if rng is not None:
+        rng.shuffle(visit)
     out = []
-    for w in weyl_elements:
-        if frac_vec_mod1(mat_vec(w, coords)) != coords:
-            continue
-        wx = x_action(w)
-        if all(tuple(mat_vec(wx, r)) in pos_set for r in pos_set):
-            out.append(w)
+    for orbit in orbits(visit, acting, lambda m, s: frac_vec_mod1(mat_vec(m, s))):
+        if not orbit <= points:
+            raise InvariantError("orbit leaks outside the solution set")
+        out.append(tuple(sorted(orbit)))
+    out.sort()
     return out
 
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import FiniteGroup, identity_perm, semidirect
-from .lattice import Matrix, frac_vec_mod1, identity, mat_inv_unimodular, mat_mul, mat_vec
+from .groups import FiniteGroup, orbits, semidirect
+from .lattice import Matrix, frac_vec_mod1, mat_inv_unimodular, mat_mul, mat_vec
 from .rootdata import (
     GroupSpec,
     SubSystem,
@@ -29,9 +29,10 @@ from .rootdata import (
     dual_datum,
     factor_permutation,
     point_label,
+    stable_point_orbits,
+    weyl_closure,
     x_action,
 )
-from .lattice import solve_torsion
 from .springer import (
     assemble_product_group,
     group_structure_label,
@@ -134,48 +135,18 @@ def enumerate_ss_classes(spec: GroupSpec, rng=None) -> list[SemisimpleClass]:
     _require_connected(spec)
     dd = dual_datum(spec.datum)
     sigma = spec.twist.sigma_x  # the twist seen by the dual side
-    q = spec.q
     cox = enumerate_weyl(dd)
-    n = dd.rank
-    points = set()
-    for w in cox.elements:
-        m = mat_mul(sigma, w)
-        a = tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
-                  for i in range(n))
-        points.update(solve_torsion(a))
-
-    point_list = sorted(points)
-    if rng is not None:
-        rng.shuffle(point_list)
     classes = []
-    seen = set()
-    for start in point_list:
-        if start in seen:
-            continue
-        orbit = set()
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            if s in orbit:
-                continue
-            orbit.add(s)
-            for w in cox.elements:
-                t = frac_vec_mod1(mat_vec(w, s))
-                if t not in orbit:
-                    stack.append(t)
-        if not orbit <= points:
-            raise InvariantError("Weyl orbit leaks outside the solution set")
-        seen |= orbit
-        rep = min(orbit)
-        target = frac_vec_mod1(tuple(q * x for x in mat_vec(sigma, rep)))
+    for orbit in stable_point_orbits(spec, cox.elements, cox.elements, rng):
+        rep = orbit[0]
+        target = frac_vec_mod1(tuple(spec.q * x for x in mat_vec(sigma, rep)))
         witness = next((w for w in cox.elements
                         if frac_vec_mod1(mat_vec(w, rep)) == target), None)
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
         sub = centralizer_subdatum(dd, rep)
-        classes.append(SemisimpleClass(rep=rep, orbit=tuple(sorted(orbit)),
+        classes.append(SemisimpleClass(rep=rep, orbit=orbit,
                                        witness=witness, sub_label=sub.label))
-    classes.sort(key=lambda c: c.rep)
     return classes
 
 
@@ -234,17 +205,12 @@ def _positivity_correct(cox: CoxeterGroup, sub: SubSystem, m: Matrix) -> Matrix:
     image = [tuple(mat_vec(mx, r)) for r in pos]
     if not set(image) <= all_set:
         raise InvariantError("map does not normalize the subsystem")
-    sub_weyl = _subsystem_weyl(sub)
+    sub_weyl = weyl_closure(sub.as_datum())
     fixes = [v for v in sub_weyl
              if {tuple(mat_vec(x_action(mat_mul(v, m)), r)) for r in pos} == pos_set]
     if len(fixes) != 1:
         raise InvariantError("positivity correction is not unique")
     return mat_mul(fixes[0], m)
-
-
-def _subsystem_weyl(sub: SubSystem) -> list[Matrix]:
-    from .rootdata import weyl_closure
-    return weyl_closure(sub.as_datum())
 
 
 # ---------------------------------------------------------------------------
@@ -269,24 +235,10 @@ def special_pairs(spec: GroupSpec, ssc: SemisimpleClass, geo=None, rng=None) -> 
     def tuple_key(tup):
         return tuple(rank_key[(geo.factor_types[i], lab)] for i, lab in enumerate(tup))
 
-    order = list(tuples)
     if rng is not None:
-        rng.shuffle(order)
-    seen = set()
+        rng.shuffle(tuples)
     pairs = []
-    for start in order:
-        if start in seen:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for g in geo.pi0:
-                t2 = geo.act_on_tuple(g, t)
-                if t2 not in orbit:
-                    orbit.add(t2)
-                    stack.append(t2)
-        seen |= orbit
+    for orbit in orbits(tuples, geo.pi0, geo.act_on_tuple):
         # Frobenius stability of the orbit
         rep = min(orbit, key=tuple_key)
         if geo.act_on_tuple(geo.aut_f, rep) not in orbit:

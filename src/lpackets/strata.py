@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
-from .groups import FiniteGroup, semidirect
+from .groups import FiniteGroup, orbits, semidirect
 from .lattice import (
     Matrix,
     frac_vec_mod1,
@@ -30,7 +30,6 @@ from .lattice import (
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
-    solve_torsion,
 )
 from .rootdata import (
     GroupSpec,
@@ -40,6 +39,7 @@ from .rootdata import (
     dual_datum,
     factor_permutation,
     point_label,
+    stable_point_orbits,
     x_action,
 )
 from .springer import (
@@ -162,44 +162,10 @@ class _Ambient:
 def semisimple_parameters(spec: GroupSpec, rng=None) -> list[SemisimpleParameter]:
     """Orbits on the dual torus containing a Frobenius-stable reflection orbit."""
     amb = _Ambient(spec)
-    n = amb.dd.rank
-    q = amb.q
-    points = set()
-    for w in amb.cox.elements:
-        m = mat_mul(amb.sigma, w)
-        a = tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
-                  for i in range(n))
-        points.update(solve_torsion(a))
-
-    point_list = sorted(points)
-    if rng is not None:
-        rng.shuffle(point_list)
-    out = []
-    seen = set()
     mats = [m for _, m in amb.elements]
-    for start in point_list:
-        if start in seen:
-            continue
-        orbit = set()
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            if s in orbit:
-                continue
-            orbit.add(s)
-            for m in mats:
-                t = frac_vec_mod1(mat_vec(m, s))
-                if t not in orbit:
-                    stack.append(t)
-        if not orbit <= points:
-            raise InvariantError("full orbit leaks outside the solution set")
-        seen |= orbit
-        rep = min(orbit)
-        sub = centralizer_subdatum(amb.dd, rep)
-        out.append(SemisimpleParameter(rep=rep, orbit=tuple(sorted(orbit)),
-                                       sub_label=sub.label))
-    out.sort(key=lambda c: c.rep)
-    return out
+    return [SemisimpleParameter(rep=orbit[0], orbit=orbit,
+                                sub_label=centralizer_subdatum(amb.dd, orbit[0]).label)
+            for orbit in stable_point_orbits(spec, amb.cox.elements, mats, rng)]
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +350,8 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
     order = list(range(ng))
     if rng is not None:
         rng.shuffle(order)
-    seen = set()
     packets = []
-    for start in order:
-        if start in seen:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            g = stack.pop()
-            for p in range(ext.order):
-                g2 = act(p, g)
-                if g2 not in orbit:
-                    orbit.add(g2)
-                    stack.append(g2)
-        seen |= orbit
+    for orbit in orbits(order, range(ext.order), act):
         x = min(orbit, key=lambda i: g_group.labels[i])
         stab = [p for p in range(ext.order) if act(p, x) == x]
         cz = ext.subgroup(stab)
@@ -423,19 +376,7 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
         k = len(geo.part.two_sided_cells)
 
         # orbits of cells under the based complement
-        cell_seen = set()
-        for c0 in range(k):
-            if c0 in cell_seen:
-                continue
-            orb = {c0}
-            stack = [c0]
-            while stack:
-                c = stack.pop()
-                for perm in geo.cell_perm:
-                    if perm[c] not in orb:
-                        orb.add(perm[c])
-                        stack.append(perm[c])
-            cell_seen |= orb
+        for orb in orbits(range(k), geo.cell_perm, lambda perm, c: perm[c]):
             members = tuple(sorted(orb))
             rep_cell = members[0]
             unip = UnipotentParameter(
@@ -452,23 +393,10 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
             stable = [bi for bi in range(len(geo.coset_reps))
                       if geo.beta_cell_perm[bi][rep_cell] == rep_cell]
 
-            beta_seen = set()
-            for b0 in stable:
-                if b0 in beta_seen:
-                    continue
-                borb = {b0}
-                stack = [b0]
-                while stack:
-                    b = stack.pop()
-                    for oi in omega_stab:
-                        nb = geo.ad[oi][b]
-                        if nb not in borb:
-                            if nb not in stable:
-                                raise InvariantError(
-                                    "twisted conjugation leaves the stable cosets")
-                            borb.add(nb)
-                            stack.append(nb)
-                beta_seen |= borb
+            for borb in orbits(stable, omega_stab, lambda oi, b: geo.ad[oi][b]):
+                if not borb <= set(stable):
+                    raise InvariantError(
+                        "twisted conjugation leaves the stable cosets")
                 bi = min(borb)
                 stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
                 packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,3 +155,25 @@ def test_exit_code_pipeline_disagreement(monkeypatch, capsys):
                                 "--pipeline", "both"])
     assert code == 4
     assert "disagree" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"type": "A1", "twist": [["a"]]},
+    {"type": "A1", "component_group": [[["x"]]]},
+    {"type": "A1", "isogeny": [[1, "b"]]},
+    {"type": "A1", "component_group": 5},
+    {"type": "A1", "twist": [[1.5]]},
+    {"type": "A2", "component_group": [[[0.9, 1], [1, 0]]]},
+])
+def test_malformed_integer_matrices_exit_2(tmp_path, config):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lpackets.cli", "count", "--config", str(cfg),
+         "--q", "3"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

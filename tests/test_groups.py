@@ -1,10 +1,13 @@
 import pytest
 
+from lpackets.errors import InvariantError
 from lpackets.groups import (
+    closure,
     cyclic,
     direct_product,
     from_permutations,
     identity_perm,
+    orbits,
     product_automorphism,
     semidirect,
     symmetric,
@@ -119,3 +122,44 @@ def test_product_automorphism_roundtrip():
 def test_is_automorphism_rejects_non_morphism():
     c4 = cyclic(4)
     assert not c4.is_automorphism([0, 2, 1, 3])
+
+
+def test_orbits_of_conjugation_on_s3():
+    s3 = symmetric(3)
+    got = orbits(range(6), range(6), s3.conj)
+    assert len(got) == 3
+    assert sorted(len(o) for o in got) == [1, 2, 3]
+    assert [min(o) for o in got] == sorted(min(o) for o in got)
+
+
+def test_orbits_keep_first_seen_order():
+    rot = (1, 2, 0, 3, 4)            # a 3-cycle and two fixed points
+    c3 = [(0, 1, 2, 3, 4), rot, tuple(rot[rot[i]] for i in range(5))]
+    got = orbits([4, 2, 3, 0], c3, lambda p, x: p[x])
+    assert got == [{4}, {0, 1, 2}, {3}]
+
+
+def test_orbits_reject_an_acting_set_that_is_not_a_group():
+    # one transposition without the identity: its image set of 0 misses 0
+    swap = (1, 0, 2)
+    with pytest.raises(InvariantError):
+        orbits(range(3), [swap], lambda p, x: p[x])
+    # identity plus a 3-cycle but not its square: the image sets overlap
+    cyc = (1, 2, 0)
+    with pytest.raises(InvariantError):
+        orbits(range(3), [(0, 1, 2), cyc], lambda p, x: p[x])
+
+
+def test_closure_generates_the_group():
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(len(a)))
+
+    s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)], compose, (0, 1, 2, 3), 24)
+    assert len(s4) == 24
+    assert closure([], compose, (0, 1), 1) == {(0, 1)}
+
+
+def test_closure_over_its_cap_raises():
+    with pytest.raises(ValueError):
+        closure([1], lambda a, b: (a + b) % 10, 0, 9)
+    assert len(closure([1], lambda a, b: (a + b) % 10, 0, 10)) == 10

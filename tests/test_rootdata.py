@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from lpackets.errors import ConfigError, UnsupportedTypeError
+from lpackets.errors import ConfigError, InvariantError, UnsupportedTypeError
 from lpackets.lattice import identity
 from lpackets.rootdata import (
     NAMED_SPECS,
+    RootDatum,
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
@@ -138,3 +139,36 @@ def test_extra_torus_suffix():
     assert spec.datum.rank == 2
     with pytest.raises(ConfigError):
         parse_group_spec({"type": "A1+X2", "isogeny": "sc"}, q=3)
+
+
+def test_reflection_closure_over_its_cap_is_an_invariant_error():
+    # Cartan matrix [[2, -2], [-2, 2]]: the affine A1 reflections generate an
+    # infinite group, so the closure runs into its cap
+    affine = RootDatum(2, ((2, -2), (-2, 2)), ((1, 0), (0, 1)), (0, 1), "A1~")
+    with pytest.raises(InvariantError):
+        weyl_closure(affine)
+
+
+def test_component_group_over_its_cap_is_a_config_error():
+    # signed permutations of six coordinates: 46080 elements, cap 256
+    n = 6
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    swap = [[int(j == (1, 0, 2, 3, 4, 5)[i]) for j in range(n)] for i in range(n)]
+    sign = [[(-1 if i == 0 else 1) * int(i == j) for j in range(n)]
+            for i in range(n)]
+    with pytest.raises(ConfigError, match="too large"):
+        parse_group_spec({"type": "T6", "component_group": [cycle, swap, sign]},
+                         q=3)
+
+
+@pytest.mark.parametrize("config", [
+    {"type": "A1", "twist": [[True]]},
+    {"type": "A2", "isogeny": "sc", "twist": [1.0, 0]},
+    {"type": "A1", "component_group": [[[-1]], [[1, 0]]]},
+    {"type": "A1", "component_group": [[-1]]},
+    {"type": "A1", "isogeny": [["2"]]},
+    {"type": "A1", "isogeny": [[1, 0]]},
+])
+def test_integer_matrices_are_validated(config):
+    with pytest.raises(ConfigError):
+        parse_group_spec(config, q=3)
