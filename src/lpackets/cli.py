@@ -33,8 +33,11 @@ _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}
 
 def _load_spec(args):
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         return parse_group_spec(cfg, q=args.q)
     if not args.group:
         raise ConfigError("give --group NAME or --config FILE")

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec
-from .rootdata import RootDatum, positive_root_indices, reflection_on_y, x_action
+from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec, transpose
+from .rootdata import RootDatum, reflection_on_y
 
 __all__ = [
     "CoxeterGroup", "KLTable", "CellPartition", "enumerate_weyl", "kl_table",
@@ -147,18 +147,28 @@ def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
     word_list = tuple(words[m] for m in order)
     length = tuple(len(w) for w in word_list)
 
+    left = tuple(tuple(index[mat_mul(g, m)] for m in elements) for g in gens)
+    right = tuple(tuple(index[mat_mul(m, g)] for m in elements) for g in gens)
+    # the inverse of a word is the reversed word
+    inverse = []
+    for w in word_list:
+        i = 0
+        for s in reversed(w):
+            i = right[s][i]
+        inverse.append(i)
+    inverse = tuple(inverse)
+    if any(mat_mul(m, elements[j]) != ident for m, j in zip(elements, inverse)):
+        raise InvariantError("reversed words do not invert the elements")
+
     # length must equal the inversion count on the datum's positive roots
-    pos = positive_root_indices(datum)
+    pos = datum.positive_indices
     pos_set = {datum.roots[i] for i in pos}
-    for m, w in words.items():
-        mx = x_action(m)
-        inv_count = sum(1 for i in pos if tuple(mat_vec(mx, datum.roots[i])) not in pos_set)
+    for i, w in enumerate(word_list):
+        mx = transpose(elements[inverse[i]])
+        inv_count = sum(1 for p in pos if mat_vec(mx, datum.roots[p]) not in pos_set)
         if inv_count != len(w):
             raise InvariantError("word length does not match inversion count")
 
-    left = tuple(tuple(index[mat_mul(g, m)] for m in elements) for g in gens)
-    right = tuple(tuple(index[mat_mul(m, g)] for m in elements) for g in gens)
-    inverse = tuple(index[mat_inv_unimodular(m)] for m in elements)
     return CoxeterGroup(datum=datum, generators=gens, elements=elements,
                         words=word_list, length=length, index=index,
                         left=left, right=right, inverse=inverse)

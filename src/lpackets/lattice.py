@@ -1,17 +1,18 @@
-"""Exact integer and rational lattice algebra.
+"""Exact integer lattice algebra.
 
 Everything downstream (root data, Weyl enumeration, torsion-point solving)
-works with integer matrices and `fractions.Fraction` vectors, so all counts
-are exact.  Matrices are tuples of row tuples; vectors are tuples.  The one
-nontrivial algorithm here is Smith normal form with both unimodular
-transforms, which drives the torsion-point solver and the finite-abelian
-quotient structure.
+works with integer matrices and integer vectors, so all counts are exact.
+Matrices are tuples of row tuples; vectors are tuples.  A torsion point s of
+(Q/Z)^n is an integer vector v with entries in [0, N) for a modulus N that
+the caller fixes, standing for s = v / N; with one N shared by all points,
+integer order on the vectors is the order of the points.  The one nontrivial
+algorithm here is Smith normal form with both unimodular transforms, which
+drives the torsion-point solver and the finite-abelian quotient structure.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from .errors import InvariantError
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -30,17 +31,18 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
-def mat_vec(a: Matrix, v):
-    """Matrix times vector; entries may be ints or Fractions."""
+def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_vec_mod(a: Matrix, v: Vector, n: int) -> Vector:
+    """Matrix times vector, entries reduced to [0, n): the action of an
+    integer matrix on a torsion point v / n."""
+    return tuple(sum(x * y for x, y in zip(row, v)) % n for row in a)
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: int, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def det(a: Matrix) -> int:
@@ -69,22 +71,39 @@ def det(a: Matrix) -> int:
 
 
 def mat_inv_unimodular(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1."""
+    """Inverse of an integer matrix with determinant +-1.
+
+    Integer row reduction of [a | 1]: a Euclidean pass leaves the gcd of each
+    column's remaining entries in the pivot, which is +-1 exactly when a is
+    unimodular.
+    """
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
+        while True:
+            rows = [r for r in range(col, n) if aug[r][col] != 0]
+            if not rows:
+                raise InvariantError("matrix is not unimodular")
+            piv = min(rows, key=lambda r: abs(aug[r][col]))
+            aug[col], aug[piv] = aug[piv], aug[col]
+            pv = aug[col][col]
+            done = True
+            for r in range(col + 1, n):
+                f = aug[r][col] // pv
+                if f:
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+                done = done and aug[r][col] == 0
+            if done:
+                break
+        if abs(pv) != 1:
+            raise InvariantError("matrix is not unimodular")
+        if pv < 0:
+            aug[col] = [-x for x in aug[col]]
+        for r in range(col):
+            f = aug[r][col]
+            if f:
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = tuple(tuple(x for x in row[n:]) for row in aug)
-    assert all(x.denominator == 1 for row in inv for x in row), "matrix is not unimodular"
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -171,30 +190,35 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
 
 
-def solve_torsion(a: Matrix) -> list[tuple[Fraction, ...]]:
+def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     """All s in (Q/Z)^n with a @ s integral, for a nonsingular integer a.
 
-    Returned as Fraction tuples with entries in [0, 1), sorted; the list has
-    exactly ``abs(det(a))`` entries.
+    Each s is returned as the integer vector v = modulus * s with entries in
+    [0, modulus).  ``modulus`` defaults to abs(det(a)) and must be a multiple
+    of it: a @ s integral means det(a) * s is integral.  The vectors come
+    sorted, and there are exactly abs(det(a)) of them.
     """
     n = len(a)
     d, _, v = smith_normal_form(a)
     diag = [d[i][i] for i in range(n)]
-    assert all(x != 0 for x in diag), "singular system has infinitely many torsion solutions"
-    sols = []
-
-    def rec(i, t):
-        if i == n:
-            s = mat_vec(v, t)
-            sols.append(tuple(Fraction(x) % 1 for x in s))
-            return
-        for k in range(diag[i]):
-            rec(i + 1, t + (Fraction(k, diag[i]),))
-
-    rec(0, ())
-    sols.sort()
+    if any(x == 0 for x in diag):
+        raise InvariantError("singular system has infinitely many torsion solutions")
     expected = abs(det(a))
-    assert len(sols) == len(set(sols)) == expected
+    if modulus is None:
+        modulus = expected
+    if modulus % expected:
+        raise InvariantError("modulus is not a multiple of the determinant")
+    # s = v @ t with t_i in (1/diag[i]) Z / Z: the solutions are the sums of
+    # multiples of column i of v, scaled by modulus / diag[i]
+    sols = [(0,) * n]
+    for i in range(n):
+        if diag[i] > 1:
+            col = [(modulus // diag[i]) * v[r][i] for r in range(n)]
+            sols = [tuple((x + k * c) % modulus for x, c in zip(s, col))
+                    for s in sols for k in range(diag[i])]
+    sols.sort()
+    if len(set(sols)) != expected:
+        raise InvariantError("torsion solutions are not distinct")
     return sols
 
 
@@ -257,16 +281,3 @@ def fixed_torsion_count(n: int, rel_cols: Matrix, f: Matrix, p: int) -> int:
 
     rec(0, tuple(0 for _ in range(n)))
     return count
-
-
-def frac_vec_mod1(v) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) % 1 for x in v)
-
-
-def torsion_order(v) -> int:
-    """Additive order of a torsion point given by fractions mod 1."""
-    m = 1
-    for x in v:
-        fx = Fraction(x) % 1
-        m = m * fx.denominator // gcd(m, fx.denominator)
-    return m

@@ -6,15 +6,20 @@ an isogeny choice is a choice of coordinates for the roots and coroots.
 Reflections act on Y by y -> y - <alpha, y> alpha^ and on X contragrediently;
 all Weyl elements downstream are carried as Y-matrices.
 
-Torsion points of the maximal torus live in Y tensor Q/Z as Fraction tuples
-reduced to [0, 1).  The same solver feeds both counting pipelines: one reads
-the points against the dual datum, the other against the original.
+Torsion points of the dual torus live in Y tensor Q/Z.  A point s is carried
+as an integer vector v with entries in [0, N), s = v / N, where the modulus N
+is fixed once per spec before any solving (see ``stable_point_orbits``), so
+every Weyl action, integrality test and comparison is integer arithmetic mod
+N.  ``point_label`` is the one place a point becomes a fraction.  The same
+solver feeds both counting pipelines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
 from .fq import prime_power
@@ -24,11 +29,11 @@ from .lattice import (
     Vector,
     det,
     fixed_torsion_count,
-    frac_vec_mod1,
     identity,
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
+    mat_vec_mod,
     solve_torsion,
     transpose,
 )
@@ -36,8 +41,8 @@ from .lattice import (
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "stable_point_orbits", "whittaker_torsor_size",
-    "reflection_on_y", "x_action", "weyl_closure", "NAMED_SPECS",
+    "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
+    "reflection_on_y", "x_action", "x_preserves", "weyl_closure", "NAMED_SPECS",
 ]
 
 
@@ -67,6 +72,35 @@ class RootDatum:
             if self.pairing(self.roots[i], self.coroots[i]) != 2:
                 raise InvariantError("simple root paired with its coroot must give 2")
 
+    @cached_property
+    def positive_indices(self) -> tuple[int, ...]:
+        """Indices of the roots lying in the nonnegative span of the simples.
+
+        A root r is sum_i c_i alpha_i with c = <r, simple coroots> C^-1 for the
+        Cartan matrix C; scaled by det C that is integer arithmetic.
+        """
+        simples = self.simple_roots
+        cartan = tuple(tuple(self.pairing(a, b) for b in self.simple_coroots)
+                       for a in simples)
+        d = det(cartan)
+        if d == 0:
+            raise InvariantError("simple roots are linearly dependent")
+        adj = _adjugate(cartan)
+        out = []
+        for i, root in enumerate(self.roots):
+            pairings = [self.pairing(root, b) for b in self.simple_coroots]
+            scaled = [sum(p * adj[j][k] for j, p in enumerate(pairings))
+                      for k in range(len(simples))]  # d * c
+            if tuple(d * x for x in root) != tuple(
+                    sum(c * a[t] for c, a in zip(scaled, simples))
+                    for t in range(self.rank)):
+                raise InvariantError("root outside the span of the simple roots")
+            if all(c * d >= 0 for c in scaled):
+                out.append(i)
+        if 2 * len(out) != len(self.roots):
+            raise InvariantError("positive roots are not half of all roots")
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class FrobeniusTwist:
@@ -74,7 +108,7 @@ class FrobeniusTwist:
     p: int
     sigma_y: Matrix  # finite-order action on Y, permuting the coroots
 
-    @property
+    @cached_property
     def sigma_x(self) -> Matrix:
         return transpose(mat_inv_unimodular(self.sigma_y))
 
@@ -95,8 +129,10 @@ class GroupSpec:
         return self.twist.q
 
 
-def point_label(coords) -> str:
-    return "(" + ",".join(str(Fraction(c) % 1) for c in coords) + ")"
+def point_label(v: Vector, modulus: int) -> str:
+    """The torsion point v / modulus, each coordinate a reduced fraction in
+    [0, 1)."""
+    return "(" + ",".join(str(Fraction(x % modulus, modulus)) for x in v) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +153,18 @@ def reflection_on_y(datum: RootDatum, root_index: int) -> Matrix:
 def x_action(m_y: Matrix) -> Matrix:
     """The X-side matrix of a Y-side lattice automorphism (contragredient)."""
     return transpose(mat_inv_unimodular(m_y))
+
+
+def x_preserves(m_y: Matrix, vectors: set) -> bool:
+    """Whether the X-side action of m_y maps the finite set ``vectors`` of
+    X-vectors onto itself.
+
+    That action is the inverse transpose of m_y, and a bijection maps a
+    finite set into itself exactly when its inverse does, so transpose(m_y)
+    is tested instead and no inverse is computed.
+    """
+    back = transpose(m_y)
+    return all(mat_vec(back, v) in vectors for v in vectors)
 
 
 def weyl_closure(datum: RootDatum) -> list[Matrix]:
@@ -163,19 +211,17 @@ def _solve_rational(cols, target):
     return tuple(sol)
 
 
-def positive_root_indices(datum: RootDatum) -> tuple[int, ...]:
-    """Indices of the roots lying in the nonnegative span of the simples."""
-    simples = datum.simple_roots
-    out = []
-    for i, root in enumerate(datum.roots):
-        coeffs = _solve_rational(simples, root)
-        if coeffs is None:
-            raise InvariantError("root outside the span of the simple roots")
-        if all(c >= 0 for c in coeffs):
-            out.append(i)
-    if 2 * len(out) != len(datum.roots):
-        raise InvariantError("positive roots are not half of all roots")
-    return tuple(out)
+def _adjugate(m: Matrix) -> Matrix:
+    """adj(m), so that m @ adj(m) = det(m) * 1, by cofactors."""
+    n = len(m)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (i + j) * det(tuple(
+            tuple(m[r][c] for c in range(n) if c != i)
+            for r in range(n) if r != j))
+            for j in range(n))
+        for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +391,13 @@ def _bad_primes(label: str) -> set[int]:
 
 
 def _is_root_permuting(datum: RootDatum, m_y: Matrix) -> bool:
-    mx = x_action(m_y)
-    root_set = set(datum.roots)
     co_set = set(datum.coroots)
-    return (all(mat_vec(mx, r) in root_set for r in datum.roots)
+    return (x_preserves(m_y, set(datum.roots))
             and all(mat_vec(m_y, c) in co_set for c in datum.coroots))
 
 
 def _is_based(datum: RootDatum, m_y: Matrix) -> bool:
-    mx = x_action(m_y)
-    simple_set = set(datum.simple_roots)
-    return all(tuple(mat_vec(mx, s)) in simple_set for s in datum.simple_roots)
+    return x_preserves(m_y, set(datum.simple_roots))
 
 
 def _matrix_order(m: Matrix, cap: int = 48) -> int:
@@ -577,14 +619,17 @@ class SubSystem:
         )
 
     def simple_permutation(self, m_y: Matrix) -> tuple[int, ...]:
-        """How a subsystem-preserving based automorphism permutes the simples."""
-        mx = x_action(m_y)
+        """How a subsystem-preserving based automorphism permutes the simples.
+
+        transpose(m_y) is the inverse of the X-side action, so it carries
+        each simple back to the simple that maps onto it.
+        """
+        back = transpose(m_y)
         simples = self.simple_roots()
-        out = []
-        for s in simples:
-            img = tuple(mat_vec(mx, s))
+        out = [None] * len(simples)
+        for j, s in enumerate(simples):
             try:
-                out.append(simples.index(img))
+                out[simples.index(mat_vec(back, s))] = j
             except ValueError:
                 raise InvariantError("matrix does not preserve the subsystem simples")
         return tuple(out)
@@ -632,12 +677,12 @@ def _classify_component(datum: RootDatum, simple_positions, comp) -> str:
         f"centralizer subsystem of rank {len(comp)} outside the supported menu")
 
 
-def centralizer_subdatum(datum: RootDatum, point) -> SubSystem:
-    """Subsystem of roots alpha with <alpha, point> integral, point in Y x Q/Z."""
-    coords = frac_vec_mod1(point)
+def centralizer_subdatum(datum: RootDatum, point: Vector, modulus: int) -> SubSystem:
+    """Subsystem of roots alpha with <alpha, s> integral, for the point
+    s = point / modulus of Y x Q/Z."""
     positions = tuple(i for i, r in enumerate(datum.roots)
-                      if Fraction(datum.pairing(r, coords)) % 1 == 0)
-    pos_all = set(positive_root_indices(datum))
+                      if datum.pairing(r, point) % modulus == 0)
+    pos_all = set(datum.positive_indices)
     positive = tuple(i for i in positions if i in pos_all)
     pos_vectors = {datum.roots[i] for i in positive}
     simple_positions = []
@@ -687,31 +732,47 @@ def centralizer_subdatum(datum: RootDatum, point) -> SubSystem:
 # ---------------------------------------------------------------------------
 # Frobenius-stable torsion points of the dual torus
 
-def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[tuple[Vector, ...]]:
+MAX_TORSION_POINTS = 10 ** 6
+
+
+def stable_point_orbits(spec: GroupSpec, weyl, acting,
+                        rng) -> tuple[int, list[tuple[Vector, ...]]]:
     """Orbits of the group ``acting`` on the torsion points s of the dual
     torus with q sigma w (s) = s for some w in ``weyl``.
 
-    Each orbit is a sorted tuple and the orbits are sorted by their least
-    point; an ``rng`` shuffles the order the points are visited in.
+    Returns (N, orbits): every point is an integer vector v with s = v / N,
+    where N is the lcm over w of |det(q sigma w - 1)|.  Each orbit is a sorted
+    tuple and the orbits are sorted by their least point; an ``rng`` shuffles
+    the order the points are visited in.  Specs whose solution count
+    sum_w |det(q sigma w - 1)| exceeds MAX_TORSION_POINTS are refused before
+    anything is solved.
     """
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
-    points = set()
+    systems = []
     for w in weyl:
         m = mat_mul(sigma, w)
-        a = tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
-                  for i in range(n))
-        points.update(solve_torsion(a))
+        systems.append(tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
+                             for i in range(n)))
+    dets = [abs(det(a)) for a in systems]
+    if sum(dets) > MAX_TORSION_POINTS:
+        raise UnsupportedTypeError(
+            f"{spec.name} at q = {q} needs up to {sum(dets)} torsion points; "
+            f"the limit is {MAX_TORSION_POINTS}")
+    modulus = lcm(*dets)
+    points = set()
+    for a in systems:
+        points.update(solve_torsion(a, modulus))
     visit = sorted(points)
     if rng is not None:
         rng.shuffle(visit)
     out = []
-    for orbit in orbits(visit, acting, lambda m, s: frac_vec_mod1(mat_vec(m, s))):
+    for orbit in orbits(visit, acting, lambda m, s: mat_vec_mod(m, s, modulus)):
         if not orbit <= points:
             raise InvariantError("orbit leaks outside the solution set")
         out.append(tuple(sorted(orbit)))
     out.sort()
-    return out
+    return modulus, out
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ Disconnected groups are refused here; the stratified route handles them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
 from .groups import FiniteGroup, orbits, semidirect
-from .lattice import Matrix, frac_vec_mod1, mat_inv_unimodular, mat_mul, mat_vec
+from .lattice import Matrix, Vector, mat_inv_unimodular, mat_mul, mat_vec, mat_vec_mod
 from .rootdata import (
     GroupSpec,
     SubSystem,
@@ -31,7 +30,7 @@ from .rootdata import (
     point_label,
     stable_point_orbits,
     weyl_closure,
-    x_action,
+    x_preserves,
 )
 from .springer import (
     assemble_product_group,
@@ -50,8 +49,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemisimpleClass:
-    rep: tuple[Fraction, ...]
-    orbit: tuple[tuple[Fraction, ...], ...]
+    """A Weyl orbit of torsion points; each point v stands for v / modulus."""
+    rep: Vector                  # least point of the orbit
+    orbit: tuple[Vector, ...]
+    modulus: int
     witness: Matrix
     sub_label: str
 
@@ -60,7 +61,7 @@ class SemisimpleClass:
         return len(self.orbit)
 
     def label(self) -> str:
-        return point_label(self.rep)
+        return point_label(self.rep, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -129,23 +130,26 @@ def _require_connected(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 # semisimple classes
 
-def enumerate_ss_classes(spec: GroupSpec, rng=None) -> list[SemisimpleClass]:
+def enumerate_ss_classes(spec: GroupSpec, rng=None, cox=None) -> list[SemisimpleClass]:
     """Torsion points of the dual torus with q sigma (s) Weyl-conjugate to s,
-    up to the Weyl group, with canonical representatives and witnesses."""
+    up to the Weyl group, with canonical representatives and witnesses.
+
+    ``cox`` is the dual Weyl group, built here when not given."""
     _require_connected(spec)
     dd = dual_datum(spec.datum)
+    cox = cox or enumerate_weyl(dd)
     sigma = spec.twist.sigma_x  # the twist seen by the dual side
-    cox = enumerate_weyl(dd)
+    modulus, point_orbits = stable_point_orbits(spec, cox.elements, cox.elements, rng)
     classes = []
-    for orbit in stable_point_orbits(spec, cox.elements, cox.elements, rng):
+    for orbit in point_orbits:
         rep = orbit[0]
-        target = frac_vec_mod1(tuple(spec.q * x for x in mat_vec(sigma, rep)))
+        target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
         witness = next((w for w in cox.elements
-                        if frac_vec_mod1(mat_vec(w, rep)) == target), None)
+                        if mat_vec_mod(w, rep, modulus) == target), None)
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
-        sub = centralizer_subdatum(dd, rep)
-        classes.append(SemisimpleClass(rep=rep, orbit=orbit,
+        sub = centralizer_subdatum(dd, rep, modulus)
+        classes.append(SemisimpleClass(rep=rep, orbit=orbit, modulus=modulus,
                                        witness=witness, sub_label=sub.label))
     return classes
 
@@ -156,18 +160,18 @@ def enumerate_ss_classes(spec: GroupSpec, rng=None) -> list[SemisimpleClass]:
 class _StratumGeometry:
     """Everything about the centralizer at the canonical representative."""
 
-    def __init__(self, spec: GroupSpec, ssc: SemisimpleClass):
+    def __init__(self, spec: GroupSpec, ssc: SemisimpleClass, cox=None):
         self.spec = spec
         self.ssc = ssc
-        dd = dual_datum(spec.datum)
-        self.dd = dd
-        self.cox = enumerate_weyl(dd)
-        self.sub = centralizer_subdatum(dd, ssc.rep)
-        self.pi0 = _pi0_elements(self.cox, self.sub, ssc.rep)
+        # the dual Weyl group, built here when not given
+        cox = self.cox = cox or enumerate_weyl(dual_datum(spec.datum))
+        self.sub = centralizer_subdatum(cox.datum, ssc.rep, ssc.modulus)
+        self.pi0 = _pi0_elements(cox, self.sub, ssc.rep, ssc.modulus)
         self.factor_types = self.sub.factor_types
         # Frobenius as a based automorphism of the subsystem:
         # v0 . witness^-1 . sigma with v0 the positivity correction
-        m = mat_mul(mat_inv_unimodular(ssc.witness), spec.twist.sigma_x)
+        witness_inv = cox.elements[cox.inverse[cox.index[ssc.witness]]]
+        m = mat_mul(witness_inv, spec.twist.sigma_x)
         self.aut_f = _positivity_correct(self.cox, self.sub, m)
 
     def factor_perm_of(self, m_y: Matrix) -> tuple[int, ...]:
@@ -182,32 +186,23 @@ class _StratumGeometry:
         return tuple(out)
 
 
-def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep) -> list[Matrix]:
-    coords = frac_vec_mod1(rep)
+def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep: Vector,
+                  modulus: int) -> list[Matrix]:
     pos_set = {sub.ambient.roots[i] for i in sub.positive_positions}
-    out = []
-    for w in cox.elements:  # element order = (length, word): deterministic
-        if frac_vec_mod1(mat_vec(w, coords)) != coords:
-            continue
-        wx = x_action(w)
-        if all(tuple(mat_vec(wx, r)) in pos_set for r in pos_set):
-            out.append(w)
-    return out
+    # element order = (length, word): deterministic
+    return [w for w in cox.elements
+            if mat_vec_mod(w, rep, modulus) == rep and x_preserves(w, pos_set)]
 
 
 def _positivity_correct(cox: CoxeterGroup, sub: SubSystem, m: Matrix) -> Matrix:
     """Compose with the unique element of the subsystem reflection group that
     makes m preserve the positive subsystem."""
-    pos = [sub.ambient.roots[i] for i in sub.positive_positions]
-    pos_set = set(pos)
+    pos_set = {sub.ambient.roots[i] for i in sub.positive_positions}
     all_set = {sub.ambient.roots[i] for i in sub.root_positions}
-    mx = x_action(m)
-    image = [tuple(mat_vec(mx, r)) for r in pos]
-    if not set(image) <= all_set:
+    if not x_preserves(m, all_set):
         raise InvariantError("map does not normalize the subsystem")
-    sub_weyl = weyl_closure(sub.as_datum())
-    fixes = [v for v in sub_weyl
-             if {tuple(mat_vec(x_action(mat_mul(v, m)), r)) for r in pos} == pos_set]
+    fixes = [v for v in weyl_closure(sub.as_datum())
+             if x_preserves(mat_mul(v, m), pos_set)]
     if len(fixes) != 1:
         raise InvariantError("positivity correction is not unique")
     return mat_mul(fixes[0], m)
@@ -371,9 +366,10 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[MbarElement]:
 
 def spectral_strata(spec: GroupSpec, rng=None) -> list[SpectralStratum]:
     _require_connected(spec)
+    cox = enumerate_weyl(dual_datum(spec.datum))
     strata = []
-    for ssc in enumerate_ss_classes(spec, rng=rng):
-        geo = _StratumGeometry(spec, ssc)
+    for ssc in enumerate_ss_classes(spec, rng=rng, cox=cox):
+        geo = _StratumGeometry(spec, ssc, cox)
         for pair in special_pairs(spec, ssc, geo=geo, rng=rng):
             ext = extended_group(spec, pair, geo=geo)
             strata.append(SpectralStratum(ss=ssc, pair=pair, ext=ext,

@@ -17,7 +17,6 @@ alongside the reflections and enter every stabilizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
@@ -25,11 +24,12 @@ from .errors import InvariantError
 from .groups import FiniteGroup, orbits, semidirect
 from .lattice import (
     Matrix,
-    frac_vec_mod1,
+    Vector,
     identity,
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
+    mat_vec_mod,
 )
 from .rootdata import (
     GroupSpec,
@@ -41,6 +41,7 @@ from .rootdata import (
     point_label,
     stable_point_orbits,
     x_action,
+    x_preserves,
 )
 from .springer import (
     assemble_product_group,
@@ -58,8 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SemisimpleParameter:
-    rep: tuple[Fraction, ...]
-    orbit: tuple[tuple[Fraction, ...], ...]
+    """An orbit of torsion points under the full acting group; each point v
+    stands for v / modulus."""
+    rep: Vector                  # least point of the orbit
+    orbit: tuple[Vector, ...]
+    modulus: int
     sub_label: str
 
     @property
@@ -67,7 +71,7 @@ class SemisimpleParameter:
         return len(self.orbit)
 
     def label(self) -> str:
-        return point_label(self.rep)
+        return point_label(self.rep, self.modulus)
 
 
 @dataclass(frozen=True)
@@ -151,21 +155,25 @@ class _Ambient:
                 self.label_of[m] = label
                 self.elements.append((label, m))
 
-    def frobenius(self, v):
+    def frobenius(self, v: Vector, modulus: int) -> Vector:
         """q sigma on the dual torus."""
-        return frac_vec_mod1(tuple(self.q * x for x in mat_vec(self.sigma, v)))
+        return tuple(self.q * x % modulus for x in mat_vec(self.sigma, v))
 
 
 # ---------------------------------------------------------------------------
 # semisimple parameters
 
-def semisimple_parameters(spec: GroupSpec, rng=None) -> list[SemisimpleParameter]:
-    """Orbits on the dual torus containing a Frobenius-stable reflection orbit."""
-    amb = _Ambient(spec)
+def semisimple_parameters(spec: GroupSpec, rng=None, amb=None) -> list[SemisimpleParameter]:
+    """Orbits on the dual torus containing a Frobenius-stable reflection orbit.
+
+    ``amb`` is the spec's acting group, built here when not given."""
+    amb = amb or _Ambient(spec)
     mats = [m for _, m in amb.elements]
-    return [SemisimpleParameter(rep=orbit[0], orbit=orbit,
-                                sub_label=centralizer_subdatum(amb.dd, orbit[0]).label)
-            for orbit in stable_point_orbits(spec, amb.cox.elements, mats, rng)]
+    modulus, point_orbits = stable_point_orbits(spec, amb.cox.elements, mats, rng)
+    return [SemisimpleParameter(
+                rep=orbit[0], orbit=orbit, modulus=modulus,
+                sub_label=centralizer_subdatum(amb.dd, orbit[0], modulus).label)
+            for orbit in point_orbits]
 
 
 # ---------------------------------------------------------------------------
@@ -221,20 +229,19 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
 class _PointGeometry:
     """Stabilizer, cells, and Frobenius cosets at one torus point."""
 
-    def __init__(self, amb: _Ambient, rep):
+    def __init__(self, amb: _Ambient, rep: Vector, modulus: int):
         self.amb = amb
         self.rep = rep
         dd = amb.dd
-        self.sub = centralizer_subdatum(dd, rep)
+        self.sub = centralizer_subdatum(dd, rep, modulus)
         self.sub_cox = enumerate_weyl(self.sub.as_datum())
         self.part = cells(kl_table(self.sub_cox))
         self.factor_cells = _factor_cell_ids(self.sub, self.sub_cox, self.part)
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
-        coords = frac_vec_mod1(rep)
 
         int_set = set(self.sub_cox.elements)
         stab = [(lab, m) for lab, m in amb.elements
-                if frac_vec_mod1(mat_vec(m, coords)) == coords]
+                if mat_vec_mod(m, rep, modulus) == rep]
         omega = [(lab, m) for lab, m in stab if self._based(m)]
         if len(stab) != len(omega) * len(int_set):
             raise InvariantError(
@@ -256,9 +263,9 @@ class _PointGeometry:
 
         # Frobenius cosets: reflection-group solutions of w(F(rep)) = rep,
         # partitioned into left cosets of the integral reflection group
-        target = amb.frobenius(coords)
+        target = amb.frobenius(rep, modulus)
         sprime = [w for w in amb.cox.elements
-                  if frac_vec_mod1(mat_vec(w, target)) == coords]
+                  if mat_vec_mod(w, target, modulus) == rep]
         if not sprime:
             raise InvariantError("point enumerated without a Frobenius witness")
         sset = set(sprime)
@@ -298,8 +305,7 @@ class _PointGeometry:
                                for w in self.coset_reps]
 
     def _based(self, m: Matrix) -> bool:
-        mx = x_action(m)
-        return all(tuple(mat_vec(mx, r)) in self.pos_set for r in self.pos_set)
+        return x_preserves(m, self.pos_set)
 
     def factor_perm(self, m: Matrix) -> tuple[int, ...]:
         return factor_permutation(self.sub, m)
@@ -371,8 +377,8 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
 def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
     amb = _Ambient(spec)
     strata = []
-    for ss in semisimple_parameters(spec, rng=rng):
-        geo = _PointGeometry(amb, ss.rep)
+    for ss in semisimple_parameters(spec, rng=rng, amb=amb):
+        geo = _PointGeometry(amb, ss.rep, ss.modulus)
         k = len(geo.part.two_sided_cells)
 
         # orbits of cells under the based complement

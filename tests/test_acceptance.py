@@ -179,7 +179,7 @@ def test_criterion_6_structural_checks():
                  parse_group_spec(su3, q=2)]:
         amb = _Ambient(spec)
         for ss in semisimple_parameters(spec):
-            geo = _PointGeometry(amb, ss.rep)
+            geo = _PointGeometry(amb, ss.rep, ss.modulus)
             int_set = set(geo.sub_cox.elements)
             for ci, wrep in enumerate(geo.coset_reps):
                 coset = {mat_mul(u, wrep) for u in int_set}

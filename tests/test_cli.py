@@ -168,12 +168,44 @@ def test_exit_code_pipeline_disagreement(monkeypatch, capsys):
 def test_malformed_integer_matrices_exit_2(tmp_path, config):
     cfg = tmp_path / "group.json"
     cfg.write_text(json.dumps(config))
+    proc = run_cli(["count", "--config", str(cfg), "--q", "3"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+
+def run_cli(argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lpackets.cli", "count", "--config", str(cfg),
-         "--q", "3"], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "lpackets.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "truncated",
+                                  "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, kind):
+    path = tmp_path / "group.json"
+    if kind == "directory":
+        path = tmp_path
+    elif kind == "truncated":
+        path.write_text('{"type": "A1", "q"')
+    elif kind == "not-utf8":
+        path.write_bytes(b'\xff\xfe{"type": "A1"}')
+    proc = run_cli(["count", "--config", str(path), "--q", "3"])
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot read config")
+
+
+def test_oversized_torus_is_refused_before_solving(tmp_path):
+    # T6 at q = 64 has 63^6, about 6 * 10^10, torsion points; run_cli's
+    # timeout fails the test if the work is started instead of refused
+    cfg = tmp_path / "t6.json"
+    cfg.write_text(json.dumps({"type": "T6"}))
+    proc = run_cli(["count", "--config", str(cfg), "--q", "64"])
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "torsion points" in proc.stderr

@@ -1,20 +1,24 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lpackets.errors import InvariantError
 from lpackets.lattice import (
     det,
-    frac_vec_mod1,
     identity,
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
+    mat_vec_mod,
     quotient_structure,
     smith_normal_form,
     solve_torsion,
-    torsion_order,
     transpose,
 )
 
@@ -25,6 +29,28 @@ def square(n):
     return st.lists(st.lists(small_entries, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(
                         lambda rows: tuple(tuple(r) for r in rows))
+
+
+def reference_solve_torsion(a):
+    """The Fraction solver the integer one replaced: all s in (Q/Z)^n with
+    a @ s integral, as Fraction tuples in [0, 1), sorted."""
+    n = len(a)
+    d, _, v = smith_normal_form(a)
+    diag = [d[i][i] for i in range(n)]
+    assert all(x != 0 for x in diag)
+    sols = []
+
+    def rec(i, t):
+        if i == n:
+            s = mat_vec(v, t)
+            sols.append(tuple(Fraction(x) % 1 for x in s))
+            return
+        for k in range(diag[i]):
+            rec(i + 1, t + (Fraction(k, diag[i]),))
+
+    rec(0, ())
+    sols.sort()
+    return sols
 
 
 def is_diagonal(m):
@@ -51,8 +77,37 @@ def test_unimodular_inverse():
     a = ((1, 1), (0, 1))
     inv = mat_inv_unimodular(a)
     assert mat_mul(a, inv) == identity(2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         mat_inv_unimodular(((2, 0), (0, 1)))
+    with pytest.raises(InvariantError):
+        mat_inv_unimodular(((1, 2), (2, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(square))
+def test_unimodular_inverse_of_smith_transforms(a):
+    # the Smith transforms are unimodular matrices far from the identity
+    _, u, v = smith_normal_form(a)
+    for m in (u, v):
+        assert mat_mul(m, mat_inv_unimodular(m)) == identity(len(m))
+
+
+def test_non_unimodular_inverse_raises_under_optimize():
+    # the check must not be an assert, which python -O strips
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("from lpackets.errors import InvariantError\n"
+            "from lpackets.lattice import mat_inv_unimodular\n"
+            "try:\n"
+            "    print(mat_inv_unimodular(((2, 0), (0, 1))))\n"
+            "except InvariantError:\n"
+            "    print('refused')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "refused"
 
 
 @settings(max_examples=150, deadline=None)
@@ -78,27 +133,46 @@ def test_smith_normal_form_properties(a):
 def test_solve_torsion_count_is_absolute_determinant(a):
     d = det(a)
     if d == 0:
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvariantError):
             solve_torsion(a)
         return
+    n = abs(d)
     sols = solve_torsion(a)
-    assert len(sols) == abs(d)
+    assert len(sols) == n
     assert sols == sorted(set(sols))
-    for s in sols:
-        image = mat_vec(a, s)
-        assert all(Fraction(x) % 1 == 0 for x in image)
+    for v in sols:
+        assert all(0 <= x < n for x in v)
+        # a @ (v / n) is integral
+        assert mat_vec_mod(a, v, n) == (0,) * len(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(square),
+       st.integers(min_value=1, max_value=4))
+def test_solve_torsion_matches_fraction_reference(a, multiple):
+    d = det(a)
+    assume(d != 0)
+    modulus = multiple * abs(d)
+    sols = solve_torsion(a, modulus)
+    assert [tuple(Fraction(x, modulus) for x in v) for v in sols] == \
+        reference_solve_torsion(a)
+
+
+def test_solve_torsion_rejects_a_modulus_not_divisible_by_det():
+    with pytest.raises(InvariantError):
+        solve_torsion(((2, 0), (0, 3)), 4)
 
 
 def test_solve_torsion_brute_force_cross_check():
     a = ((2, 1), (0, 3))
-    sols = set(solve_torsion(a))
     denom = 6
+    sols = set(solve_torsion(a, denom))
     brute = set()
     for i in range(denom):
         for j in range(denom):
             s = (Fraction(i, denom), Fraction(j, denom))
             if all(Fraction(x) % 1 == 0 for x in mat_vec(a, s)):
-                brute.add(s)
+                brute.add((i, j))
     assert sols == brute
 
 
@@ -106,10 +180,3 @@ def test_quotient_structure_diagonalizes_relations():
     u, orders = quotient_structure(2, ((2, 0), (0, 4)))
     assert sorted(o for o in orders if o) == [2, 4]
     assert abs(det(u)) == 1
-
-
-def test_frac_vec_and_torsion_order():
-    v = frac_vec_mod1((Fraction(5, 4), Fraction(-1, 3)))
-    assert v == (Fraction(1, 4), Fraction(2, 3))
-    assert torsion_order(v) == 12
-    assert torsion_order((Fraction(0),)) == 1

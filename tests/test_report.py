@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+
+import pytest
 
 from lpackets.report import (
     both_reports,
@@ -68,3 +71,43 @@ def test_renders_are_seed_independent():
             rep = builder(spec, rng=random.Random(seed))
             assert render_json(rep) == base_json
             assert render_text(rep) == base_text
+
+
+# sha256 of render_text, recorded from an implementation that carried torus
+# points as Fraction tuples; any change to the reports' bytes fails here
+# (a1xa1-swap and o2 are disconnected, so only the stratified route runs)
+SWAP = [[0, 1], [1, 0]]
+GOLDEN_CONFIGS = {
+    "su3": {"type": "A2", "isogeny": "sc", "twist": [1, 0]},
+    "a1xa1-swap": {"type": "A1xA1", "component_group": [SWAP]},
+}
+GOLDEN_DIGESTS = [
+    ("gl3", 5, "spectral",
+     "f8e4cd57098374d33a0b9cfcc6a28aeddd30320594094790bfaa1a7d941c44db"),
+    ("gl3", 5, "stratified",
+     "3dbd63a5cbaa395233f3cffb82987f4a626fb09601fbaf42517f9e8180389838"),
+    ("g2", 7, "spectral",
+     "06191f6ebf2e57ab4142f223b80b7c08f4d5392035ddf007a8cee043f06a736a"),
+    ("g2", 7, "stratified",
+     "22d1a7e416aa815752be46b1e1200658d5d242ed30cd24f36aef9368929294d4"),
+    ("sp4", 5, "spectral",
+     "c1aa547974cc64b5c894ffd68fe3fab439209fe362da4a1e640e75076b9eddb5"),
+    ("sp4", 5, "stratified",
+     "6cd096bd2eb82d7e68e6f6f898ee9f6907d2db3397b6500f431744586277ae91"),
+    ("su3", 5, "spectral",
+     "e6c8eb59430e600c7c5c6e763919bb31e7bbbba4e86cfdf86f5587b20cf4ef98"),
+    ("su3", 5, "stratified",
+     "befccc79a0595bf48a4a0262ebeaa11ecb9bb18a3e06328d97504a27c5846786"),
+    ("a1xa1-swap", 5, "stratified",
+     "49d590546fa346d7931af15edd1fb488b501f0c66412e186be047ad1f6c743c5"),
+    ("o2", 7, "stratified",
+     "3b7bdccc4b4c5bb577a8df7bf72a220eb1a706c451fc1a2d65d19b049155f46f"),
+]
+
+
+@pytest.mark.parametrize("label,q,pipeline,digest", GOLDEN_DIGESTS)
+def test_report_bytes_are_pinned(label, q, pipeline, digest):
+    spec = parse_group_spec(GOLDEN_CONFIGS.get(label, label), q=q)
+    builder = spectral_report if pipeline == "spectral" else stratified_report
+    text = render_text(builder(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

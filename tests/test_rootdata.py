@@ -11,6 +11,7 @@ from lpackets.rootdata import (
     dual_datum,
     factor_permutation,
     parse_group_spec,
+    _solve_rational,
     point_label,
     weyl_closure,
     whittaker_torsor_size,
@@ -99,15 +100,15 @@ def test_twist_permutation_grammar():
 
 def test_centralizer_subdatum_full_and_empty():
     d = dual_datum(spec_of("sp4", 5).datum)
-    full = centralizer_subdatum(d, (Fraction(0), Fraction(0)))
+    full = centralizer_subdatum(d, (0, 0), 1)
     assert len(full.root_positions) == len(d.roots)
-    generic = centralizer_subdatum(d, (Fraction(1, 7), Fraction(2, 7)))
+    generic = centralizer_subdatum(d, (1, 2), 7)
     assert not generic.root_positions
 
 
 def test_centralizer_subdatum_proper_subsystem():
     d = dual_datum(spec_of("sp4", 5).datum)
-    sub = centralizer_subdatum(d, (Fraction(1, 2), Fraction(1, 2)))
+    sub = centralizer_subdatum(d, (1, 1), 2)
     assert 0 < len(sub.root_positions) < len(d.roots)
     assert len(sub.factors) >= 1
     for pos in sub.simple_positions:
@@ -119,13 +120,31 @@ def test_centralizer_subdatum_proper_subsystem():
 
 def test_factor_permutation_identity():
     d = dual_datum(spec_of("sp4", 5).datum)
-    sub = centralizer_subdatum(d, (Fraction(1, 2), Fraction(1, 2)))
+    sub = centralizer_subdatum(d, (1, 1), 2)
     n = len(sub.factors)
     assert factor_permutation(sub, identity(2)) == tuple(range(n))
 
 
+@pytest.mark.parametrize("config", [
+    *sorted(NAMED_SPECS),
+    {"type": "A2", "isogeny": "ad"},
+    {"type": "B2", "isogeny": "ad"},
+    {"type": "A1xA1", "isogeny": [[1, 1], [1, -1]]},
+    {"type": "G2+T2"},
+])
+def test_positive_roots_match_rational_solve(config):
+    # reference: solve root = sum c_i alpha_i over Q and test c >= 0
+    datum = parse_group_spec(config, q=5).datum
+    for d in (datum, dual_datum(datum)):
+        expected = tuple(i for i, r in enumerate(d.roots)
+                         if all(c >= 0 for c in _solve_rational(d.simple_roots, r)))
+        assert d.positive_indices == expected
+        assert 2 * len(expected) == len(d.roots)
+
+
 def test_point_label_format():
-    assert point_label((Fraction(0), Fraction(1, 2))) == "(0,1/2)"
+    assert point_label((0, 1), 2) == "(0,1/2)"
+    assert point_label((0, 3, 4), 12) == "(0,1/4,1/3)"
 
 
 def test_whittaker_torsor_sizes():
