@@ -25,7 +25,7 @@ from .report import (
     spectral_report,
     stratified_report,
 )
-from .rootdata import NAMED_SPECS, _build_datum, parse_group_spec
+from .rootdata import NAMED_SPECS, parse_group_spec
 from .springer import _TABLES, family_groups
 
 _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}

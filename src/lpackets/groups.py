@@ -9,13 +9,43 @@ so that output is deterministic.
 ``orbits`` (a finite group acting on a finite set) and ``closure`` (the
 group some elements generate) are the package's one orbit loop and one
 closure loop.
+
+``Packet`` and ``Stratum`` are the one record both counting pipelines emit
+and the reports render: each pipeline counts its packets on its own groups,
+then hands over only labels and sizes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import InvariantError
+
+
+@dataclass(frozen=True)
+class Packet:
+    """One parameter of a stratum: the twisted class of ``x_label`` and its
+    packet, of ``size`` irreducible characters of the centralizer named
+    ``group_label``."""
+    x_label: str
+    size: int
+    group_label: str
+
+
+@dataclass
+class Stratum:
+    """The parameters over one semisimple label; ``labels`` names the
+    stratum in the pipeline's own terms and ``group_desc`` the group whose
+    twisted classes are the packets."""
+    ss_label: str
+    labels: dict
+    group_desc: str
+    packets: list[Packet]
+
+    @property
+    def total(self) -> int:
+        return sum(p.size for p in self.packets)
 
 
 def orbits(items, group, act) -> list[set]:
@@ -63,7 +93,7 @@ def closure(gens, mul, one, cap) -> set:
 
 
 class FiniteGroup:
-    __slots__ = ("labels", "table", "identity", "inverse", "_index")
+    __slots__ = ("labels", "table", "identity", "inverse")
 
     def __init__(self, labels, table, check=True):
         self.labels = tuple(labels)
@@ -91,8 +121,7 @@ class FiniteGroup:
                     for c in range(n):
                         if self.table[ab][c] != self.table[a][self.table[b][c]]:
                             raise ValueError("multiplication table is not associative")
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != n:
+        if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
 
     @property
@@ -119,9 +148,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return all(self.table[a][b] == self.table[b][a]
                    for a in range(self.order) for b in range(self.order))
-
-    def index_of(self, label: str) -> int:
-        return self._index[label]
 
     # ---- subgroups and classes -------------------------------------------
 

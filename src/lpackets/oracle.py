@@ -15,10 +15,14 @@ from ._kernels import BACKEND, matrix_class_count, matrix_closure
 from .errors import ConfigError, UnsupportedTypeError
 from .fq import Field, field
 
-__all__ = ["OracleResult", "ORACLE_GROUPS", "expected_order", "oracle_count",
-           "BACKEND"]
+__all__ = ["OracleResult", "ORACLE_GROUPS", "MAX_ORACLE_WORK",
+           "expected_order", "oracle_count", "BACKEND"]
 
 ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
+
+# Closing the group costs about order * len(gens) * n^3 field operations;
+# the pure Python kernels do about 10^6 of them per second.
+MAX_ORACLE_WORK = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -207,6 +211,12 @@ def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
             f"{name} over F_{q} has order {expected}, beyond the cap of {cap}")
     builder = _BUILDERS[name]
     gens, n, tf = builder(field(q))
+    work = expected * len(gens) * n ** 3
+    if work > MAX_ORACLE_WORK:
+        raise UnsupportedTypeError(
+            f"{name} over F_{q} needs about {work:.1e} field operations "
+            f"({expected} elements, {len(gens)} generators of size {n}); "
+            f"the limit is {MAX_ORACLE_WORK:.0e}")
     elements = matrix_closure(gens, n, tf.q, tf.add, tf.mul, cap=cap)
     if len(elements) != expected:
         raise ConfigError(

@@ -1,8 +1,9 @@
 """Deterministic count reports.
 
-A report is assembled from one pipeline run and renders to text or JSON with
-a fixed field order, so identical inputs give byte-identical output whatever
-exploration order the run used internally.
+A report holds the ``groups.Stratum`` records of one pipeline run, as the
+pipeline returned them, and renders them to text or JSON with a fixed field
+order, so identical inputs give byte-identical output whatever exploration
+order the run used internally.
 """
 
 from __future__ import annotations
@@ -10,25 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .groups import Stratum
 from .rootdata import GroupSpec, whittaker_torsor_size
 from .spectral import spectral_strata
-from .springer import TABLE_VERSION, group_structure_label
+from .springer import TABLE_VERSION
 from .strata import stratified_strata
 
-__all__ = ["StratumRow", "CountReport", "spectral_report", "stratified_report",
+__all__ = ["CountReport", "spectral_report", "stratified_report",
            "render_text", "render_json", "both_reports"]
-
-
-@dataclass
-class StratumRow:
-    ss_label: str
-    labels: dict
-    group_desc: str
-    packets: list            # [{"x": str, "size": int, "group": str}]
-
-    @property
-    def total(self) -> int:
-        return sum(p["size"] for p in self.packets)
 
 
 @dataclass
@@ -37,7 +27,7 @@ class CountReport:
     cartan: str
     q: int
     pipeline: str
-    strata: list = field(default_factory=list)
+    strata: list[Stratum] = field(default_factory=list)
     oracle_total: int | None = None
     conventions: dict = field(default_factory=dict)
 
@@ -56,46 +46,24 @@ class CountReport:
         return self.total == self.oracle_total
 
 
-def _conventions(spec: GroupSpec) -> dict:
-    return {
+def _report(spec: GroupSpec, pipeline: str, strata, oracle_total) -> CountReport:
+    conventions = {
         "q_sqrt": "positive root of q",
         "whittaker_torsor": whittaker_torsor_size(spec),
         "table_version": TABLE_VERSION,
     }
+    return CountReport(group=spec.name, cartan=spec.datum.cartan_label,
+                       q=spec.q, pipeline=pipeline, strata=strata,
+                       oracle_total=oracle_total, conventions=conventions)
 
 
 def spectral_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountReport:
-    rows = []
-    for st in spectral_strata(spec, rng=rng):
-        rows.append(StratumRow(
-            ss_label=st.ss.label(),
-            labels={"class": st.pair.class_label()},
-            group_desc=st.ext.description,
-            packets=[{"x": e.x_label, "size": e.irr_count,
-                      "group": group_structure_label(e.centralizer)}
-                     for e in st.elements],
-        ))
-    return CountReport(group=spec.name, cartan=spec.datum.cartan_label,
-                       q=spec.q, pipeline="spectral", strata=rows,
-                       oracle_total=oracle_total,
-                       conventions=_conventions(spec))
+    return _report(spec, "spectral", spectral_strata(spec, rng=rng), oracle_total)
 
 
 def stratified_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountReport:
-    rows = []
-    for st in stratified_strata(spec, rng=rng):
-        rows.append(StratumRow(
-            ss_label=st.ss.label(),
-            labels={"cell": st.unip.label, "beta": st.beta.label},
-            group_desc=st.group_desc,
-            packets=[{"x": p.x_label, "size": p.packet_size,
-                      "group": p.group_label}
-                     for p in st.packets],
-        ))
-    return CountReport(group=spec.name, cartan=spec.datum.cartan_label,
-                       q=spec.q, pipeline="stratified", strata=rows,
-                       oracle_total=oracle_total,
-                       conventions=_conventions(spec))
+    return _report(spec, "stratified", stratified_strata(spec, rng=rng),
+                   oracle_total)
 
 
 def both_reports(spec: GroupSpec, rng=None, oracle_total=None):
@@ -106,12 +74,13 @@ def both_reports(spec: GroupSpec, rng=None, oracle_total=None):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _row_dict(row: StratumRow) -> dict:
+def _row_dict(row: Stratum) -> dict:
     return {
         "ss": row.ss_label,
         "labels": row.labels,
         "group": row.group_desc,
-        "packets": row.packets,
+        "packets": [{"x": p.x_label, "size": p.size, "group": p.group_label}
+                    for p in row.packets],
         "total": row.total,
     }
 
@@ -143,7 +112,7 @@ def render_text(rep: CountReport) -> str:
         lines.append(f"  s={row.ss_label} {labels} group={row.group_desc}: "
                      f"total {row.total}")
         for p in row.packets:
-            lines.append(f"    x={p['x']} packet={p['group']} size={p['size']}")
+            lines.append(f"    x={p.x_label} packet={p.group_label} size={p.size}")
     lines.append(f"parameters: {rep.parameter_count}")
     lines.append(f"packet-weighted total: {rep.total}")
     if rep.oracle_total is not None:

@@ -40,7 +40,7 @@ from .lattice import (
 
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
-    "parse_group_spec", "dual_datum", "centralizer_subdatum",
+    "parse_group_spec", "dual_datum", "centralizer_subdatum", "TorusOrbit",
     "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
     "reflection_on_y", "x_action", "x_preserves", "weyl_closure", "NAMED_SPECS",
 ]
@@ -735,17 +735,31 @@ def centralizer_subdatum(datum: RootDatum, point: Vector, modulus: int) -> SubSy
 MAX_TORSION_POINTS = 10 ** 6
 
 
-def stable_point_orbits(spec: GroupSpec, weyl, acting,
-                        rng) -> tuple[int, list[tuple[Vector, ...]]]:
+@dataclass(frozen=True)
+class TorusOrbit:
+    """An orbit of torsion points of the dual torus; each point v stands for
+    v / modulus."""
+    rep: Vector                  # least point of the orbit
+    orbit: tuple[Vector, ...]
+    modulus: int
+
+    @property
+    def orbit_size(self) -> int:
+        return len(self.orbit)
+
+    def label(self) -> str:
+        return point_label(self.rep, self.modulus)
+
+
+def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
     """Orbits of the group ``acting`` on the torsion points s of the dual
     torus with q sigma w (s) = s for some w in ``weyl``.
 
-    Returns (N, orbits): every point is an integer vector v with s = v / N,
-    where N is the lcm over w of |det(q sigma w - 1)|.  Each orbit is a sorted
-    tuple and the orbits are sorted by their least point; an ``rng`` shuffles
-    the order the points are visited in.  Specs whose solution count
-    sum_w |det(q sigma w - 1)| exceeds MAX_TORSION_POINTS are refused before
-    anything is solved.
+    Every point is an integer vector v with s = v / N, where N is the lcm
+    over w of |det(q sigma w - 1)|.  Each orbit is sorted and the orbits are
+    sorted by their least point; an ``rng`` shuffles the order the points are
+    visited in.  Specs whose solution count sum_w |det(q sigma w - 1)|
+    exceeds MAX_TORSION_POINTS are refused before anything is solved.
     """
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
@@ -770,9 +784,10 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting,
     for orbit in orbits(visit, acting, lambda m, s: mat_vec_mod(m, s, modulus)):
         if not orbit <= points:
             raise InvariantError("orbit leaks outside the solution set")
-        out.append(tuple(sorted(orbit)))
-    out.sort()
-    return modulus, out
+        pts = tuple(sorted(orbit))
+        out.append(TorusOrbit(rep=pts[0], orbit=pts, modulus=modulus))
+    out.sort(key=lambda o: o.rep)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ parameters in the pair's stratum are the twisted-conjugation classes of that
 extended group and each one's packet size is the number of irreducible
 characters of its twisted centralizer.
 
+``spectral_strata`` returns one shared ``groups.Stratum`` per pair, labelled
+``{"class": C}``, with one ``groups.Packet`` per twisted class.
+
 Disconnected groups are refused here; the stratified route handles them.
 """
 
@@ -19,15 +22,15 @@ from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import FiniteGroup, orbits, semidirect
+from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect
 from .lattice import Matrix, Vector, mat_inv_unimodular, mat_mul, mat_vec, mat_vec_mod
 from .rootdata import (
     GroupSpec,
     SubSystem,
+    TorusOrbit,
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
-    point_label,
     stable_point_orbits,
     weyl_closure,
     x_preserves,
@@ -40,35 +43,15 @@ from .springer import (
 )
 
 __all__ = [
-    "SemisimpleClass", "SpecialPair", "ExtendedComponentGroup", "MbarElement",
-    "FiniteLParameter", "SpectralStratum", "enumerate_ss_classes",
-    "special_pairs", "extended_group", "mbar", "parameters", "total_count",
-    "spectral_strata", "sl2_wd_convert",
+    "SpecialPair", "ExtendedComponentGroup", "FiniteLParameter",
+    "enumerate_ss_classes", "special_pairs", "extended_group", "mbar",
+    "parameters", "total_count", "spectral_strata", "sl2_wd_convert",
 ]
 
 
 @dataclass(frozen=True)
-class SemisimpleClass:
-    """A Weyl orbit of torsion points; each point v stands for v / modulus."""
-    rep: Vector                  # least point of the orbit
-    orbit: tuple[Vector, ...]
-    modulus: int
-    witness: Matrix
-    sub_label: str
-
-    @property
-    def orbit_size(self) -> int:
-        return len(self.orbit)
-
-    def label(self) -> str:
-        return point_label(self.rep, self.modulus)
-
-
-@dataclass(frozen=True)
 class SpecialPair:
-    ss: SemisimpleClass
     class_tuple: tuple[str, ...]     # canonical representative, one label per factor
-    class_orbit: tuple[tuple[str, ...], ...]
 
     def class_label(self) -> str:
         if not self.class_tuple:
@@ -80,17 +63,7 @@ class SpecialPair:
 class ExtendedComponentGroup:
     abar: FiniteGroup
     f_action: tuple[int, ...]
-    n: int                       # order of the Frobenius automorphism
     description: str
-
-
-@dataclass
-class MbarElement:
-    x: int
-    x_label: str
-    x_class_size: int
-    centralizer: FiniteGroup
-    irr_count: int
 
 
 @dataclass(frozen=True)
@@ -104,22 +77,6 @@ class FiniteLParameter:
     monodromy_label: str        # class label in sl2 form, nilpotent label in wd form
 
 
-@dataclass
-class SpectralStratum:
-    ss: SemisimpleClass
-    pair: SpecialPair
-    ext: ExtendedComponentGroup
-    elements: list[MbarElement]
-
-    @property
-    def count(self) -> int:
-        return len(self.elements)
-
-    @property
-    def total(self) -> int:
-        return sum(e.irr_count for e in self.elements)
-
-
 def _require_connected(spec: GroupSpec):
     if not spec.connected:
         raise PipelineUnavailableError(
@@ -130,49 +87,39 @@ def _require_connected(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 # semisimple classes
 
-def enumerate_ss_classes(spec: GroupSpec, rng=None, cox=None) -> list[SemisimpleClass]:
+def enumerate_ss_classes(spec: GroupSpec, rng=None, cox=None) -> list[TorusOrbit]:
     """Torsion points of the dual torus with q sigma (s) Weyl-conjugate to s,
-    up to the Weyl group, with canonical representatives and witnesses.
+    up to the Weyl group.
 
     ``cox`` is the dual Weyl group, built here when not given."""
     _require_connected(spec)
-    dd = dual_datum(spec.datum)
-    cox = cox or enumerate_weyl(dd)
-    sigma = spec.twist.sigma_x  # the twist seen by the dual side
-    modulus, point_orbits = stable_point_orbits(spec, cox.elements, cox.elements, rng)
-    classes = []
-    for orbit in point_orbits:
-        rep = orbit[0]
-        target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
-        witness = next((w for w in cox.elements
-                        if mat_vec_mod(w, rep, modulus) == target), None)
-        if witness is None:
-            raise InvariantError("no witness for a supposedly stable orbit")
-        sub = centralizer_subdatum(dd, rep, modulus)
-        classes.append(SemisimpleClass(rep=rep, orbit=orbit, modulus=modulus,
-                                       witness=witness, sub_label=sub.label))
-    return classes
+    cox = cox or enumerate_weyl(dual_datum(spec.datum))
+    return stable_point_orbits(spec, cox.elements, cox.elements, rng)
 
 
 # ---------------------------------------------------------------------------
 # geometry at one semisimple class
 
 class _StratumGeometry:
-    """Everything about the centralizer at the canonical representative."""
+    """Everything about the centralizer at the canonical representative;
+    ``cox`` is the dual Weyl group."""
 
-    def __init__(self, spec: GroupSpec, ssc: SemisimpleClass, cox=None):
-        self.spec = spec
-        self.ssc = ssc
-        # the dual Weyl group, built here when not given
-        cox = self.cox = cox or enumerate_weyl(dual_datum(spec.datum))
-        self.sub = centralizer_subdatum(cox.datum, ssc.rep, ssc.modulus)
-        self.pi0 = _pi0_elements(cox, self.sub, ssc.rep, ssc.modulus)
+    def __init__(self, spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup):
+        rep, modulus = ssc.rep, ssc.modulus
+        sigma = spec.twist.sigma_x  # the twist seen by the dual side
+        target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
+        witness = next((w for w in cox.elements
+                        if mat_vec_mod(w, rep, modulus) == target), None)
+        if witness is None:
+            raise InvariantError("no witness for a supposedly stable orbit")
+        self.cox = cox
+        self.sub = centralizer_subdatum(cox.datum, rep, modulus)
+        self.pi0 = _pi0_elements(cox, self.sub, rep, modulus)
         self.factor_types = self.sub.factor_types
         # Frobenius as a based automorphism of the subsystem:
         # v0 . witness^-1 . sigma with v0 the positivity correction
-        witness_inv = cox.elements[cox.inverse[cox.index[ssc.witness]]]
-        m = mat_mul(witness_inv, spec.twist.sigma_x)
-        self.aut_f = _positivity_correct(self.cox, self.sub, m)
+        witness_inv = cox.elements[cox.inverse[cox.index[witness]]]
+        self.aut_f = _positivity_correct(self.sub, mat_mul(witness_inv, sigma))
 
     def factor_perm_of(self, m_y: Matrix) -> tuple[int, ...]:
         """Permutation of the subsystem factors induced by a based map."""
@@ -194,7 +141,7 @@ def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep: Vector,
             if mat_vec_mod(w, rep, modulus) == rep and x_preserves(w, pos_set)]
 
 
-def _positivity_correct(cox: CoxeterGroup, sub: SubSystem, m: Matrix) -> Matrix:
+def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
     """Compose with the unique element of the subsystem reflection group that
     makes m preserve the positive subsystem."""
     pos_set = {sub.ambient.roots[i] for i in sub.positive_positions}
@@ -211,11 +158,9 @@ def _positivity_correct(cox: CoxeterGroup, sub: SubSystem, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # special pairs
 
-def special_pairs(spec: GroupSpec, ssc: SemisimpleClass, geo=None, rng=None) -> list[SpecialPair]:
+def special_pairs(geo: _StratumGeometry, rng=None) -> list[SpecialPair]:
     """Component-stable Frobenius-stable orbits of special classes of the
     centralizer at the canonical representative."""
-    _require_connected(spec)
-    geo = geo or _StratumGeometry(spec, ssc)
     per_factor = [tuple(r.class_label for r in special_classes(t))
                   for t in geo.factor_types]
     tuples = [()]
@@ -238,8 +183,7 @@ def special_pairs(spec: GroupSpec, ssc: SemisimpleClass, geo=None, rng=None) -> 
         rep = min(orbit, key=tuple_key)
         if geo.act_on_tuple(geo.aut_f, rep) not in orbit:
             continue
-        pairs.append(SpecialPair(ss=ssc, class_tuple=rep,
-                                 class_orbit=tuple(sorted(orbit, key=tuple_key))))
+        pairs.append(SpecialPair(class_tuple=rep))
     pairs.sort(key=lambda p: tuple_key(p.class_tuple))
     return pairs
 
@@ -247,9 +191,7 @@ def special_pairs(spec: GroupSpec, ssc: SemisimpleClass, geo=None, rng=None) -> 
 # ---------------------------------------------------------------------------
 # the extended component group and its Frobenius
 
-def extended_group(spec: GroupSpec, pair: SpecialPair, geo=None) -> ExtendedComponentGroup:
-    _require_connected(spec)
-    geo = geo or _StratumGeometry(spec, pair.ss)
+def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponentGroup:
     cox = geo.cox
 
     # correct the Frobenius so it fixes the canonical class tuple
@@ -305,29 +247,16 @@ def extended_group(spec: GroupSpec, pair: SpecialPair, geo=None) -> ExtendedComp
                      for g in range(g_group.order) for v in range(ns))
     if not abar.is_automorphism(f_action):
         raise InvariantError("Frobenius is not an automorphism of the extended group")
-    n = _perm_order(f_action)
     desc = group_structure_label(g_group)
     if ns > 1:
         desc = f"{desc}:{group_structure_label(s_group)}"
-    return ExtendedComponentGroup(abar=abar, f_action=f_action, n=n, description=desc)
-
-
-def _perm_order(perm) -> int:
-    n = 1
-    cur = list(perm)
-    ident = list(range(len(perm)))
-    while cur != ident:
-        cur = [perm[i] for i in cur]
-        n += 1
-        if n > 10000:
-            raise InvariantError("permutation order runaway")
-    return n
+    return ExtendedComponentGroup(abar=abar, f_action=f_action, description=desc)
 
 
 # ---------------------------------------------------------------------------
 # twisted classes of the extended group
 
-def mbar(ext: ExtendedComponentGroup, rng=None) -> list[MbarElement]:
+def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
     """Twisted-conjugation classes of the extended group, with packet sizes.
 
     With an rng, the orbits are computed around a random translation point
@@ -354,41 +283,42 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[MbarElement]:
     for orb in orbits:
         x = min(orb, key=lambda i: abar.labels[i])
         cz = abar.subgroup(centralizer_of(x))
-        out.append(MbarElement(x=x, x_label=abar.labels[x],
-                               x_class_size=len(orb), centralizer=cz,
-                               irr_count=cz.class_count()))
-    out.sort(key=lambda e: e.x_label)
+        out.append(Packet(abar.labels[x], cz.class_count(),
+                          group_structure_label(cz)))
+    out.sort(key=lambda p: p.x_label)
     return out
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
-def spectral_strata(spec: GroupSpec, rng=None) -> list[SpectralStratum]:
+def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     _require_connected(spec)
     cox = enumerate_weyl(dual_datum(spec.datum))
     strata = []
     for ssc in enumerate_ss_classes(spec, rng=rng, cox=cox):
         geo = _StratumGeometry(spec, ssc, cox)
-        for pair in special_pairs(spec, ssc, geo=geo, rng=rng):
-            ext = extended_group(spec, pair, geo=geo)
-            strata.append(SpectralStratum(ss=ssc, pair=pair, ext=ext,
-                                          elements=mbar(ext, rng=rng)))
+        for pair in special_pairs(geo, rng=rng):
+            ext = extended_group(geo, pair)
+            strata.append(Stratum(ss_label=ssc.label(),
+                                  labels={"class": pair.class_label()},
+                                  group_desc=ext.description,
+                                  packets=mbar(ext, rng=rng)))
     return strata
 
 
 def parameters(spec: GroupSpec, rng=None) -> list[FiniteLParameter]:
     out = []
     for st in spectral_strata(spec, rng=rng):
-        for el in st.elements:
+        for p in st.packets:
             out.append(FiniteLParameter(
-                ss_label=st.ss.label(),
-                class_label=st.pair.class_label(),
-                x_label=el.x_label,
-                packet_group_label=group_structure_label(el.centralizer),
-                packet_size=el.irr_count,
+                ss_label=st.ss_label,
+                class_label=st.labels["class"],
+                x_label=p.x_label,
+                packet_group_label=p.group_label,
+                packet_size=p.size,
                 normal_form="sl2",
-                monodromy_label=st.pair.class_label(),
+                monodromy_label=st.labels["class"],
             ))
     return out
 

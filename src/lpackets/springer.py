@@ -44,7 +44,6 @@ class SpecialClassRecord:
 class FamilyGroupRecord:
     cell_id: str
     group_label: str
-    is_exceptional: bool = False
 
 
 _TABLES: dict[str, tuple[SpecialClassRecord, ...]] = {

@@ -12,16 +12,19 @@ route uses.
 
 This route covers disconnected groups: component matrices act on the torus
 alongside the reflections and enter every stabilizer.
+
+``stratified_strata`` returns one shared ``groups.Stratum`` per (point,
+cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
+``groups.Packet`` per twisted class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
-from .groups import FiniteGroup, orbits, semidirect
+from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect
 from .lattice import (
     Matrix,
     Vector,
@@ -34,11 +37,11 @@ from .lattice import (
 from .rootdata import (
     GroupSpec,
     SubSystem,
+    TorusOrbit,
     _build_datum,
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
-    point_label,
     stable_point_orbits,
     x_action,
     x_preserves,
@@ -50,77 +53,7 @@ from .springer import (
     induced_automorphism,
 )
 
-__all__ = [
-    "SemisimpleParameter", "UnipotentParameter", "BetaClass", "StratPacket",
-    "StratifiedStratum", "semisimple_parameters", "stratified_strata",
-    "stratified_total", "stratified_parameters",
-]
-
-
-@dataclass(frozen=True)
-class SemisimpleParameter:
-    """An orbit of torsion points under the full acting group; each point v
-    stands for v / modulus."""
-    rep: Vector                  # least point of the orbit
-    orbit: tuple[Vector, ...]
-    modulus: int
-    sub_label: str
-
-    @property
-    def orbit_size(self) -> int:
-        return len(self.orbit)
-
-    def label(self) -> str:
-        return point_label(self.rep, self.modulus)
-
-
-@dataclass(frozen=True)
-class UnipotentParameter:
-    cell_positions: tuple[int, ...]   # orbit of two-sided cells, sorted
-    rep_cell: int
-    label: str                        # "+"-joined cell ids over the orbit
-    family_labels: tuple[str, ...]    # factor family groups at the rep cell
-
-
-@dataclass(frozen=True)
-class BetaClass:
-    rep: Matrix                       # distinguished coset representative
-    label: str                        # its word label in the reflection group
-    orbit_size: int                   # cosets in its twisted class
-
-
-@dataclass(frozen=True)
-class StratPacket:
-    x_label: str
-    packet_size: int
-    group_label: str
-
-
-@dataclass
-class StratifiedStratum:
-    ss: SemisimpleParameter
-    unip: UnipotentParameter
-    beta: BetaClass
-    group_desc: str
-    packets: list[StratPacket]
-
-    @property
-    def count(self) -> int:
-        return len(self.packets)
-
-    @property
-    def total(self) -> int:
-        return sum(p.packet_size for p in self.packets)
-
-
-@dataclass(frozen=True)
-class StratifiedParameter:
-    ss_label: str
-    cell_label: str
-    beta_label: str
-    x_label: str
-    packet_group_label: str
-    packet_size: int
+__all__ = ["semisimple_parameters", "stratified_strata", "stratified_total"]
 
 
 # ---------------------------------------------------------------------------
@@ -163,17 +96,13 @@ class _Ambient:
 # ---------------------------------------------------------------------------
 # semisimple parameters
 
-def semisimple_parameters(spec: GroupSpec, rng=None, amb=None) -> list[SemisimpleParameter]:
+def semisimple_parameters(spec: GroupSpec, rng=None, amb=None) -> list[TorusOrbit]:
     """Orbits on the dual torus containing a Frobenius-stable reflection orbit.
 
     ``amb`` is the spec's acting group, built here when not given."""
     amb = amb or _Ambient(spec)
     mats = [m for _, m in amb.elements]
-    modulus, point_orbits = stable_point_orbits(spec, amb.cox.elements, mats, rng)
-    return [SemisimpleParameter(
-                rep=orbit[0], orbit=orbit, modulus=modulus,
-                sub_label=centralizer_subdatum(amb.dd, orbit[0], modulus).label)
-            for orbit in point_orbits]
+    return stable_point_orbits(spec, amb.cox.elements, mats, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +290,8 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
         x = min(orbit, key=lambda i: g_group.labels[i])
         stab = [p for p in range(ext.order) if act(p, x) == x]
         cz = ext.subgroup(stab)
-        packets.append(StratPacket(x_label=g_group.labels[x],
-                                   packet_size=cz.class_count(),
-                                   group_label=group_structure_label(cz)))
+        packets.append(Packet(g_group.labels[x], cz.class_count(),
+                              group_structure_label(cz)))
     packets.sort(key=lambda p: p.x_label)
     desc = group_structure_label(g_group)
     if no > 1:
@@ -374,7 +302,7 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
 # ---------------------------------------------------------------------------
 # assembly
 
-def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
+def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     amb = _Ambient(spec)
     strata = []
     for ss in semisimple_parameters(spec, rng=rng, amb=amb):
@@ -383,16 +311,9 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
 
         # orbits of cells under the based complement
         for orb in orbits(range(k), geo.cell_perm, lambda perm, c: perm[c]):
-            members = tuple(sorted(orb))
+            members = sorted(orb)
             rep_cell = members[0]
-            unip = UnipotentParameter(
-                cell_positions=members,
-                rep_cell=rep_cell,
-                label="+".join(geo.part.cell_id(c) for c in members),
-                family_labels=tuple(
-                    family_groups(t)[geo.factor_cells[rep_cell][fi]].group_label
-                    for fi, t in enumerate(geo.sub.factor_types)),
-            )
+            cell_label = "+".join(geo.part.cell_id(c) for c in members)
 
             omega_stab = [oi for oi in range(geo.omega.order)
                           if geo.cell_perm[oi][rep_cell] == rep_cell]
@@ -407,31 +328,12 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[StratifiedStratum]:
                 stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
                 packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
                                                  rng=rng)
-                beta = BetaClass(
-                    rep=geo.coset_reps[bi],
-                    label=amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]]),
-                    orbit_size=len(borb),
-                )
-                strata.append(StratifiedStratum(ss=ss, unip=unip, beta=beta,
-                                                group_desc=desc,
-                                                packets=packets))
+                beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]])
+                strata.append(Stratum(ss_label=ss.label(),
+                                      labels={"cell": cell_label, "beta": beta_label},
+                                      group_desc=desc, packets=packets))
     return strata
 
 
 def stratified_total(spec: GroupSpec, rng=None) -> int:
     return sum(st.total for st in stratified_strata(spec, rng=rng))
-
-
-def stratified_parameters(spec: GroupSpec, rng=None) -> list[StratifiedParameter]:
-    out = []
-    for st in stratified_strata(spec, rng=rng):
-        for p in st.packets:
-            out.append(StratifiedParameter(
-                ss_label=st.ss.label(),
-                cell_label=st.unip.label,
-                beta_label=st.beta.label,
-                x_label=p.x_label,
-                packet_group_label=p.group_label,
-                packet_size=p.packet_size,
-            ))
-    return out

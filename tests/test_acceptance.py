@@ -39,7 +39,7 @@ from lpackets.strata import (
     _Ambient,
     _PointGeometry,
     semisimple_parameters,
-    stratified_parameters,
+    stratified_strata,
     stratified_total,
 )
 
@@ -85,7 +85,7 @@ def test_criterion_1_oracle_equality(capsys):
 
 def test_criterion_2_sl2_f3_strata():
     strata = spectral_strata(spec_of("sl2", 3))
-    table = {(s.ss.label(), s.pair.class_label()): s.total for s in strata}
+    table = {(s.ss_label, s.labels["class"]): s.total for s in strata}
     assert table == {
         ("(0)", "1"): 1,
         ("(0)", "reg"): 1,
@@ -101,17 +101,18 @@ def test_criterion_3_pipelines_agree():
     for name, q in cases:
         spec = spec_of(name, q)
         sp = spectral_parameters(spec)
-        st = stratified_parameters(spec)
+        st = [(s.ss_label, p) for s in stratified_strata(spec)
+              for p in s.packets]
         assert len(sp) == len(st), (name, q)
         sub_sp = Counter()
         for p in sp:
             sub_sp[p.ss_label] += p.packet_size
         sub_st = Counter()
-        for p in st:
-            sub_st[p.ss_label] += p.packet_size
+        for ss_label, p in st:
+            sub_st[ss_label] += p.size
         assert sub_sp == sub_st, (name, q)
         assert Counter(p.packet_size for p in sp) == \
-            Counter(p.packet_size for p in st), (name, q)
+            Counter(p.size for _, p in st), (name, q)
     print(f"criterion 3: PASS ({len(cases)} groups, both pipelines)")
 
 
@@ -129,14 +130,14 @@ def test_criterion_4_unipotent_blocks():
     assert mbar_size("S3") == 8
 
     strata = spectral_strata(spec_of("sp4", 3))
-    zero = {s.pair.class_label(): s.total for s in strata
-            if s.ss.label() == "(0,0)"}
+    zero = {s.labels["class"]: s.total for s in strata
+            if s.ss_label == "(0,0)"}
     assert sorted(zero.values()) == sorted([1, 1, mbar_size("Z2")])
     assert sum(zero.values()) == 6
 
     strata = spectral_strata(spec_of("g2", 5))
-    zero = {s.pair.class_label(): s.total for s in strata
-            if s.ss.label() == "(0,0)"}
+    zero = {s.labels["class"]: s.total for s in strata
+            if s.ss_label == "(0,0)"}
     assert sorted(zero.values()) == sorted([1, 1, mbar_size("S3")])
     assert sum(zero.values()) == 10
     print("criterion 4: PASS (B2 block 6 = 1+1+4, G2 block 10 = 1+1+8)")

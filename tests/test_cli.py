@@ -174,14 +174,14 @@ def test_malformed_integer_matrices_exit_2(tmp_path, config):
 
 
 
-def run_cli(argv):
+def run_cli(argv, timeout=60):
     """Run the CLI in a fresh interpreter, as a user would."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "lpackets.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "truncated",
@@ -209,3 +209,18 @@ def test_oversized_torus_is_refused_before_solving(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "torsion points" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--group", "pgl2", "--q", "64"],
+    ["oracle", "--group", "pgl2", "--q", "25"],
+    ["compare", "--group", "pgl2", "--q", "64"],
+])
+def test_oracle_refuses_work_over_its_limit(argv):
+    # pgl2 is closed as (q+1) x (q+1) permutation matrices: under the order
+    # cap, but days of work at q = 64 and minutes at q = 25; the timeout
+    # fails the test if the work is started instead of refused
+    proc = run_cli(argv, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "field operations" in proc.stderr

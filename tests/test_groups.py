@@ -2,6 +2,7 @@ import pytest
 
 from lpackets.errors import InvariantError
 from lpackets.groups import (
+    FiniteGroup,
     closure,
     cyclic,
     direct_product,
@@ -57,6 +58,11 @@ def test_from_permutations_dihedral():
 def test_from_permutations_rejects_non_closed():
     with pytest.raises(ValueError):
         from_permutations([(0, 1, 2, 3), (1, 2, 3, 0)])
+
+
+def test_duplicate_labels_are_rejected():
+    with pytest.raises(ValueError, match="duplicate labels"):
+        FiniteGroup(("e", "e"), ((0, 1), (1, 0)))
 
 
 def test_direct_product():

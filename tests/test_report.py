@@ -73,9 +73,11 @@ def test_renders_are_seed_independent():
             assert render_text(rep) == base_text
 
 
-# sha256 of render_text, recorded from an implementation that carried torus
-# points as Fraction tuples; any change to the reports' bytes fails here
-# (a1xa1-swap and o2 are disconnected, so only the stratified route runs)
+# sha256 of render_text and of render_json; the text digests were recorded
+# from an implementation that carried torus points as Fraction tuples, the
+# JSON digests from one whose pipelines each had their own stratum records.
+# Any change to the reports' bytes fails here (a1xa1-swap and o2 are
+# disconnected, so only the stratified route runs)
 SWAP = [[0, 1], [1, 0]]
 GOLDEN_CONFIGS = {
     "su3": {"type": "A2", "isogeny": "sc", "twist": [1, 0]},
@@ -83,31 +85,45 @@ GOLDEN_CONFIGS = {
 }
 GOLDEN_DIGESTS = [
     ("gl3", 5, "spectral",
-     "f8e4cd57098374d33a0b9cfcc6a28aeddd30320594094790bfaa1a7d941c44db"),
+     "f8e4cd57098374d33a0b9cfcc6a28aeddd30320594094790bfaa1a7d941c44db",
+     "ccc70cdc104be52fb91d74e35271aa67f6ff7a06a80b212d881841948c6368bb"),
     ("gl3", 5, "stratified",
-     "3dbd63a5cbaa395233f3cffb82987f4a626fb09601fbaf42517f9e8180389838"),
+     "3dbd63a5cbaa395233f3cffb82987f4a626fb09601fbaf42517f9e8180389838",
+     "30ac7863a8aff615b91e1069b5c0a4134ac1250a12183b578e7eb1d9bfb5b184"),
     ("g2", 7, "spectral",
-     "06191f6ebf2e57ab4142f223b80b7c08f4d5392035ddf007a8cee043f06a736a"),
+     "06191f6ebf2e57ab4142f223b80b7c08f4d5392035ddf007a8cee043f06a736a",
+     "1bfcdf335fdda5f2cc3615dd25bc68817c76c9d39ea3ade60bbdb533aaa39b83"),
     ("g2", 7, "stratified",
-     "22d1a7e416aa815752be46b1e1200658d5d242ed30cd24f36aef9368929294d4"),
+     "22d1a7e416aa815752be46b1e1200658d5d242ed30cd24f36aef9368929294d4",
+     "ee46bfe93bbc41bd09a00daee93d6e4bea12b05fe445b9b4ea02646dd8fde311"),
     ("sp4", 5, "spectral",
-     "c1aa547974cc64b5c894ffd68fe3fab439209fe362da4a1e640e75076b9eddb5"),
+     "c1aa547974cc64b5c894ffd68fe3fab439209fe362da4a1e640e75076b9eddb5",
+     "89e0f6d74c7f9267ec92e728ff34184b8979c0c6b12084790bd68a5d34e7a0a6"),
     ("sp4", 5, "stratified",
-     "6cd096bd2eb82d7e68e6f6f898ee9f6907d2db3397b6500f431744586277ae91"),
+     "6cd096bd2eb82d7e68e6f6f898ee9f6907d2db3397b6500f431744586277ae91",
+     "1382f5b170c08bb6e4da7354bb9cc139eb09cb7776d2cfe8f12416d8ec16361b"),
     ("su3", 5, "spectral",
-     "e6c8eb59430e600c7c5c6e763919bb31e7bbbba4e86cfdf86f5587b20cf4ef98"),
+     "e6c8eb59430e600c7c5c6e763919bb31e7bbbba4e86cfdf86f5587b20cf4ef98",
+     "af4e50cd537f1733dfb4971356f423d3edc5dacfe85bc1913e3f4edaa37f933b"),
     ("su3", 5, "stratified",
-     "befccc79a0595bf48a4a0262ebeaa11ecb9bb18a3e06328d97504a27c5846786"),
+     "befccc79a0595bf48a4a0262ebeaa11ecb9bb18a3e06328d97504a27c5846786",
+     "affa795c81b876340250569b5a31ecbd4be509c5cc7916e7e518604d7e0a4334"),
     ("a1xa1-swap", 5, "stratified",
-     "49d590546fa346d7931af15edd1fb488b501f0c66412e186be047ad1f6c743c5"),
+     "49d590546fa346d7931af15edd1fb488b501f0c66412e186be047ad1f6c743c5",
+     "a0943cc195a21fd1148efce00d0eaa742bf310b55d33c2a724c9c6a005dc6a5d"),
     ("o2", 7, "stratified",
-     "3b7bdccc4b4c5bb577a8df7bf72a220eb1a706c451fc1a2d65d19b049155f46f"),
+     "3b7bdccc4b4c5bb577a8df7bf72a220eb1a706c451fc1a2d65d19b049155f46f",
+     "d0abf4abe8064d339d90e18f96fab3715e3828a6c8847995c1aaf54e0c825097"),
 ]
 
 
-@pytest.mark.parametrize("label,q,pipeline,digest", GOLDEN_DIGESTS)
-def test_report_bytes_are_pinned(label, q, pipeline, digest):
+# each id carries the text digest only, so adding a JSON digest keeps it
+@pytest.mark.parametrize("label,q,pipeline,text_digest,json_digest",
+                         GOLDEN_DIGESTS,
+                         ids=["-".join(map(str, case[:4])) for case in GOLDEN_DIGESTS])
+def test_report_bytes_are_pinned(label, q, pipeline, text_digest, json_digest):
     spec = parse_group_spec(GOLDEN_CONFIGS.get(label, label), q=q)
     builder = spectral_report if pipeline == "spectral" else stratified_report
-    text = render_text(builder(spec))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    rep = builder(spec)
+    assert hashlib.sha256(render_text(rep).encode()).hexdigest() == text_digest
+    assert hashlib.sha256(render_json(rep).encode()).hexdigest() == json_digest

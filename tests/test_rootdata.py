@@ -15,7 +15,6 @@ from lpackets.rootdata import (
     point_label,
     weyl_closure,
     whittaker_torsor_size,
-    x_action,
 )
 
 

@@ -1,6 +1,4 @@
 import random
-from collections import Counter
-from fractions import Fraction
 
 import pytest
 
@@ -58,7 +56,7 @@ def test_sl2_f3_ss_classes():
 
 def test_sl2_f3_stratum_breakdown():
     strata = spectral_strata(spec_of("sl2", 3))
-    table = {(s.ss.label(), s.pair.class_label()): s.total for s in strata}
+    table = {(s.ss_label, s.labels["class"]): s.total for s in strata}
     assert table == {
         ("(0)", "1"): 1,
         ("(0)", "reg"): 1,
@@ -84,16 +82,16 @@ def test_gl2_packets_are_all_singletons():
 
 def test_sp4_f3_middle_block():
     strata = spectral_strata(spec_of("sp4", 3))
-    half = [s for s in strata if s.ss.label() == "(1/2,1/2)"]
-    sizes = sorted(e.irr_count for s in half for e in s.elements)
+    half = [s for s in strata if s.ss_label == "(1/2,1/2)"]
+    sizes = sorted(p.size for s in half for p in s.packets)
     assert sizes == [1, 2, 2, 2, 2]
-    zero_total = sum(s.total for s in strata if s.ss.label() == "(0,0)")
+    zero_total = sum(s.total for s in strata if s.ss_label == "(0,0)")
     assert zero_total == 6
 
 
 def test_g2_f5_unipotent_block():
     strata = spectral_strata(spec_of("g2", 5))
-    zero_total = sum(s.total for s in strata if s.ss.label() == "(0,0)")
+    zero_total = sum(s.total for s in strata if s.ss_label == "(0,0)")
     assert zero_total == 10
 
 

@@ -8,8 +8,9 @@ from lpackets.rootdata import parse_group_spec
 from lpackets.spectral import parameters as spectral_parameters
 from lpackets.spectral import total_count as spectral_total
 from lpackets.strata import (
+    _Ambient,
+    _PointGeometry,
     semisimple_parameters,
-    stratified_parameters,
     stratified_strata,
     stratified_total,
 )
@@ -29,6 +30,11 @@ def spec_of(name, q):
     return parse_group_spec(name, q=q)
 
 
+def stratified_packets(spec):
+    """Every stratified parameter as (semisimple label, packet)."""
+    return [(s.ss_label, p) for s in stratified_strata(spec) for p in s.packets]
+
+
 @pytest.mark.parametrize("name,q", CONNECTED)
 def test_agrees_with_spectral_total(name, q):
     spec = spec_of(name, q)
@@ -42,8 +48,8 @@ def test_agrees_with_spectral_per_orbit(name, q):
     for p in spectral_parameters(spec):
         spectral_sub[p.ss_label] += p.packet_size
     strat_sub = Counter()
-    for p in stratified_parameters(spec):
-        strat_sub[p.ss_label] += p.packet_size
+    for ss_label, p in stratified_packets(spec):
+        strat_sub[ss_label] += p.size
     assert spectral_sub == strat_sub
 
 
@@ -51,7 +57,7 @@ def test_agrees_with_spectral_per_orbit(name, q):
 def test_agrees_with_spectral_packet_multiset(name, q):
     spec = spec_of(name, q)
     a = Counter(p.packet_size for p in spectral_parameters(spec))
-    b = Counter(p.packet_size for p in stratified_parameters(spec))
+    b = Counter(p.size for _, p in stratified_packets(spec))
     assert a == b
 
 
@@ -66,26 +72,26 @@ def test_sl2_f3_stratified_breakdown():
     strata = stratified_strata(spec_of("sl2", 3))
     table = Counter()
     for s in strata:
-        table[s.ss.label()] += s.total
+        table[s.ss_label] += s.total
     assert table == {"(0)": 2, "(1/2)": 4, "(1/4)": 1}
-    half = [s for s in strata if s.ss.label() == "(1/2)"]
+    half = [s for s in strata if s.ss_label == "(1/2)"]
     assert len(half) == 2
-    assert {s.beta.label for s in half} == {"e", "0"}
+    assert {s.labels["beta"] for s in half} == {"e", "0"}
     assert all(s.total == 2 for s in half)
 
 
 def test_sp4_f3_stratified_blocks():
     strata = stratified_strata(spec_of("sp4", 3))
-    half = [s for s in strata if s.ss.label() == "(1/2,1/2)"]
-    sizes = sorted(p.packet_size for s in half for p in s.packets)
+    half = [s for s in strata if s.ss_label == "(1/2,1/2)"]
+    sizes = sorted(p.size for s in half for p in s.packets)
     assert sizes == [1, 2, 2, 2, 2]
-    zero = sum(s.total for s in strata if s.ss.label() == "(0,0)")
+    zero = sum(s.total for s in strata if s.ss_label == "(0,0)")
     assert zero == 6
 
 
 def test_g2_f5_stratified_unipotent_block():
     strata = stratified_strata(spec_of("g2", 5))
-    zero = sum(s.total for s in strata if s.ss.label() == "(0,0)")
+    zero = sum(s.total for s in strata if s.ss_label == "(0,0)")
     assert zero == 10
 
 
@@ -108,25 +114,31 @@ def test_semisimple_parameters_match_spectral_labels():
 @pytest.mark.parametrize("name,q", [("sl2", 3), ("o2", 3), ("sp4", 3)])
 def test_rng_does_not_change_parameters(name, q):
     spec = spec_of(name, q)
-    base = stratified_parameters(spec)
+    base = stratified_strata(spec)
     for seed in (0, 1, 42):
-        shuffled = stratified_parameters(spec, rng=random.Random(seed))
+        shuffled = stratified_strata(spec, rng=random.Random(seed))
         assert shuffled == base
 
 
 def test_packet_group_labels_present():
-    for p in stratified_parameters(spec_of("sl2", 3)):
-        assert p.packet_group_label
-    halves = [p for p in stratified_parameters(spec_of("sl2", 3))
-              if p.ss_label == "(1/2)"]
+    for _, p in stratified_packets(spec_of("sl2", 3)):
+        assert p.group_label
+    halves = [p for ss_label, p in stratified_packets(spec_of("sl2", 3))
+              if ss_label == "(1/2)"]
     assert halves
-    assert all(p.packet_group_label == "Z2" for p in halves)
+    assert all(p.group_label == "Z2" for p in halves)
 
 
 def test_beta_classes_cover_frobenius_cosets():
     # for sl2 at the half point both reflection cosets survive as distinct
-    # beta classes; at zero only the trivial coset appears
-    strata = stratified_strata(spec_of("sl2", 3))
-    zero = [s for s in strata if s.ss.label() == "(0)"]
-    assert {s.beta.label for s in zero} == {"e"}
-    assert all(s.beta.orbit_size == 1 for s in zero)
+    # beta classes; at zero only the trivial coset appears, and it is the
+    # only Frobenius coset there, so its twisted class has one coset
+    spec = spec_of("sl2", 3)
+    strata = stratified_strata(spec)
+    zero = [s for s in strata if s.ss_label == "(0)"]
+    assert {s.labels["beta"] for s in zero} == {"e"}
+    amb = _Ambient(spec)
+    [orbit] = [o for o in semisimple_parameters(spec, amb=amb)
+               if o.label() == "(0)"]
+    geo = _PointGeometry(amb, orbit.rep, orbit.modulus)
+    assert len(geo.coset_reps) == 1
