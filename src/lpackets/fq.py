@@ -1,14 +1,15 @@
 """Finite field arithmetic as lookup tables, for q up to 64.
 
 Elements are indices 0..q-1; for q = p^k an index encodes a polynomial over
-F_p in base p, lowest degree first.  The tables are bytes of length q*q so
-the closure kernels can run on raw buffers.
+F_p in base p, lowest degree first.  The tables are bytes of length q*q,
+indexed by a*q + b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import ConfigError
 
@@ -29,17 +30,15 @@ _IRREDUCIBLE = {
 def prime_power(q: int):
     if q < 2:
         raise ConfigError("q must be at least 2")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ConfigError(f"q = {q} is not a prime power")
-            return p, k
-    raise ConfigError(f"q = {q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ConfigError(f"q = {q} is not a prime power")
+    return p, k
 
 
 @dataclass(frozen=True)

@@ -509,6 +509,12 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
         raise ConfigError("q is required (config key 'q' or the --q flag)")
     if not isinstance(q_eff, int):
         raise ConfigError("q must be an integer")
+    if q_eff - 1 > MAX_TORSION_POINTS:
+        # sigma w has finite order, so each |det(q sigma w - 1)| is at least
+        # (q - 1)^rank, and every datum has rank >= 1
+        raise UnsupportedTypeError(
+            f"q = {q_eff} gives at least q - 1 torsion points; "
+            f"the limit is {MAX_TORSION_POINTS}")
     p, _ = prime_power(q_eff)
     bad = _bad_primes(datum.cartan_label)
     if p in bad:

@@ -211,6 +211,22 @@ def test_oversized_torus_is_refused_before_solving(tmp_path):
     assert "torsion points" in proc.stderr
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_huge_q_is_refused_before_factoring(tmp_path, source):
+    # every datum has rank >= 1, so q - 1 torsion points at least; run_cli's
+    # timeout fails the test if q is factored by trial division instead
+    if source == "flag":
+        argv = ["count", "--group", "gl3", "--q", "1000000007"]
+    else:
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"type": "A1", "q": 10 ** 18 + 3}))
+        argv = ["count", "--config", str(cfg)]
+    proc = run_cli(argv, timeout=20)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "torsion points" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "--group", "pgl2", "--q", "64"],
     ["oracle", "--group", "pgl2", "--q", "25"],

@@ -1,6 +1,5 @@
 import pytest
 
-from lpackets._kernels import BACKEND
 from lpackets.errors import ConfigError
 from lpackets.oracle import ORACLE_GROUPS, expected_order, oracle_count
 
@@ -12,6 +11,9 @@ KNOWN = [
     ("gl2", 2, 6, 3),
     ("gl2", 3, 48, 8),
     ("pgl2", 3, 24, 5),
+    # 18 x 18 permutation matrices over F_2: the widest row space the work
+    # limit admits, 2^18 row codes per generator table
+    ("pgl2", 17, 4896, 19),
     ("gl3", 2, 168, 6),
     ("sp4", 2, 720, 11),
     ("torus1", 2, 1, 1),
@@ -59,7 +61,6 @@ def test_pgl2_is_quotient_sized():
     assert result.class_count == 5
 
 
-@pytest.mark.skipif(BACKEND != "c", reason="slow without compiled kernels")
 def test_sp4_f3_big_case():
     result = oracle_count("sp4", 3)
     assert result.order == 51840

@@ -1,8 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lpackets.errors import ConfigError, InvariantError, UnsupportedTypeError
+from lpackets.errors import (
+    ConfigError,
+    InvariantError,
+    LPacketsError,
+    UnsupportedTypeError,
+)
 from lpackets.lattice import identity
 from lpackets.rootdata import (
     NAMED_SPECS,
@@ -190,3 +197,37 @@ def test_component_group_over_its_cap_is_a_config_error():
 def test_integer_matrices_are_validated(config):
     with pytest.raises(ConfigError):
         parse_group_spec(config, q=3)
+
+
+# the shapes of group description the package documents and tests
+SHAPES = sorted(NAMED_SPECS) + [
+    {"type": "A2", "isogeny": "sc", "twist": [1, 0]},
+    {"type": "A2", "isogeny": "ad", "twist": [1, 0]},
+    {"type": "A1xA1", "twist": [1, 0]},
+    {"type": "A1xA1", "component_group": [[[0, 1], [1, 0]]]},
+    {"type": "A1xA1", "isogeny": [[1, 1], [1, -1]]},
+    {"type": "A2", "isogeny": "ad", "component_group": [[[0, 1], [1, 0]]]},
+    {"type": "T2", "component_group": [[[0, 1], [1, 0]]]},
+    {"type": "A1+T1"},
+    {"type": "T6"},
+    {"type": "A2", "isogeny": "sc", "twist": [[0, 1], [1, 0]]},
+]
+
+
+@settings(max_examples=200, deadline=1000)
+@given(shape=st.sampled_from(SHAPES),
+       q=st.integers(min_value=-10, max_value=10 ** 18),
+       q_in_config=st.booleans())
+def test_parse_raises_only_package_errors(shape, q, q_in_config):
+    # a q with a large least prime factor must be refused, not factored
+    if q_in_config:
+        config = dict(NAMED_SPECS[shape]) if isinstance(shape, str) else dict(shape)
+        config["q"] = q
+        args = (config,)
+    else:
+        args = (shape, q)
+    try:
+        spec = parse_group_spec(*args)
+    except LPacketsError:
+        return
+    assert spec.q == q
