@@ -4,7 +4,9 @@ Each named group gets explicit matrix generators over the field tables; the
 kernel closes them into the full finite group, the order is checked against
 the classical formula, and the number of irreducible characters is obtained
 as the number of conjugacy classes.  Nothing here touches the parameter
-pipelines: this is the independent side of every comparison.
+pipelines: this is the independent side of every comparison.  The one
+shared piece is the generic breadth-first loop ``groups.closure``, and the
+order check guards what it returns.
 
 The kernel works on row codes: a matrix over F_q is the tuple of its n rows,
 each row an integer in base q (entry j is digit j).  Right multiplication by
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, UnsupportedTypeError
 from .fq import Field, field
+from .groups import closure
 
 __all__ = ["OracleResult", "ORACLE_GROUPS", "MAX_ORACLE_WORK",
            "expected_order", "oracle_count", "BACKEND"]
@@ -98,20 +101,7 @@ def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
     """All products of the n x n byte-matrix generators, as a sorted list of
     row-code tuples."""
     getters, one = _right_multipliers(gens, n, q, add, mul)
-    seen = {one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for get in getters:
-                ag = tuple(map(get, a))
-                if ag not in seen:
-                    seen.add(ag)
-                    nxt.append(ag)
-        frontier = nxt
-        if len(seen) > cap:
-            raise ValueError(f"closure exceeds the cap of {cap} elements")
-    return sorted(seen)
+    return sorted(closure(getters, lambda a, get: tuple(map(get, a)), one, cap))
 
 
 def matrix_class_count(elements, gens, n: int, q: int, add: bytes,
