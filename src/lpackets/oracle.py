@@ -108,7 +108,9 @@ def matrix_class_count(elements, gens, n: int, q: int, add: bytes,
                        mul: bytes) -> int:
     """Conjugacy classes of the group ``elements`` closed from ``gens``.
 
-    Elements become their indices in sorted order.  ``right[k]`` maps x to
+    Elements become their indices in sorted order, found by bisection; a
+    dict index would hold about as much memory as the elements do.
+    ``right[k]`` maps x to
     x g_k and ``left[k]`` maps x to g_k^-1 x.  The latter is filled along a
     breadth-first tree from the identity e: if x = p g_j, then
     g_k^-1 x = (g_k^-1 p) g_j.  The classes are the orbits of the maps
