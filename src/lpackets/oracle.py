@@ -110,11 +110,10 @@ def matrix_class_count(elements, gens, n: int, q: int, add: bytes,
 
     Elements become their indices in sorted order, found by bisection; a
     dict index would hold about as much memory as the elements do.
-    ``right[k]`` maps x to
-    x g_k and ``left[k]`` maps x to g_k^-1 x.  The latter is filled along a
-    breadth-first tree from the identity e: if x = p g_j, then
-    g_k^-1 x = (g_k^-1 p) g_j.  The classes are the orbits of the maps
-    x -> g_k^-1 x g_k.
+    ``right[k]`` maps x to x g_k and ``left[k]`` maps x to g_k^-1 x.  The
+    latter is filled along a breadth-first tree from the identity e: if
+    x = p g_j, then g_k^-1 x = (g_k^-1 p) g_j.  The classes are the orbits
+    of the maps x -> g_k^-1 x g_k.
     """
     getters, one = _right_multipliers(gens, n, q, add, mul)
     ordered = sorted(elements)
