@@ -5,23 +5,31 @@ lex-least reduced word over the simple reflections, and every ordering
 downstream (cell ids, coset representatives, report labels) is derived from
 those words, which is what makes the output deterministic.
 
-Polynomials live in one variable as integer coefficient tuples.  The cell
-partition comes from the strongly connected components of the mu-edge graph;
-an independent re-verification of the polynomial table through the
-R-polynomial inversion identity is provided for the test suite.
+``enumerate_weyl`` is the package's only builder of a reflection group;
+every other module takes its elements from there.
+
+Polynomials live in one variable as integer coefficient tuples.  The cells
+are the strongly connected components (``groups.strong_components``) of the
+mu-edge graphs; an independent re-verification of the polynomial table
+through the R-polynomial inversion identity is provided for the test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InvariantError
+from .groups import strong_components
 from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec, transpose
-from .rootdata import RootDatum, reflection_on_y
+
+if TYPE_CHECKING:
+    from .rootdata import RootDatum
 
 __all__ = [
     "CoxeterGroup", "KLTable", "CellPartition", "enumerate_weyl", "kl_table",
     "cells", "cell_action", "poly_eval", "verify_kl_by_inversion",
+    "reflection_on_y",
 ]
 
 
@@ -75,6 +83,17 @@ ONE = (1,)
 
 
 # ---- the group -------------------------------------------------------------
+
+def reflection_on_y(datum: RootDatum, root_index: int) -> Matrix:
+    """Matrix of the reflection in roots[root_index] acting on Y."""
+    alpha = datum.roots[root_index]
+    cov = datum.coroots[root_index]
+    n = datum.rank
+    return tuple(
+        tuple((1 if r == c else 0) - cov[r] * alpha[c] for c in range(n))
+        for r in range(n)
+    )
+
 
 @dataclass
 class CoxeterGroup:
@@ -261,11 +280,7 @@ def kl_table(cox: CoxeterGroup) -> KLTable:
                 m = mu_value(p, cox.length[w] - cox.length[x])
                 if m:
                     mu[(x, w)] = m
-    # make sure every pair is computed
-    for w in range(cox.order):
-        for x in range(cox.order):
-            if leq[x][w]:
-                P(x, w)
+    # the loop above computed every P(x, w) with x < w; x = w is filled here
     full = {(x, w): polys.get((x, w), ONE if x == w else ())
             for w in range(cox.order) for x in range(cox.order) if leq[x][w]}
     return KLTable(cox=cox, leq=leq, polynomials=full, mu=mu)
@@ -356,56 +371,6 @@ def _left_edges(kl: KLTable):
     return edges
 
 
-def _sccs(edges):
-    """Iterative Tarjan, returning components sorted by smallest member."""
-    n = len(edges)
-    index = [None] * n
-    low = [0] * n
-    onstack = [False] * n
-    stack = []
-    comps = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(sorted(edges[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if index[u] is None:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    onstack[u] = True
-                    work.append((u, iter(sorted(edges[u]))))
-                    advanced = True
-                    break
-                elif onstack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def cells(kl: KLTable) -> CellPartition:
     cox = kl.cox
     ledges = _left_edges(kl)
@@ -415,9 +380,9 @@ def cells(kl: KLTable) -> CellPartition:
         for z in ledges[wi]:
             redges[w].add(cox.inverse[z])
     both = [ledges[w] | redges[w] for w in range(cox.order)]
-    left_cells = _sccs(ledges)
-    right_cells = _sccs(redges)
-    two_sided = _sccs(both)
+    left_cells = strong_components(ledges)
+    right_cells = strong_components(redges)
+    two_sided = strong_components(both)
 
     def sort_key(cell):
         best = min(cell, key=lambda i: (cox.length[i], cox.words[i]))

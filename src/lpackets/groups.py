@@ -6,9 +6,10 @@ a full table.  Elements are indices into ``labels``; the label strings are the
 canonical element names used in reports, and ties are always broken by label
 so that output is deterministic.
 
-``orbits`` (a finite group acting on a finite set) and ``closure`` (the
-group some elements generate) are the package's one orbit loop and one
-closure loop.
+``orbits`` (a finite group acting on a finite set), ``closure`` (the group
+some elements generate), ``strong_components`` (of a small digraph) and
+``table_group`` (the multiplication table of a closed set) are the
+package's one orbit loop, closure loop, component loop and table loop.
 
 ``Packet`` and ``Stratum`` are the one record both counting pipelines emit
 and the reports render: each pipeline counts its packets on its own groups,
@@ -92,6 +93,40 @@ def closure(gens, mul, one, cap) -> set:
     return seen
 
 
+def strong_components(edges) -> list[tuple[int, ...]]:
+    """Strongly connected components of the digraph on ``range(len(edges))``
+    with ``edges[v]`` the successors of v; each component is sorted and they
+    are listed by least member.
+
+    Components come from mutual reach sets, closed Warshall-style: cubic in
+    the vertex count, which is at most 12 here (every supported Weyl group
+    has order at most 12).
+    """
+    n = len(edges)
+    reach = [set(e) | {v} for v, e in enumerate(edges)]
+    for k in range(n):
+        for r in reach:
+            if k in r:
+                r |= reach[k]
+    return sorted({tuple(u for u in sorted(reach[v]) if v in reach[u])
+                   for v in range(n)})
+
+
+def table_group(elements, mul, labels) -> "FiniteGroup":
+    """The group on ``elements`` under ``mul``, with element i labelled
+    ``labels[i]``.
+
+    Raises ValueError when a product falls outside ``elements``; callers turn
+    that into their own error type.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    try:
+        table = [[index[mul(a, b)] for b in elements] for a in elements]
+    except KeyError:
+        raise ValueError("elements are not closed under multiplication") from None
+    return FiniteGroup(labels, table, check=False)
+
+
 class FiniteGroup:
     __slots__ = ("labels", "table", "identity", "inverse")
 
@@ -154,13 +189,7 @@ class FiniteGroup:
     def subgroup(self, indices) -> "FiniteGroup":
         """The subgroup on the given element indices, as its own group."""
         idx = sorted(set(indices))
-        pos = {g: i for i, g in enumerate(idx)}
-        for a in idx:
-            for b in idx:
-                if self.table[a][b] not in pos:
-                    raise ValueError("indices are not closed under multiplication")
-        table = [[pos[self.table[a][b]] for b in idx] for a in idx]
-        return FiniteGroup([self.labels[g] for g in idx], table, check=False)
+        return table_group(idx, self.mul, [self.labels[g] for g in idx])
 
     def conjugacy_classes(self) -> list[tuple[int, ...]]:
         return self.twisted_orbits(range(self.order))
@@ -232,17 +261,8 @@ def _cycle_label(p: tuple[int, ...]) -> str:
 def from_permutations(perms) -> FiniteGroup:
     """The group of the given permutation tuples (must be closed)."""
     perms = sorted(set(tuple(p) for p in perms))
-    pos = {p: i for i, p in enumerate(perms)}
-    table = []
-    for a in perms:
-        row = []
-        for b in perms:
-            c = tuple(a[b[i]] for i in range(len(a)))
-            if c not in pos:
-                raise ValueError("permutations are not closed under composition")
-            row.append(pos[c])
-        table.append(row)
-    return FiniteGroup([_cycle_label(p) for p in perms], table, check=False)
+    return table_group(perms, lambda a, b: tuple(a[i] for i in b),
+                       [_cycle_label(p) for p in perms])
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -290,13 +310,11 @@ def semidirect(n: FiniteGroup, h: FiniteGroup, act) -> FiniteGroup:
     return FiniteGroup(labels, table, check=False)
 
 
-def product_automorphism(groups, factor_perm, f_within=None):
+def product_automorphism(groups, factor_perm):
     """Index permutation of a direct product that permutes the factors.
 
     ``groups`` are the factors in order, ``factor_perm[i] = j`` means factor i
     is sent to slot j (the factors must be compatible: same order tables).
-    ``f_within`` optionally gives a per-factor index permutation applied before
-    the slot move.
     """
     sizes = [g.order for g in groups]
     k = len(groups)
@@ -323,8 +341,6 @@ def product_automorphism(groups, factor_perm, f_within=None):
     out = []
     for x in range(total):
         coords = unrank(x)
-        if f_within is not None:
-            coords = [f_within[i][coords[i]] for i in range(k)]
         moved = [0] * k
         for i in range(k):
             moved[factor_perm[i]] = coords[i]

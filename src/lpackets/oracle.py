@@ -31,13 +31,13 @@ BACKEND = "python"
 
 ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
 
-# Closing the group with schoolbook products costs order * len(gens) * n^3
-# field operations, and the limit is on that count.  The row-table kernel
-# spends about 5 us per (element, generator) pair instead, closure and class
-# count together, so it passes 1.3 * 10^6 of the counted operations per
-# second on sl2/F49 (n = 2) and 7.6 * 10^8 on pgl2/F17 (n = 18); 2-vCPU
-# x86-64, CPython 3.11.
-MAX_ORACLE_WORK = 10 ** 8
+# The row-table kernel does one table lookup per row for each (element,
+# generator) product, on top of a fixed cost per product, so the work is
+# counted as order * len(gens) * (n + 12) row steps.  Closure and class count
+# together take about 0.33 us per row step, from pgl2/F19 (0.14 s) to
+# gl2/F27 (11.3 s) and pgl2/F64 (20.9 s); 2-vCPU x86-64, CPython 3.11.  The
+# limit is about 10 s of work.
+MAX_ORACLE_WORK = 25 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -314,12 +314,12 @@ def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
             f"{name} over F_{q} has order {expected}, beyond the cap of {cap}")
     builder = _BUILDERS[name]
     gens, n, tf = builder(field(q))
-    work = expected * len(gens) * n ** 3
+    work = expected * len(gens) * (n + 12)
     if work > MAX_ORACLE_WORK:
         raise UnsupportedTypeError(
-            f"{name} over F_{q} needs about {work:.1e} field operations "
+            f"{name} over F_{q} needs about {work:.1e} row steps "
             f"({expected} elements, {len(gens)} generators of size {n}); "
-            f"the limit is {MAX_ORACLE_WORK:.0e}")
+            f"the limit is {MAX_ORACLE_WORK:.1e}")
     elements = matrix_closure(gens, n, tf.q, tf.add, tf.mul, cap=cap)
     if len(elements) != expected:
         raise ConfigError(

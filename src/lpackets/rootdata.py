@@ -21,9 +21,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+from .coxeter import enumerate_weyl
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
 from .fq import prime_power
-from .groups import closure, orbits
+from .groups import closure, orbits, strong_components
 from .lattice import (
     Matrix,
     Vector,
@@ -42,7 +43,7 @@ __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum", "TorusOrbit",
     "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
-    "reflection_on_y", "x_action", "x_preserves", "weyl_closure", "NAMED_SPECS",
+    "x_action", "x_preserves", "NAMED_SPECS",
 ]
 
 
@@ -110,7 +111,7 @@ class FrobeniusTwist:
 
     @cached_property
     def sigma_x(self) -> Matrix:
-        return transpose(mat_inv_unimodular(self.sigma_y))
+        return x_action(self.sigma_y)
 
 
 @dataclass(frozen=True)
@@ -136,18 +137,7 @@ def point_label(v: Vector, modulus: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reflections and Weyl closure
-
-
-def reflection_on_y(datum: RootDatum, root_index: int) -> Matrix:
-    """Matrix of the reflection in roots[root_index] acting on Y."""
-    alpha = datum.roots[root_index]
-    cov = datum.coroots[root_index]
-    n = datum.rank
-    return tuple(
-        tuple((1 if r == c else 0) - cov[r] * alpha[c] for c in range(n))
-        for r in range(n)
-    )
+# the X-side action
 
 
 def x_action(m_y: Matrix) -> Matrix:
@@ -165,15 +155,6 @@ def x_preserves(m_y: Matrix, vectors: set) -> bool:
     """
     back = transpose(m_y)
     return all(mat_vec(back, v) in vectors for v in vectors)
-
-
-def weyl_closure(datum: RootDatum) -> list[Matrix]:
-    """All products of simple reflections, sorted."""
-    gens = [reflection_on_y(datum, i) for i in datum.simple_indices]
-    try:
-        return sorted(closure(gens, mat_mul, identity(datum.rank), 20000))
-    except ValueError:
-        raise InvariantError("reflection closure did not terminate") from None
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +347,7 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
     if isogeny == "ad":
         # the adjoint form is the dual of the simply connected form of the
         # dual type; all supported types are self-dual as Weyl types
-        return RootDatum(sc.rank, dual_datum(sc).roots, dual_datum(sc).coroots,
-                         sc.simple_indices, key)
+        return dual_datum(sc)
     if isogeny == "gl":
         if key not in _GL_DATA:
             raise UnsupportedTypeError(f"GL-style isogeny is only available for A1 and A2, not {key}")
@@ -564,10 +544,7 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
 
 
 def _validate_components(datum: RootDatum, twist: FrobeniusTwist, components):
-    if datum.simple_indices:
-        weyl = set(weyl_closure(datum))
-    else:
-        weyl = {identity(datum.rank)}
+    weyl = set(enumerate_weyl(datum).elements)
     for g in components:
         if g != identity(datum.rank) and g in weyl:
             raise ConfigError(
@@ -702,28 +679,14 @@ def centralizer_subdatum(datum: RootDatum, point: Vector, modulus: int) -> SubSy
             simple_positions.append(i)
     simple_positions = tuple(sorted(simple_positions))
     k = len(simple_positions)
-    adj = {a: set() for a in range(k)}
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = simple_positions[a], simple_positions[b]
-            if datum.pairing(datum.roots[i], datum.coroots[j]) != 0:
-                adj[a].add(b)
-                adj[b].add(a)
-    unseen = set(range(k))
-    factors = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        unseen -= comp
-        factors.append(tuple(sorted(comp)))
-    factors.sort(key=lambda c: simple_positions[c[0]])
+    # the Dynkin graph is symmetric, so its strong components are its
+    # connected components; simple_positions is sorted, so listing them by
+    # least member orders them by smallest ambient root index
+    adj = [{b for b in range(k) if b != a and datum.pairing(
+                datum.roots[simple_positions[a]],
+                datum.coroots[simple_positions[b]]) != 0}
+           for a in range(k)]
+    factors = strong_components(adj)
     types = tuple(_classify_component(datum, simple_positions, c) for c in factors)
     return SubSystem(
         ambient=datum,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect
+from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect, table_group
 from .lattice import Matrix, Vector, mat_inv_unimodular, mat_mul, mat_vec, mat_vec_mod
 from .rootdata import (
     GroupSpec,
@@ -32,7 +32,6 @@ from .rootdata import (
     dual_datum,
     factor_permutation,
     stable_point_orbits,
-    weyl_closure,
     x_preserves,
 )
 from .springer import (
@@ -148,7 +147,7 @@ def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
     all_set = {sub.ambient.roots[i] for i in sub.root_positions}
     if not x_preserves(m, all_set):
         raise InvariantError("map does not normalize the subsystem")
-    fixes = [v for v in weyl_closure(sub.as_datum())
+    fixes = [v for v in enumerate_weyl(sub.as_datum()).elements
              if x_preserves(mat_mul(v, m), pos_set)]
     if len(fixes) != 1:
         raise InvariantError("positivity correction is not unique")
@@ -207,18 +206,11 @@ def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponen
     stab = [g for g in geo.pi0
             if geo.act_on_tuple(g, pair.class_tuple) == pair.class_tuple]
     stab_index = {m: i for i, m in enumerate(stab)}
-    s_labels = []
-    s_table = []
-    for a in stab:
-        row = []
-        for b in stab:
-            ab = mat_mul(a, b)
-            if ab not in stab_index:
-                raise InvariantError("class stabilizer is not closed")
-            row.append(stab_index[ab])
-        s_table.append(row)
-        s_labels.append(cox.word_label(cox.index[a]))
-    s_group = FiniteGroup(s_labels, s_table, check=False)
+    try:
+        s_group = table_group(stab, mat_mul,
+                              [cox.word_label(cox.index[a]) for a in stab])
+    except ValueError:
+        raise InvariantError("class stabilizer is not closed") from None
 
     abar_labels = []
     for i, t in enumerate(geo.factor_types):

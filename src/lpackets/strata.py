@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
-from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect
+from .groups import Packet, Stratum, orbits, semidirect, table_group
 from .lattice import (
     Matrix,
     Vector,
@@ -175,19 +175,12 @@ class _PointGeometry:
         if len(stab) != len(omega) * len(int_set):
             raise InvariantError(
                 "stabilizer does not split over the integral reflection group")
-        self.omega_labels = [lab for lab, _ in omega]
         self.omega_mats = [m for _, m in omega]
-        index = {m: i for i, m in enumerate(self.omega_mats)}
-        table = []
-        for _, a in omega:
-            row = []
-            for _, b in omega:
-                ab = mat_mul(a, b)
-                if ab not in index:
-                    raise InvariantError("based stabilizer complement is not closed")
-                row.append(index[ab])
-            table.append(row)
-        self.omega = FiniteGroup(self.omega_labels, table, check=False)
+        try:
+            self.omega = table_group(self.omega_mats, mat_mul,
+                                     [lab for lab, _ in omega])
+        except ValueError:
+            raise InvariantError("based stabilizer complement is not closed") from None
         self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega_mats]
 
         # Frobenius cosets: reflection-group solutions of w(F(rep)) = rep,

@@ -229,14 +229,14 @@ def test_huge_q_is_refused_before_factoring(tmp_path, source):
 
 @pytest.mark.parametrize("argv", [
     ["oracle", "--group", "pgl2", "--q", "64"],
-    ["oracle", "--group", "pgl2", "--q", "25"],
+    ["oracle", "--group", "gl2", "--q", "32"],
     ["compare", "--group", "pgl2", "--q", "64"],
 ])
 def test_oracle_refuses_work_over_its_limit(argv):
-    # pgl2 is closed as (q+1) x (q+1) permutation matrices: under the order
-    # cap, but days of work at q = 64 and minutes at q = 25; the timeout
-    # fails the test if the work is started instead of refused
+    # pgl2/F64 (65 x 65 permutation matrices) and gl2/F32 are under the
+    # order cap, but each takes about 20 s; the timeout fails the test if
+    # the work is started instead of refused
     proc = run_cli(argv, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "field operations" in proc.stderr
+    assert "row steps" in proc.stderr

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpackets.errors import InvariantError
 from lpackets.groups import (
@@ -11,7 +13,9 @@ from lpackets.groups import (
     orbits,
     product_automorphism,
     semidirect,
+    strong_components,
     symmetric,
+    table_group,
     trivial_group,
 )
 
@@ -169,3 +173,52 @@ def test_closure_over_its_cap_raises():
     with pytest.raises(ValueError):
         closure([1], lambda a, b: (a + b) % 10, 0, 9)
     assert len(closure([1], lambda a, b: (a + b) % 10, 0, 10)) == 10
+
+
+@st.composite
+def digraphs(draw):
+    n = draw(st.integers(0, 12))
+    return [draw(st.sets(st.integers(0, n - 1), max_size=n)) for _ in range(n)]
+
+
+@given(digraphs())
+def test_strong_components_match_brute_force_reachability(edges):
+    n = len(edges)
+
+    def reach(v):
+        seen, stack = {v}, [v]
+        while stack:
+            for u in edges[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return seen
+
+    r = [reach(v) for v in range(n)]
+    want = []
+    for v in range(n):
+        comp = tuple(u for u in range(n) if u in r[v] and v in r[u])
+        if comp[0] == v:
+            want.append(comp)
+    assert strong_components(edges) == want
+
+
+def test_strong_components_of_a_small_digraph():
+    # 0 <-> 2 -> 1 -> 3 <-> 4, and 5 alone with a loop
+    edges = [{2}, {3}, {0, 1}, {4}, {3}, {5}]
+    assert strong_components(edges) == [(0, 2), (1,), (3, 4), (5,)]
+
+
+def test_table_group_keeps_order_and_labels():
+    elems = [0, 2, 4, 1, 3, 5]          # Z/6 listed out of order
+    labels = ["a", "b", "c", "d", "e", "f"]
+    g = table_group(elems, lambda a, b: (a + b) % 6, labels)
+    assert g.labels == tuple(labels)
+    assert g.identity == 0
+    assert all(elems[g.mul(i, j)] == (elems[i] + elems[j]) % 6
+               for i in range(6) for j in range(6))
+
+
+def test_table_group_rejects_a_set_that_is_not_closed():
+    with pytest.raises(ValueError, match="not closed"):
+        table_group([0, 1, 2], lambda a, b: (a + b) % 4, ["e", "x", "y"])

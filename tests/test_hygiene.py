@@ -50,3 +50,61 @@ def test_unused_import_is_caught():
               "__all__ = ['sep']\n"
               "print(path)\n")
     assert unused_imports(source) == ["args", "json"]
+
+
+def module_imports(source):
+    """The sibling modules a module imports at load time: its relative
+    imports outside functions and ``if TYPE_CHECKING:`` blocks."""
+    out = set()
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test).endswith("TYPE_CHECKING"):
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def cyclic_modules(graph):
+    """The modules left after repeatedly dropping every module that imports
+    none of the remaining ones: empty exactly when ``graph`` is acyclic."""
+    left = dict(graph)
+    while True:
+        done = [m for m, deps in left.items() if not deps & left.keys()]
+        if not done:
+            return sorted(left)
+        for m in done:
+            del left[m]
+
+
+def test_no_import_cycles():
+    graph = {p.stem: module_imports(p.read_text()) for p in MODULES}
+    assert cyclic_modules(graph) == []
+
+
+def test_import_cycle_is_caught():
+    a = ("from typing import TYPE_CHECKING\n"
+         "from .b import f\n"
+         "if TYPE_CHECKING:\n"
+         "    from .c import T\n"
+         "def g():\n"
+         "    from .c import h\n"
+         "try:\n"
+         "    from .d import k\n"
+         "except ImportError:\n"
+         "    pass\n")
+    b = "from . import a\n"
+    assert module_imports(a) == {"b", "d"}
+    assert module_imports(b) == {"a"}
+    assert cyclic_modules({"a": module_imports(a), "b": module_imports(b),
+                           "c": {"a"}}) == ["a", "b", "c"]
+    assert cyclic_modules({"a": module_imports(a), "b": set(),
+                           "c": {"a"}}) == []

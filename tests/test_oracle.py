@@ -11,8 +11,7 @@ KNOWN = [
     ("gl2", 2, 6, 3),
     ("gl2", 3, 48, 8),
     ("pgl2", 3, 24, 5),
-    # 18 x 18 permutation matrices over F_2: the widest row space the work
-    # limit admits, 2^18 row codes per generator table
+    # 18 x 18 permutation matrices over F_2
     ("pgl2", 17, 4896, 19),
     ("gl3", 2, 168, 6),
     ("sp4", 2, 720, 11),
