@@ -169,10 +169,6 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         return self.inverse[x]
 
-    def conj(self, x: int, y: int) -> int:
-        """x y x^-1."""
-        return self.table[self.table[x][y]][self.inverse[x]]
-
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != self.identity:
@@ -281,19 +277,19 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(labels, table, check=False)
 
 
-def semidirect(n: FiniteGroup, h: FiniteGroup, act) -> FiniteGroup:
-    """N semidirect H where act(v) is the index permutation of N for v in H.
+def semidirect(n: FiniteGroup, h: FiniteGroup, acts) -> FiniteGroup:
+    """N semidirect H where acts[v] is the index permutation of N for v in H.
 
     Elements are pairs (g, v), multiplication
-    (g1, v1)(g2, v2) = (g1 * act(v1)(g2), v1 v2); labels are "g|v".
+    (g1, v1)(g2, v2) = (g1 * acts[v1](g2), v1 v2); labels are "g|v".
     """
-    for v in range(h.order):
-        if not n.is_automorphism(act(v)):
+    for a in acts:
+        if not n.is_automorphism(a):
             raise ValueError("action is not by automorphisms")
     for v1 in range(h.order):
         for v2 in range(h.order):
-            a12 = act(h.table[v1][v2])
-            comp = [act(v1)[act(v2)[g]] for g in range(n.order)]
+            a12 = acts[h.table[v1][v2]]
+            comp = [acts[v1][acts[v2][g]] for g in range(n.order)]
             if list(a12) != comp:
                 raise ValueError("action is not a homomorphism")
     nn, nh = n.order, h.order
@@ -302,7 +298,7 @@ def semidirect(n: FiniteGroup, h: FiniteGroup, act) -> FiniteGroup:
     for g1 in range(nn):
         for v1 in range(nh):
             row = []
-            a1 = act(v1)
+            a1 = acts[v1]
             for g2 in range(nn):
                 for v2 in range(nh):
                     row.append(n.table[g1][a1[g2]] * nh + h.table[v1][v2])

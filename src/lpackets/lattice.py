@@ -7,7 +7,8 @@ Matrices are tuples of row tuples; vectors are tuples.  A torsion point s of
 the caller fixes, standing for s = v / N; with one N shared by all points,
 integer order on the vectors is the order of the points.  The one nontrivial
 algorithm here is Smith normal form with both unimodular transforms, which
-drives the torsion-point solver and the finite-abelian quotient structure.
+drives the torsion-point solver; square rational systems go through the
+integer adjugate instead.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ def mat_vec_mod(a: Matrix, v: Vector, n: int) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) % n for row in a)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def det(a: Matrix) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(a)
@@ -68,6 +65,30 @@ def det(a: Matrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def adjugate(m: Matrix) -> Matrix:
+    """adj(m), so that m @ adj(m) = det(m) * 1, by cofactors."""
+    n = len(m)
+    return tuple(
+        tuple((-1) ** (i + j) * det(tuple(
+            tuple(m[r][c] for c in range(n) if c != i)
+            for r in range(n) if r != j))
+            for j in range(n))
+        for i in range(n))
+
+
+def solve_integral(a: Matrix, rows) -> Matrix | None:
+    """The integer x with x @ a = rows, for a square nonsingular a; None when
+    x is not integral.
+
+    x = rows @ adj(a) / det(a), so the solve is integer arithmetic.
+    """
+    d = det(a)
+    scaled = mat_mul(rows, adjugate(a))
+    if any(x % d for row in scaled for x in row):
+        return None
+    return tuple(tuple(x // d for x in row) for row in scaled)
 
 
 def mat_inv_unimodular(a: Matrix) -> Matrix:
@@ -220,64 +241,3 @@ def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     if len(set(sols)) != expected:
         raise InvariantError("torsion solutions are not distinct")
     return sols
-
-
-def quotient_structure(n: int, rel_cols: Matrix) -> tuple[Matrix, list[int]]:
-    """Structure of Z^n / L where L is spanned by the columns of rel_cols.
-
-    Returns (u, orders): u is unimodular, and in the coordinates z = u @ y the
-    subgroup L becomes the span of orders[i] * e_i (orders[i] = 0 marks a free
-    coordinate).
-    """
-    if not rel_cols or not rel_cols[0]:
-        return identity(n), [0] * n
-    d, u, _ = smith_normal_form(rel_cols)
-    orders = []
-    ncols = len(rel_cols[0])
-    for i in range(n):
-        orders.append(d[i][i] if i < min(n, ncols) else 0)
-    return u, orders
-
-
-def fixed_torsion_count(n: int, rel_cols: Matrix, f: Matrix, p: int) -> int:
-    """Count prime-to-p torsion elements x of Z^n / span(rel_cols) with f(x) = x.
-
-    Requires f to preserve the relation lattice.  Torsion elements are
-    enumerated through the Smith coordinates, so the group must be finite in
-    its torsion part (always true).
-    """
-    u, orders = quotient_structure(n, rel_cols)
-    f_z = mat_mul(mat_mul(u, f), mat_inv_unimodular(u))
-    tors = [(i, o) for i, o in enumerate(orders) if o > 1]
-    # strip the p-part of each cyclic factor
-    strata = []
-    for i, o in tors:
-        op = o
-        while op % p == 0:
-            op //= p
-        step = o // op  # generator of the prime-to-p subgroup of Z/o
-        strata.append((i, o, op, step))
-    count = 0
-
-    def rec(k, z):
-        nonlocal count
-        if k == len(strata):
-            w = mat_vec(f_z, z)
-            for i, o in enumerate(orders):
-                diff = w[i] - z[i]
-                if o == 0 or o == 1:
-                    ok = (diff == 0) if o == 0 else True
-                else:
-                    ok = diff % o == 0
-                if not ok:
-                    return
-            count += 1
-            return
-        i, _, op, step = strata[k]
-        for j in range(op):
-            z2 = list(z)
-            z2[i] = j * step
-            rec(k + 1, tuple(z2))
-
-    rec(0, tuple(0 for _ in range(n)))
-    return count

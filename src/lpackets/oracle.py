@@ -169,7 +169,7 @@ def _mat(f: Field, rows) -> bytes:
     return bytes(_signed(f, c) for row in rows for c in row)
 
 
-def _diag(f: Field, entries) -> bytes:
+def _diag(entries) -> bytes:
     n = len(entries)
     out = bytearray(n * n)
     for i, e in enumerate(entries):
@@ -178,7 +178,7 @@ def _diag(f: Field, entries) -> bytes:
 
 
 def _gens_gl(f: Field, n: int):
-    gens = [_diag(f, [f.gen] + [1] * (n - 1))]
+    gens = [_diag([f.gen] + [1] * (n - 1))]
     trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     trans[0][1] = 1
     gens.append(_mat(f, trans))
@@ -197,11 +197,11 @@ def _gens_sl2(f: Field):
 
 
 def _gens_torus1(f: Field):
-    return [_diag(f, [f.gen])], 1, f
+    return [_diag([f.gen])], 1, f
 
 
 def _gens_o2(f: Field):
-    return [_diag(f, [f.gen, f.inv[f.gen]]), _mat(f, [[0, 1], [1, 0]])], 2, f
+    return [_diag([f.gen, f.inv[f.gen]]), _mat(f, [[0, 1], [1, 0]])], 2, f
 
 
 def _gens_pgl2(f: Field):

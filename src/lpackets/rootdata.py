@@ -28,13 +28,14 @@ from .groups import closure, orbits, strong_components
 from .lattice import (
     Matrix,
     Vector,
+    adjugate,
     det,
-    fixed_torsion_count,
     identity,
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
     mat_vec_mod,
+    solve_integral,
     solve_torsion,
     transpose,
 )
@@ -86,7 +87,7 @@ class RootDatum:
         d = det(cartan)
         if d == 0:
             raise InvariantError("simple roots are linearly dependent")
-        adj = _adjugate(cartan)
+        adj = adjugate(cartan)
         out = []
         for i, root in enumerate(self.roots):
             pairings = [self.pairing(root, b) for b in self.simple_coroots]
@@ -158,57 +159,9 @@ def x_preserves(m_y: Matrix, vectors: set) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# positivity
-
-def _solve_rational(cols, target):
-    """Solve sum c_i cols[i] = target over Q, or None if inconsistent."""
-    if not cols:
-        return () if all(t == 0 for t in target) else None
-    n = len(target)
-    k = len(cols)
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for row, c in enumerate(pivots):
-        sol[c] = aug[row][k]
-    return tuple(sol)
-
-
-def _adjugate(m: Matrix) -> Matrix:
-    """adj(m), so that m @ adj(m) = det(m) * 1, by cofactors."""
-    n = len(m)
-    if n == 1:
-        return ((1,),)
-    return tuple(
-        tuple((-1) ** (i + j) * det(tuple(
-            tuple(m[r][c] for c in range(n) if c != i)
-            for r in range(n) if r != j))
-            for j in range(n))
-        for i in range(n))
-
-
-# ---------------------------------------------------------------------------
 # named constructions
 
-def _close_roots(simple_roots, simple_coroots, rank):
+def _close_roots(simple_roots, simple_coroots):
     """Generate the full root list from the simples by reflection closure.
 
     Returns (roots, coroots, simple_indices) with matched indexing and the
@@ -233,7 +186,7 @@ def _close_roots(simple_roots, simple_coroots, rank):
 
 
 def _datum_from_simples(simples, cosimples, rank, label) -> RootDatum:
-    roots, coroots, s_idx = _close_roots(simples, cosimples, rank)
+    roots, coroots, s_idx = _close_roots(simples, cosimples)
     return RootDatum(rank, roots, coroots, s_idx, label)
 
 
@@ -288,21 +241,17 @@ def _sublattice_datum(base: RootDatum, basis_rows, label) -> RootDatum:
     """Pass to the sublattice of X spanned by the given rows (old coordinates).
 
     The sublattice must still contain every root; coroots move to the dual
-    overlattice.  New coordinates: a root r becomes the solution c of
-    c . basis = r, a coroot y becomes basis @ y.
+    overlattice.  New coordinates: the roots become the rows of the integral
+    C with C @ basis = roots, a coroot y becomes basis @ y.
     """
     b = _int_matrix(basis_rows, base.rank, "sublattice basis")
     if det(b) == 0:
         raise ConfigError("sublattice basis is singular")
-    new_roots = []
-    for r in base.roots:
-        # new coordinates c with sum_i c_i * (row i of b) = r
-        c = _solve_rational(list(b), r)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ConfigError("sublattice does not contain all roots")
-        new_roots.append(tuple(int(x) for x in c))
+    new_roots = solve_integral(b, base.roots)
+    if new_roots is None:
+        raise ConfigError("sublattice does not contain all roots")
     new_coroots = [mat_vec(b, y) for y in base.coroots]
-    return RootDatum(base.rank, tuple(new_roots), tuple(new_coroots),
+    return RootDatum(base.rank, new_roots, tuple(new_coroots),
                      base.simple_indices, label)
 
 
@@ -405,17 +354,13 @@ def _twist_from_permutation(datum: RootDatum, perm) -> Matrix:
         raise ConfigError(
             "twist permutations need the simple coroots to form a basis of the "
             "cocharacter lattice; give the twist as an explicit matrix instead")
-    # sigma @ src = dst with src columns the cosimples: row r of sigma
-    # combines the rows of src into row r of dst
+    # sigma @ src = dst with src columns the cosimples
     src = transpose(tuple(cosimples))
     dst = transpose(tuple(cosimples[perm[i]] for i in range(k)))
-    sigma = []
-    for row in dst:
-        coeffs = _solve_rational(src, row)
-        if any(c.denominator != 1 for c in coeffs):
-            raise ConfigError("twist permutation does not extend to the lattice")
-        sigma.append(tuple(int(c) for c in coeffs))
-    return tuple(sigma)
+    sigma = solve_integral(src, dst)
+    if sigma is None:
+        raise ConfigError("twist permutation does not extend to the lattice")
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +531,6 @@ class SubSystem:
 
     def simple_roots(self):
         return tuple(self.ambient.roots[i] for i in self.simple_positions)
-
-    def simple_coroots(self):
-        return tuple(self.ambient.coroots[i] for i in self.simple_positions)
 
     def as_datum(self) -> RootDatum:
         """The subsystem as a root datum on the ambient lattices."""
@@ -763,18 +705,28 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
 # Whittaker normalization data
 
 def whittaker_torsor_size(spec: GroupSpec) -> int:
-    """Size of the torsor of Whittaker normalizations.
+    """Size of the torsor of Whittaker normalizations: the number of
+    Frobenius-fixed classes in the torsion of X / (root lattice).
 
-    This is the number of Frobenius-fixed points on the prime-to-p torsion of
-    X / (root lattice); counts never depend on the choice, but the size is
-    reported so the normalization ambiguity is visible.
+    A torsion class is sum_i c_i alpha_i over the simple roots, with c in
+    (Q/Z)^r and the sum in X.  Pairing the sum with the simple coroots shows
+    K c is integral for K[j][i] = <alpha_i, alpha_j^>, so the classes are
+    among the |det K| solutions of that Cartan system.  Frobenius q sigma
+    sends alpha_i to q alpha_pi(i), so it fixes c when q c_i = c_pi(i).  A
+    fixed c solves (q P - 1) c = 0 for the permutation matrix P of pi, and
+    det(q P - 1) = det(-1) mod p, so every fixed class has order prime to p.
+    Counts never depend on the choice; the size is reported so that the
+    normalization ambiguity is visible.
     """
     d = spec.datum
-    n = d.rank
-    rel_cols = transpose(tuple(d.roots)) if d.roots else ()
-    f = mat_scale_int(spec.q, spec.twist.sigma_x)
-    return fixed_torsion_count(n, rel_cols, f, spec.twist.p)
-
-
-def mat_scale_int(c: int, m: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in m)
+    simples = d.simple_roots
+    cartan = tuple(tuple(d.pairing(a, b) for a in simples) for b in d.simple_coroots)
+    pi = [simples.index(mat_vec(spec.twist.sigma_x, a)) for a in simples]
+    modulus = abs(det(cartan))  # each c comes as the integer vector modulus * c
+    count = 0
+    for c in solve_torsion(cartan):
+        in_x = all(sum(ci * a[t] for ci, a in zip(c, simples)) % modulus == 0
+                   for t in range(d.rank))
+        if in_x and all(spec.q * c[i] % modulus == c[pi[i]] for i in range(len(c))):
+            count += 1
+    return count

@@ -120,12 +120,8 @@ class _StratumGeometry:
         witness_inv = cox.elements[cox.inverse[cox.index[witness]]]
         self.aut_f = _positivity_correct(self.sub, mat_mul(witness_inv, sigma))
 
-    def factor_perm_of(self, m_y: Matrix) -> tuple[int, ...]:
-        """Permutation of the subsystem factors induced by a based map."""
-        return factor_permutation(self.sub, m_y)
-
     def act_on_tuple(self, m_y: Matrix, labels: tuple[str, ...]) -> tuple[str, ...]:
-        perm = self.factor_perm_of(m_y)
+        perm = factor_permutation(self.sub, m_y)
         out = [None] * len(labels)
         for i, lab in enumerate(labels):
             out[perm[i]] = lab
@@ -219,14 +215,13 @@ def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponen
         abar_labels.append(rec.abar_label)
     g_group = assemble_product_group(abar_labels)
 
-    def act(v: int):
-        return induced_automorphism(abar_labels, list(geo.factor_perm_of(stab[v])))
-
-    abar = semidirect(g_group, s_group, act)
+    acts = [induced_automorphism(abar_labels, list(factor_permutation(geo.sub, v)))
+            for v in stab]
+    abar = semidirect(g_group, s_group, acts)
 
     # Frobenius on the connected part: factor permutation; on the stabilizer:
     # conjugation by the corrected automorphism
-    fg = induced_automorphism(abar_labels, list(geo.factor_perm_of(aut)))
+    fg = induced_automorphism(abar_labels, list(factor_permutation(geo.sub, aut)))
     aut_inv = mat_inv_unimodular(aut)
     fs = []
     for v in stab:

@@ -229,9 +229,6 @@ class _PointGeometry:
     def _based(self, m: Matrix) -> bool:
         return x_preserves(m, self.pos_set)
 
-    def factor_perm(self, m: Matrix) -> tuple[int, ...]:
-        return factor_permutation(self.sub, m)
-
 
 # ---------------------------------------------------------------------------
 # counting one stratum
@@ -253,21 +250,21 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
     ng = g_group.order
 
     m_beta = mat_mul(geo.coset_reps[beta_idx], geo.amb.sigma)
-    tau_fp = geo.factor_perm(m_beta)
+    tau_fp = factor_permutation(geo.sub, m_beta)
     _check_factor_cells(geo, cell_pos, tau_fp)
     tau = induced_automorphism(labels, list(tau_fp))
 
     omega_sub = geo.omega.subgroup(omega_sub_idx)
     acts = []
     for oi in omega_sub_idx:
-        fp = geo.factor_perm(geo.omega_mats[oi])
+        fp = factor_permutation(geo.sub, geo.omega_mats[oi])
         _check_factor_cells(geo, cell_pos, fp)
         if tuple(fp[tau_fp[i]] for i in range(len(fp))) != \
                 tuple(tau_fp[fp[i]] for i in range(len(fp))):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
         acts.append(induced_automorphism(labels, list(fp)))
 
-    ext = semidirect(g_group, omega_sub, lambda v: acts[v])
+    ext = semidirect(g_group, omega_sub, acts)
     no = omega_sub.order
 
     def act(p: int, g: int) -> int:

@@ -14,9 +14,7 @@ import lpackets.cli as cli
 from lpackets.coxeter import cells, enumerate_weyl, kl_table
 from lpackets.lattice import (
     det,
-    identity,
     mat_mul,
-    mat_sub,
     solve_torsion,
 )
 from lpackets.oracle import oracle_count
@@ -24,7 +22,6 @@ from lpackets.report import render_json, render_text, spectral_report, stratifie
 from lpackets.rootdata import (
     _build_datum,
     dual_datum,
-    mat_scale_int,
     parse_group_spec,
     whittaker_torsor_size,
 )
@@ -196,7 +193,9 @@ def test_criterion_6_structural_checks():
         sigma = spec.twist.sigma_x
         n = spec.datum.rank
         for w in cox.elements:
-            a = mat_sub(mat_scale_int(q, mat_mul(sigma, w)), identity(n))
+            m = mat_mul(sigma, w)
+            a = tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
+                      for i in range(n))
             d = det(a)
             assert d != 0, (name, q)
             assert math.gcd(abs(d), spec.twist.p) == 1, (name, q)

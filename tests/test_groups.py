@@ -80,10 +80,7 @@ def test_semidirect_builds_dihedral():
     c2 = cyclic(2)
     inv_auto = [c3.inv(x) for x in range(3)]
 
-    def act(v):
-        return identity_perm(3) if v == 0 else inv_auto
-
-    s3 = semidirect(c3, c2, act)
+    s3 = semidirect(c3, c2, [identity_perm(3), inv_auto])
     assert s3.order == 6
     assert s3.class_count() == 3
     assert not s3.is_abelian()
@@ -136,7 +133,7 @@ def test_is_automorphism_rejects_non_morphism():
 
 def test_orbits_of_conjugation_on_s3():
     s3 = symmetric(3)
-    got = orbits(range(6), range(6), s3.conj)
+    got = orbits(range(6), range(6), lambda x, y: s3.mul(s3.mul(x, y), s3.inv(x)))
     assert len(got) == 3
     assert sorted(len(o) for o in got) == [1, 2, 3]
     assert [min(o) for o in got] == sorted(min(o) for o in got)

@@ -108,3 +108,43 @@ def test_import_cycle_is_caught():
                            "c": {"a"}}) == ["a", "b", "c"]
     assert cyclic_modules({"a": module_imports(a), "b": set(),
                            "c": {"a"}}) == []
+
+
+def unread_parameters(source):
+    """``function.parameter`` for every parameter of a ``def`` or ``lambda``
+    that its body never reads; ``self``, ``cls`` and ``_``-prefixed names are
+    exempt.  A read inside a nested function counts."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for b in body for n in ast.walk(b)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [f"{name}.{p.arg}" for p in params
+                if p.arg not in read and p.arg not in ("self", "cls")
+                and not p.arg.startswith("_")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_unread_parameter_is_caught():
+    source = ("class A:\n"
+              "    def m(self, x, y, _z):\n"
+              "        def inner():\n"
+              "            return x\n"
+              "        return inner\n"
+              "def f(a, *args, b=None, **kw):\n"
+              "    return lambda u, v: a + u\n"
+              "@classmethod\n"
+              "def g(cls, c=len):\n"
+              "    return kw\n")
+    assert unread_parameters(source) == ["<lambda>.v", "f.args", "f.b", "f.kw",
+                                         "g.c", "m.y"]

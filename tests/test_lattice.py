@@ -16,8 +16,8 @@ from lpackets.lattice import (
     mat_mul,
     mat_vec,
     mat_vec_mod,
-    quotient_structure,
     smith_normal_form,
+    solve_integral,
     solve_torsion,
     transpose,
 )
@@ -176,7 +176,43 @@ def test_solve_torsion_brute_force_cross_check():
     assert sols == brute
 
 
-def test_quotient_structure_diagonalizes_relations():
-    u, orders = quotient_structure(2, ((2, 0), (0, 4)))
-    assert sorted(o for o in orders if o) == [2, 4]
-    assert abs(det(u)) == 1
+def reference_solve_integral(a, rows):
+    """Fraction Gauss-Jordan on [a^T | rows^T]: the x with x @ a = rows, or
+    None when some entry of x is not an integer."""
+    n = len(a)
+    out = []
+    for row in rows:
+        aug = [[Fraction(a[j][i]) for j in range(n)] + [Fraction(row[i])]
+               for i in range(n)]
+        for c in range(n):
+            piv = next(i for i in range(c, n) if aug[i][c] != 0)
+            aug[c], aug[piv] = aug[piv], aug[c]
+            aug[c] = [x / aug[c][c] for x in aug[c]]
+            for i in range(n):
+                if i != c:
+                    aug[i] = [x - aug[i][c] * y for x, y in zip(aug[i], aug[c])]
+        x = [aug[i][n] for i in range(n)]
+        if any(v.denominator != 1 for v in x):
+            return None
+        out.append(tuple(int(v) for v in x))
+    return tuple(out)
+
+
+def systems(n):
+    rows = st.lists(st.tuples(*[small_entries] * n), max_size=4).map(tuple)
+    return st.tuples(square(n), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(systems), st.booleans())
+def test_solve_integral_matches_fraction_reference(system, integral):
+    a, rows = system
+    assume(det(a) != 0)
+    if integral:  # rows in the row lattice of a, so x is integral
+        rows = mat_mul(rows, a)
+    x = solve_integral(a, rows)
+    assert x == reference_solve_integral(a, rows)
+    if integral:
+        assert x is not None
+    if x is not None:
+        assert mat_mul(x, a) == rows

@@ -19,7 +19,6 @@ from lpackets.rootdata import (
     dual_datum,
     factor_permutation,
     parse_group_spec,
-    _solve_rational,
     point_label,
     whittaker_torsor_size,
 )
@@ -27,6 +26,38 @@ from lpackets.rootdata import (
 
 def spec_of(name, q):
     return parse_group_spec(name, q=q)
+
+
+def _solve_rational(cols, target):
+    """Solve sum c_i cols[i] = target over Q, or None if inconsistent."""
+    if not cols:
+        return () if all(t == 0 for t in target) else None
+    n = len(target)
+    k = len(cols)
+    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
+           for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        pv = aug[r][c]
+        aug[r] = [x / pv for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if aug[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for row, c in enumerate(pivots):
+        sol[c] = aug[row][k]
+    return tuple(sol)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_SPECS))
@@ -157,6 +188,37 @@ def test_whittaker_torsor_sizes():
     assert whittaker_torsor_size(spec_of("gl2", 3)) == 1
     assert whittaker_torsor_size(spec_of("sl2", 3)) == 2
     assert whittaker_torsor_size(spec_of("sl2", 4)) == 1
+
+
+# sizes recorded from the earlier Smith-form count of the fixed prime-to-p
+# torsion of X / (root lattice); B2 and G2 skip their bad primes 2 and 3
+@pytest.mark.parametrize("config, qs, sizes", [
+    ("sl2", (4, 5, 7, 8), (1, 2, 2, 1)),
+    ("gl2", (4, 5, 7, 8), (1, 1, 1, 1)),
+    ("pgl2", (4, 5, 7, 8), (1, 1, 1, 1)),
+    ("gl3", (4, 5, 7, 8), (1, 1, 1, 1)),
+    ("sp4", (5, 7, 11, 13), (2, 2, 2, 2)),
+    ("g2", (5, 7, 11, 13), (1, 1, 1, 1)),
+    ("torus1", (4, 5, 7, 8), (1, 1, 1, 1)),
+    ("o2", (4, 5, 7, 8), (1, 1, 1, 1)),
+    ({"type": "A2", "isogeny": "sc", "twist": [1, 0]}, (4, 5, 7, 8), (1, 3, 1, 3)),
+    ({"type": "A2", "isogeny": "ad", "twist": [1, 0]}, (4, 5, 7, 8), (1, 1, 1, 1)),
+    ({"type": "A2", "isogeny": "gl", "twist": [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]},
+     (4, 5, 7, 8), (1, 1, 1, 1)),
+    ({"type": "A1xA1", "twist": [1, 0]}, (4, 5, 7, 8), (1, 2, 2, 1)),
+    ({"type": "A1xA1", "component_group": [[[0, 1], [1, 0]]]},
+     (4, 5, 7, 8), (1, 4, 4, 1)),
+    ({"type": "A1xA1", "isogeny": [[1, 1], [1, -1]]}, (4, 5, 7, 8), (1, 2, 2, 1)),
+    ({"type": "A1xA1", "isogeny": [[2, 0], [0, 2]]}, (4, 5, 7, 8), (1, 1, 1, 1)),
+    ({"type": "A2", "isogeny": [[2, -1], [-1, 2]]}, (4, 5, 7, 8), (1, 1, 1, 1)),
+    ({"type": "A1+T1"}, (4, 5, 7, 8), (1, 2, 2, 1)),
+    ({"type": "A2+T1"}, (4, 5, 7, 8), (3, 1, 3, 1)),
+    ({"type": "B2+T1"}, (5, 7, 11, 13), (2, 2, 2, 2)),
+    ({"type": "G2+T2"}, (5, 7, 11, 13), (1, 1, 1, 1)),
+])
+def test_whittaker_sizes_are_pinned(config, qs, sizes):
+    assert tuple(whittaker_torsor_size(parse_group_spec(config, q=q))
+                 for q in qs) == sizes
 
 
 def test_extra_torus_suffix():
