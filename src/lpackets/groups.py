@@ -18,7 +18,7 @@ then hands over only labels and sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .errors import InvariantError
@@ -47,6 +47,12 @@ class Stratum:
     @property
     def total(self) -> int:
         return sum(p.size for p in self.packets)
+
+    def relabelled(self, ss_label: str) -> Stratum:
+        """A copy under another semisimple label, sharing no mutable field
+        with this one."""
+        return replace(self, ss_label=ss_label, labels=dict(self.labels),
+                       packets=list(self.packets))
 
 
 def orbits(items, group, act) -> list[set]:

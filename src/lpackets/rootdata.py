@@ -42,7 +42,8 @@ from .lattice import (
 
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
-    "parse_group_spec", "dual_datum", "centralizer_subdatum", "TorusOrbit",
+    "parse_group_spec", "dual_datum", "centralizer_subdatum",
+    "integral_root_positions", "TorusOrbit",
     "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
     "x_action", "x_preserves", "NAMED_SPECS",
 ]
@@ -602,11 +603,19 @@ def _classify_component(datum: RootDatum, simple_positions, comp) -> str:
         f"centralizer subsystem of rank {len(comp)} outside the supported menu")
 
 
+def integral_root_positions(datum: RootDatum, point: Vector,
+                            modulus: int) -> tuple[int, ...]:
+    """Indices of the roots alpha with <alpha, s> integral, for the point
+    s = point / modulus of Y x Q/Z."""
+    return tuple(i for i, r in enumerate(datum.roots)
+                 if datum.pairing(r, point) % modulus == 0)
+
+
 def centralizer_subdatum(datum: RootDatum, point: Vector, modulus: int) -> SubSystem:
     """Subsystem of roots alpha with <alpha, s> integral, for the point
-    s = point / modulus of Y x Q/Z."""
-    positions = tuple(i for i, r in enumerate(datum.roots)
-                      if datum.pairing(r, point) % modulus == 0)
+    s = point / modulus of Y x Q/Z.  Everything past the integral root
+    positions reads the datum alone."""
+    positions = integral_root_positions(datum, point, modulus)
     pos_all = set(datum.positive_indices)
     positive = tuple(i for i in positions if i in pos_all)
     pos_vectors = {datum.roots[i] for i in positive}

@@ -13,6 +13,12 @@ characters of its twisted centralizer.
 ``spectral_strata`` returns one shared ``groups.Stratum`` per pair, labelled
 ``{"class": C}``, with one ``groups.Packet`` per twisted class.
 
+Semisimple classes fall into a few types.  The type key of a class is its
+integral root positions, its stabilizer in the dual Weyl group and its first
+Frobenius witness (see ``_type_key``); within one ``spectral_strata`` call a
+local table builds the geometry and strata once per key, and every other
+class of that key gets copies of them under its own semisimple label.
+
 Disconnected groups are refused here; the stratified route handles them.
 """
 
@@ -31,6 +37,7 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
+    integral_root_positions,
     stable_point_orbits,
     x_preserves,
 )
@@ -105,10 +112,7 @@ class _StratumGeometry:
 
     def __init__(self, spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup):
         rep, modulus = ssc.rep, ssc.modulus
-        sigma = spec.twist.sigma_x  # the twist seen by the dual side
-        target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
-        witness = next((w for w in cox.elements
-                        if mat_vec_mod(w, rep, modulus) == target), None)
+        witness = _witness(spec, ssc, cox)
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
         self.cox = cox
@@ -117,8 +121,9 @@ class _StratumGeometry:
         self.factor_types = self.sub.factor_types
         # Frobenius as a based automorphism of the subsystem:
         # v0 . witness^-1 . sigma with v0 the positivity correction
-        witness_inv = cox.elements[cox.inverse[cox.index[witness]]]
-        self.aut_f = _positivity_correct(self.sub, mat_mul(witness_inv, sigma))
+        witness_inv = cox.elements[cox.inverse[witness]]
+        self.aut_f = _positivity_correct(self.sub,
+                                         mat_mul(witness_inv, spec.twist.sigma_x))
 
     def act_on_tuple(self, m_y: Matrix, labels: tuple[str, ...]) -> tuple[str, ...]:
         perm = factor_permutation(self.sub, m_y)
@@ -126,6 +131,15 @@ class _StratumGeometry:
         for i, lab in enumerate(labels):
             out[perm[i]] = lab
         return tuple(out)
+
+
+def _witness(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> int | None:
+    """Index of the first w in ``cox.elements`` with w(s) = q sigma(s)."""
+    rep, modulus = ssc.rep, ssc.modulus
+    sigma = spec.twist.sigma_x  # the twist seen by the dual side
+    target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
+    return next((i for i, w in enumerate(cox.elements)
+                 if mat_vec_mod(w, rep, modulus) == target), None)
 
 
 def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep: Vector,
@@ -279,18 +293,51 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
 # ---------------------------------------------------------------------------
 # assembly
 
+def _type_key(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> tuple:
+    """The semisimple type of a class: the positions in ``cox.datum`` of the
+    roots integral at its point, the indices in ``cox.elements`` of the
+    point's stabilizer, and the index of its first Frobenius witness.
+
+    ``_StratumGeometry`` reads the point only through these:
+    ``centralizer_subdatum`` reads it only through the integral positions,
+    the component elements are the based part of the stabilizer, and the
+    Frobenius is corrected from the witness.  ``special_pairs``,
+    ``extended_group`` and ``mbar`` read the geometry alone.  So two classes
+    with one key have the same strata up to their semisimple label, and the
+    ``InvariantError`` checks made at one of them hold at all.
+    """
+    rep, modulus = ssc.rep, ssc.modulus
+    stab = tuple(i for i, w in enumerate(cox.elements)
+                 if mat_vec_mod(w, rep, modulus) == rep)
+    return (integral_root_positions(cox.datum, rep, modulus), stab,
+            _witness(spec, ssc, cox))
+
+
+def _class_strata(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup,
+                  rng=None) -> list[Stratum]:
+    """The strata over one semisimple class, from the geometry at its point."""
+    geo = _StratumGeometry(spec, ssc, cox)
+    strata = []
+    for pair in special_pairs(geo, rng=rng):
+        ext = extended_group(geo, pair)
+        strata.append(Stratum(ss_label=ssc.label(),
+                              labels={"class": pair.class_label()},
+                              group_desc=ext.description,
+                              packets=mbar(ext, rng=rng)))
+    return strata
+
+
 def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     _require_connected(spec)
     cox = enumerate_weyl(dual_datum(spec.datum))
+    by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for ssc in enumerate_ss_classes(spec, rng=rng, cox=cox):
-        geo = _StratumGeometry(spec, ssc, cox)
-        for pair in special_pairs(geo, rng=rng):
-            ext = extended_group(geo, pair)
-            strata.append(Stratum(ss_label=ssc.label(),
-                                  labels={"class": pair.class_label()},
-                                  group_desc=ext.description,
-                                  packets=mbar(ext, rng=rng)))
+        key = _type_key(spec, ssc, cox)
+        if key not in by_type:
+            by_type[key] = _class_strata(spec, ssc, cox, rng=rng)
+        label = ssc.label()
+        strata += [st.relabelled(label) for st in by_type[key]]
     return strata
 
 

@@ -16,6 +16,12 @@ alongside the reflections and enter every stabilizer.
 ``stratified_strata`` returns one shared ``groups.Stratum`` per (point,
 cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
 ``groups.Packet`` per twisted class.
+
+Points fall into a few semisimple types.  The type key of an orbit is its
+integral root positions, its stabilizer in the acting group and its first
+Frobenius witness (see ``_type_key``); within one ``stratified_strata`` call
+a local table builds the geometry and strata once per key, and every other
+orbit of that key gets copies of them under its own semisimple label.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
+    integral_root_positions,
     stable_point_orbits,
     x_action,
     x_preserves,
@@ -292,36 +299,70 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
 # ---------------------------------------------------------------------------
 # assembly
 
+def _type_key(amb: _Ambient, ss: TorusOrbit) -> tuple:
+    """The semisimple type of an orbit: the positions in ``amb.dd`` of the
+    roots integral at its point, the indices in ``amb.elements`` of the
+    point's stabilizer, and the index in ``amb.cox.elements`` of the first w
+    with w(F(s)) = s (None when there is none).
+
+    ``_PointGeometry`` and ``_stratum_packets`` read the point only through
+    these: ``centralizer_subdatum`` reads it only through the integral
+    positions, and the Frobenius solutions are the coset Stab_W(s) w0 of the
+    first witness w0, with Stab_W(s) the stabilizer's reflection part.  So
+    two orbits with one key have the same strata up to their semisimple
+    label, and the ``InvariantError`` checks made at one of them hold at all.
+    """
+    rep, modulus = ss.rep, ss.modulus
+    stab = tuple(i for i, (_, m) in enumerate(amb.elements)
+                 if mat_vec_mod(m, rep, modulus) == rep)
+    target = amb.frobenius(rep, modulus)
+    w0 = next((i for i, w in enumerate(amb.cox.elements)
+               if mat_vec_mod(w, target, modulus) == rep), None)
+    return integral_root_positions(amb.dd, rep, modulus), stab, w0
+
+
+def _point_strata(amb: _Ambient, ss: TorusOrbit, rng=None) -> list[Stratum]:
+    """The strata over one orbit, from the geometry at its point."""
+    geo = _PointGeometry(amb, ss.rep, ss.modulus)
+    k = len(geo.part.two_sided_cells)
+    strata = []
+
+    # orbits of cells under the based complement
+    for orb in orbits(range(k), geo.cell_perm, lambda perm, c: perm[c]):
+        members = sorted(orb)
+        rep_cell = members[0]
+        cell_label = "+".join(geo.part.cell_id(c) for c in members)
+
+        omega_stab = [oi for oi in range(geo.omega.order)
+                      if geo.cell_perm[oi][rep_cell] == rep_cell]
+        stable = [bi for bi in range(len(geo.coset_reps))
+                  if geo.beta_cell_perm[bi][rep_cell] == rep_cell]
+
+        for borb in orbits(stable, omega_stab, lambda oi, b: geo.ad[oi][b]):
+            if not borb <= set(stable):
+                raise InvariantError(
+                    "twisted conjugation leaves the stable cosets")
+            bi = min(borb)
+            stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
+            packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
+                                             rng=rng)
+            beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]])
+            strata.append(Stratum(ss_label=ss.label(),
+                                  labels={"cell": cell_label, "beta": beta_label},
+                                  group_desc=desc, packets=packets))
+    return strata
+
+
 def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     amb = _Ambient(spec)
+    by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for ss in semisimple_parameters(spec, rng=rng, amb=amb):
-        geo = _PointGeometry(amb, ss.rep, ss.modulus)
-        k = len(geo.part.two_sided_cells)
-
-        # orbits of cells under the based complement
-        for orb in orbits(range(k), geo.cell_perm, lambda perm, c: perm[c]):
-            members = sorted(orb)
-            rep_cell = members[0]
-            cell_label = "+".join(geo.part.cell_id(c) for c in members)
-
-            omega_stab = [oi for oi in range(geo.omega.order)
-                          if geo.cell_perm[oi][rep_cell] == rep_cell]
-            stable = [bi for bi in range(len(geo.coset_reps))
-                      if geo.beta_cell_perm[bi][rep_cell] == rep_cell]
-
-            for borb in orbits(stable, omega_stab, lambda oi, b: geo.ad[oi][b]):
-                if not borb <= set(stable):
-                    raise InvariantError(
-                        "twisted conjugation leaves the stable cosets")
-                bi = min(borb)
-                stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
-                packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
-                                                 rng=rng)
-                beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]])
-                strata.append(Stratum(ss_label=ss.label(),
-                                      labels={"cell": cell_label, "beta": beta_label},
-                                      group_desc=desc, packets=packets))
+        key = _type_key(amb, ss)
+        if key not in by_type:
+            by_type[key] = _point_strata(amb, ss, rng=rng)
+        label = ss.label()
+        strata += [st.relabelled(label) for st in by_type[key]]
     return strata
 
 

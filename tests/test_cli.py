@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lpackets.cli as cli
 from lpackets.oracle import OracleResult
@@ -240,3 +245,78 @@ def test_oracle_refuses_work_over_its_limit(argv):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "row steps" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# random configs through the CLI
+
+BASE_RANK = {"A1": 1, "A1xA1": 2, "A2": 2, "B2": 2, "C2": 2, "G2": 2}
+
+
+def _rank_of(base, isogeny, suffix):
+    """The rank a well-formed config would have, to size the drawn
+    matrices; a guess only, since the config may be malformed."""
+    if base.startswith("T"):
+        rank = int(base[1:]) if base[1:].isdigit() else 1
+    else:
+        rank = BASE_RANK.get(base, 2) + (isogeny == "gl")
+    return max(1, min(rank + suffix, 4))
+
+
+def _matrices(n):
+    """Square integer matrices of size n: signed permutation matrices,
+    which the parser often admits, and free ones, which it mostly refuses."""
+    signed_perm = st.tuples(st.permutations(range(n)),
+                            st.lists(st.sampled_from((1, -1)), min_size=n,
+                                     max_size=n)).map(
+        lambda ps: [[ps[1][i] if j == ps[0][i] else 0 for j in range(n)]
+                    for i in range(n)])
+    free = st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=n, max_size=n)
+    return st.one_of(signed_perm, free)
+
+
+@st.composite
+def group_configs(draw):
+    # valid choices are listed more than once, so that more configs get past
+    # the parser; most are still refused, which probes the refusals
+    base = draw(st.sampled_from(["T1", "T2", "T3", "A1", "A1", "A1xA1",
+                                 "A1xA1", "A2", "A2", "B2", "C2", "G2", "G2",
+                                 "T0", "T7", "Tx", "A3", "E8"]))
+    suffix = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    config = {"type": base + (f"+T{suffix}" if suffix else "")}
+    isogeny = draw(st.sampled_from([None, None, None, "sc", "ad", "gl",
+                                    "bogus", "matrix"]))
+    n = _rank_of(base, isogeny, suffix)
+    if isogeny == "matrix":
+        config["isogeny"] = draw(_matrices(BASE_RANK.get(base, 2)))
+    elif isogeny is not None:
+        config["isogeny"] = isogeny
+    size = st.sampled_from([n, n, n, n + 1, max(1, n - 1)])
+    twist = draw(st.sampled_from(["none", "none", "perm", "matrix"]))
+    if twist == "perm":
+        config["twist"] = draw(st.one_of(st.permutations(range(2)),
+                                         st.lists(st.integers(-1, 3),
+                                                  max_size=3)))
+    elif twist == "matrix":
+        config["twist"] = draw(size.flatmap(_matrices))
+    if draw(st.booleans()):
+        config["component_group"] = draw(
+            st.lists(size.flatmap(_matrices), max_size=2))
+    return config
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=group_configs(),
+       q=st.one_of(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(-1, 9)),
+       pipeline=st.sampled_from(["auto", "both"]))
+def test_random_configs_exit_cleanly(config, q, pipeline):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "group.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["count", "--config", str(path), "--q", str(q),
+                             "--pipeline", pipeline])
+    assert code in (0, 2, 3), (config, q, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -148,3 +148,93 @@ def test_unread_parameter_is_caught():
               "    return kw\n")
     assert unread_parameters(source) == ["<lambda>.v", "f.args", "f.b", "f.kw",
                                          "g.c", "m.y"]
+
+
+CACHE_NAMES = {"lru_cache", "cache"}
+MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict",
+                 "OrderedDict", "Counter", "deque"}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                 ast.SetComp)
+
+
+def _called_name(node):
+    """The name a call or decorator refers to: ``f`` for ``f``, ``m.f``,
+    ``f(...)`` and ``m.f(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def process_wide_state(source):
+    """``name:line`` for every function cached by ``lru_cache``/``cache``
+    (as a decorator or a call anywhere), every module- or class-level
+    binding of a mutable value except ``__all__``, and every ``global``
+    statement: state that outlives one call into the module."""
+    tree = ast.parse(source)
+    functions = [f for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    decorators = {id(d) for f in functions for d in f.decorator_list}
+    out = [f"{f.name}:{f.lineno}" for f in functions
+           if any(_called_name(d) in CACHE_NAMES for d in f.decorator_list)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in decorators \
+                and _called_name(node) in CACHE_NAMES:
+            out.append(f"{_called_name(node)}:{node.lineno}")
+        elif isinstance(node, ast.Global):
+            out += [f"{name}:{node.lineno}" for name in node.names]
+    scopes = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if names == ["__all__"]:
+                continue
+            if isinstance(value, MUTABLE_NODES) or (
+                    isinstance(value, ast.Call)
+                    and _called_name(value) in MUTABLE_CALLS):
+                out += [f"{name}:{node.lineno}" for name in names or ["?"]]
+    return sorted(out)
+
+
+# the cell structure of a factor type is a fixed table of the type alone
+ALLOWED_STATE = {"strata.py": ["_standalone"]}
+
+
+@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
+def test_no_process_wide_state_in_pipelines(name):
+    found = process_wide_state((SRC / name).read_text())
+    assert [f.split(":")[0] for f in found] == ALLOWED_STATE.get(name, [])
+
+
+def test_process_wide_state_is_caught():
+    source = ("import functools\n"
+              "from functools import lru_cache, cache\n"
+              "__all__ = ['f']\n"
+              "TABLE = {}\n"
+              "SEEN: set = set()\n"
+              "LIMIT = 10\n"
+              "NAMES = ('a', 'b')\n"
+              "class K:\n"
+              "    memo = []\n"
+              "    size = 3\n"
+              "@lru_cache(maxsize=None)\n"
+              "def f(x):\n"
+              "    local = {}\n"
+              "    return local\n"
+              "@functools.cache\n"
+              "def g():\n"
+              "    global LIMIT\n"
+              "    LIMIT = 1\n"
+              "h = cache(len)\n")
+    assert process_wide_state(source) == [
+        "LIMIT:17", "SEEN:5", "TABLE:4", "cache:19", "f:12", "g:16",
+        "memo:9"]
