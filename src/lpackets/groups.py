@@ -55,25 +55,27 @@ class Stratum:
                        packets=list(self.packets))
 
 
-def orbits(items, group, act) -> list[set]:
+def orbits(items, images) -> list[tuple]:
     """Orbits of a whole finite group on ``items``, in first-seen order.
 
-    The orbit of each point not seen before is its image set
-    ``{act(g, x) for g in group}``: one pass over the group, no closure.  An
-    image set that misses its start or meets an earlier orbit means the
-    acting set is not a group, and raises.
+    ``images(x)`` lists g(x) for every g in the group, in one fixed order.
+    Each orbit comes back as ``(x, imgs)``: its first-seen point x and the
+    list ``images(x)``, whose set is the orbit.  That is one pass over the
+    group and no closure.  An image set that misses its start or meets an
+    earlier orbit means the acting set is not a group, and raises.
     """
     seen: set = set()
     out = []
     for x in items:
         if x in seen:
             continue
-        orbit = {act(g, x) for g in group}
+        imgs = images(x)
+        orbit = set(imgs)
         if x not in orbit or not seen.isdisjoint(orbit):
             raise InvariantError("the acting set is not a group: "
                                  "its image sets do not partition the points")
         seen |= orbit
-        out.append(orbit)
+        out.append((x, imgs))
     return out
 
 
@@ -220,8 +222,8 @@ class FiniteGroup:
             raise ValueError("twist is not an automorphism")
         t, inv = self.table, self.inverse
         everything = range(self.order)
-        return [tuple(sorted(orbit)) for orbit in
-                orbits(everything, everything, lambda b, x: t[t[b][x]][inv[f[b]]])]
+        return [tuple(sorted(set(imgs))) for _, imgs in orbits(
+            everything, lambda x: [t[t[b][x]][inv[f[b]]] for b in everything])]
 
     def twisted_centralizer(self, x: int, f) -> list[int]:
         """Subgroup of b with b x f(b)^-1 = x."""

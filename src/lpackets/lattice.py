@@ -13,6 +13,8 @@ integer adjugate instead.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InvariantError
 
 Vector = tuple[int, ...]
@@ -29,17 +31,17 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def mat_vec_mod(a: Matrix, v: Vector, n: int) -> Vector:
     """Matrix times vector, entries reduced to [0, n): the action of an
     integer matrix on a torsion point v / n."""
-    return tuple(sum(x * y for x, y in zip(row, v)) % n for row in a)
+    return tuple(sum(map(mul, row, v)) % n for row in a)
 
 
 def det(a: Matrix) -> int:

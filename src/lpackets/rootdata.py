@@ -17,9 +17,9 @@ solver feeds both counting pipelines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .coxeter import enumerate_weyl
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
@@ -34,7 +34,6 @@ from .lattice import (
     mat_inv_unimodular,
     mat_mul,
     mat_vec,
-    mat_vec_mod,
     solve_integral,
     solve_torsion,
     transpose,
@@ -58,7 +57,7 @@ class RootDatum:
     cartan_label: str
 
     def pairing(self, x, y):
-        return sum(a * b for a, b in zip(x, y))
+        return sum(map(mul, x, y))
 
     @property
     def simple_roots(self):
@@ -135,7 +134,13 @@ class GroupSpec:
 def point_label(v: Vector, modulus: int) -> str:
     """The torsion point v / modulus, each coordinate a reduced fraction in
     [0, 1)."""
-    return "(" + ",".join(str(Fraction(x % modulus, modulus)) for x in v) + ")"
+    return "(" + ",".join(_reduced(x % modulus, modulus) for x in v) + ")"
+
+
+def _reduced(a: int, b: int) -> str:
+    """a / b in lowest terms, written "0" when a is 0."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}" if a else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +667,7 @@ class TorusOrbit:
     rep: Vector                  # least point of the orbit
     orbit: tuple[Vector, ...]
     modulus: int
+    images: tuple[Vector, ...]   # g(rep) for g in the acting list, in order
 
     @property
     def orbit_size(self) -> int:
@@ -680,6 +686,11 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
     sorted by their least point; an ``rng`` shuffles the order the points are
     visited in.  Specs whose solution count sum_w |det(q sigma w - 1)|
     exceeds MAX_TORSION_POINTS are refused before anything is solved.
+
+    All images of a point come from one pass over the rows of every acting
+    matrix, stacked into one list, and are regrouped by rank.  Each orbit
+    keeps the images of its least point: those of the pass that found it
+    when that point came first, else one more pass.
     """
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
@@ -700,12 +711,20 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
     visit = sorted(points)
     if rng is not None:
         rng.shuffle(visit)
+    rows = [row for g in acting for row in g]
+
+    def images(v):
+        values = [sum(map(mul, row, v)) % modulus for row in rows]
+        return tuple(zip(*[iter(values)] * n))
+
     out = []
-    for orbit in orbits(visit, acting, lambda m, s: mat_vec_mod(m, s, modulus)):
-        if not orbit <= points:
+    for first, imgs in orbits(visit, images):
+        if not points.issuperset(imgs):
             raise InvariantError("orbit leaks outside the solution set")
-        pts = tuple(sorted(orbit))
-        out.append(TorusOrbit(rep=pts[0], orbit=pts, modulus=modulus))
+        pts = tuple(sorted(set(imgs)))
+        if first != pts[0]:
+            imgs = images(pts[0])
+        out.append(TorusOrbit(rep=pts[0], orbit=pts, modulus=modulus, images=imgs))
     out.sort(key=lambda o: o.rep)
     return out
 

@@ -15,9 +15,11 @@ characters of its twisted centralizer.
 
 Semisimple classes fall into a few types.  The type key of a class is its
 integral root positions, its stabilizer in the dual Weyl group and its first
-Frobenius witness (see ``_type_key``); within one ``spectral_strata`` call a
-local table builds the geometry and strata once per key, and every other
-class of that key gets copies of them under its own semisimple label.
+Frobenius witness (see ``_type_key``).  Stabilizer and witness are read off
+the class's ``images``, the dual Weyl group applied to its least point once,
+when the class was found.  Within one ``spectral_strata`` call a local table
+builds the geometry and strata once per key, and every other class of that
+key gets copies of them under its own semisimple label.
 
 Disconnected groups are refused here; the stratified route handles them.
 """
@@ -112,7 +114,7 @@ class _StratumGeometry:
 
     def __init__(self, spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup):
         rep, modulus = ssc.rep, ssc.modulus
-        witness = _witness(spec, ssc, cox)
+        witness = _witness(spec, ssc)
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
         self.cox = cox
@@ -133,13 +135,13 @@ class _StratumGeometry:
         return tuple(out)
 
 
-def _witness(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> int | None:
-    """Index of the first w in ``cox.elements`` with w(s) = q sigma(s)."""
+def _witness(spec: GroupSpec, ssc: TorusOrbit) -> int | None:
+    """Index of the first w in the dual Weyl group with w(s) = q sigma(s),
+    read off ``ssc.images`` (the images w(s) in the group's element order)."""
     rep, modulus = ssc.rep, ssc.modulus
     sigma = spec.twist.sigma_x  # the twist seen by the dual side
     target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
-    return next((i for i, w in enumerate(cox.elements)
-                 if mat_vec_mod(w, rep, modulus) == target), None)
+    return next((i for i, v in enumerate(ssc.images) if v == target), None)
 
 
 def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep: Vector,
@@ -187,10 +189,10 @@ def special_pairs(geo: _StratumGeometry, rng=None) -> list[SpecialPair]:
     if rng is not None:
         rng.shuffle(tuples)
     pairs = []
-    for orbit in orbits(tuples, geo.pi0, geo.act_on_tuple):
+    for _, imgs in orbits(tuples, lambda t: [geo.act_on_tuple(g, t) for g in geo.pi0]):
         # Frobenius stability of the orbit
-        rep = min(orbit, key=tuple_key)
-        if geo.act_on_tuple(geo.aut_f, rep) not in orbit:
+        rep = min(imgs, key=tuple_key)
+        if geo.act_on_tuple(geo.aut_f, rep) not in imgs:
             continue
         pairs.append(SpecialPair(class_tuple=rep))
     pairs.sort(key=lambda p: tuple_key(p.class_tuple))
@@ -296,7 +298,10 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
 def _type_key(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> tuple:
     """The semisimple type of a class: the positions in ``cox.datum`` of the
     roots integral at its point, the indices in ``cox.elements`` of the
-    point's stabilizer, and the index of its first Frobenius witness.
+    point's stabilizer, and the index of its first Frobenius witness.  Both
+    indices are read off ``ssc.images``, the images w(s) for w in
+    ``cox.elements``: w fixes s when its image is s, and the witness is the
+    first w whose image is q sigma(s).
 
     ``_StratumGeometry`` reads the point only through these:
     ``centralizer_subdatum`` reads it only through the integral positions,
@@ -306,11 +311,10 @@ def _type_key(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> tuple:
     with one key have the same strata up to their semisimple label, and the
     ``InvariantError`` checks made at one of them hold at all.
     """
-    rep, modulus = ssc.rep, ssc.modulus
-    stab = tuple(i for i, w in enumerate(cox.elements)
-                 if mat_vec_mod(w, rep, modulus) == rep)
-    return (integral_root_positions(cox.datum, rep, modulus), stab,
-            _witness(spec, ssc, cox))
+    rep = ssc.rep
+    stab = tuple(i for i, v in enumerate(ssc.images) if v == rep)
+    return (integral_root_positions(cox.datum, rep, ssc.modulus), stab,
+            _witness(spec, ssc))
 
 
 def _class_strata(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup,

@@ -19,9 +19,11 @@ cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
 
 Points fall into a few semisimple types.  The type key of an orbit is its
 integral root positions, its stabilizer in the acting group and its first
-Frobenius witness (see ``_type_key``); within one ``stratified_strata`` call
-a local table builds the geometry and strata once per key, and every other
-orbit of that key gets copies of them under its own semisimple label.
+Frobenius witness (see ``_type_key``).  Stabilizer and witness are read off
+the orbit's ``images``, the acting group applied to its least point once,
+when the orbit was found.  Within one ``stratified_strata`` call a local
+table builds the geometry and strata once per key, and every other orbit of
+that key gets copies of them under its own semisimple label.
 """
 
 from __future__ import annotations
@@ -77,6 +79,8 @@ class _Ambient:
         self.sigma_inv = mat_inv_unimodular(self.sigma)
         self.q = spec.q
         ident = identity(spec.datum.rank)
+        # elements[weyl_start + j] is cox.elements[j]
+        self.weyl_start = spec.components.index(ident) * self.cox.order
         self.elements: list[tuple[str, Matrix]] = []
         self.label_of: dict = {}
         for ci, g in enumerate(spec.components):
@@ -283,8 +287,8 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
     if rng is not None:
         rng.shuffle(order)
     packets = []
-    for orbit in orbits(order, range(ext.order), act):
-        x = min(orbit, key=lambda i: g_group.labels[i])
+    for _, imgs in orbits(order, lambda g: [act(p, g) for p in range(ext.order)]):
+        x = min(imgs, key=lambda i: g_group.labels[i])
         stab = [p for p in range(ext.order) if act(p, x) == x]
         cz = ext.subgroup(stab)
         packets.append(Packet(g_group.labels[x], cz.class_count(),
@@ -305,6 +309,11 @@ def _type_key(amb: _Ambient, ss: TorusOrbit) -> tuple:
     point's stabilizer, and the index in ``amb.cox.elements`` of the first w
     with w(F(s)) = s (None when there is none).
 
+    Stabilizer and witness are read off ``ss.images``, the images g(s) for g
+    in ``amb.elements``: g fixes s when its image is s, and w(F(s)) = s
+    exactly when w^-1(s) = F(s), the image at ``amb.weyl_start`` plus the
+    index of w^-1.
+
     ``_PointGeometry`` and ``_stratum_packets`` read the point only through
     these: ``centralizer_subdatum`` reads it only through the integral
     positions, and the Frobenius solutions are the coset Stab_W(s) w0 of the
@@ -312,12 +321,12 @@ def _type_key(amb: _Ambient, ss: TorusOrbit) -> tuple:
     two orbits with one key have the same strata up to their semisimple
     label, and the ``InvariantError`` checks made at one of them hold at all.
     """
-    rep, modulus = ss.rep, ss.modulus
-    stab = tuple(i for i, (_, m) in enumerate(amb.elements)
-                 if mat_vec_mod(m, rep, modulus) == rep)
+    rep, modulus, images = ss.rep, ss.modulus, ss.images
+    stab = tuple(i for i, v in enumerate(images) if v == rep)
     target = amb.frobenius(rep, modulus)
-    w0 = next((i for i, w in enumerate(amb.cox.elements)
-               if mat_vec_mod(w, target, modulus) == rep), None)
+    start = amb.weyl_start
+    w0 = next((i for i, j in enumerate(amb.cox.inverse)
+               if images[start + j] == target), None)
     return integral_root_positions(amb.dd, rep, modulus), stab, w0
 
 
@@ -328,8 +337,8 @@ def _point_strata(amb: _Ambient, ss: TorusOrbit, rng=None) -> list[Stratum]:
     strata = []
 
     # orbits of cells under the based complement
-    for orb in orbits(range(k), geo.cell_perm, lambda perm, c: perm[c]):
-        members = sorted(orb)
+    for _, imgs in orbits(range(k), lambda c: [perm[c] for perm in geo.cell_perm]):
+        members = sorted(set(imgs))
         rep_cell = members[0]
         cell_label = "+".join(geo.part.cell_id(c) for c in members)
 
@@ -338,11 +347,11 @@ def _point_strata(amb: _Ambient, ss: TorusOrbit, rng=None) -> list[Stratum]:
         stable = [bi for bi in range(len(geo.coset_reps))
                   if geo.beta_cell_perm[bi][rep_cell] == rep_cell]
 
-        for borb in orbits(stable, omega_stab, lambda oi, b: geo.ad[oi][b]):
-            if not borb <= set(stable):
+        for _, imgs in orbits(stable, lambda b: [geo.ad[oi][b] for oi in omega_stab]):
+            if not set(stable).issuperset(imgs):
                 raise InvariantError(
                     "twisted conjugation leaves the stable cosets")
-            bi = min(borb)
+            bi = min(imgs)
             stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
             packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
                                              rng=rng)

@@ -133,28 +133,30 @@ def test_is_automorphism_rejects_non_morphism():
 
 def test_orbits_of_conjugation_on_s3():
     s3 = symmetric(3)
-    got = orbits(range(6), range(6), lambda x, y: s3.mul(s3.mul(x, y), s3.inv(x)))
-    assert len(got) == 3
-    assert sorted(len(o) for o in got) == [1, 2, 3]
-    assert [min(o) for o in got] == sorted(min(o) for o in got)
+    got = orbits(range(6), lambda y: [s3.mul(s3.mul(x, y), s3.inv(x))
+                                      for x in range(6)])
+    assert [first for first, _ in got] == [0, 1, 3]
+    sets = [set(imgs) for _, imgs in got]
+    assert sorted(len(o) for o in sets) == [1, 2, 3]
+    assert [min(o) for o in sets] == sorted(min(o) for o in sets)
 
 
 def test_orbits_keep_first_seen_order():
     rot = (1, 2, 0, 3, 4)            # a 3-cycle and two fixed points
     c3 = [(0, 1, 2, 3, 4), rot, tuple(rot[rot[i]] for i in range(5))]
-    got = orbits([4, 2, 3, 0], c3, lambda p, x: p[x])
-    assert got == [{4}, {0, 1, 2}, {3}]
+    got = orbits([4, 2, 3, 0], lambda x: [p[x] for p in c3])
+    assert got == [(4, [4, 4, 4]), (2, [2, 0, 1]), (3, [3, 3, 3])]
 
 
 def test_orbits_reject_an_acting_set_that_is_not_a_group():
     # one transposition without the identity: its image set of 0 misses 0
     swap = (1, 0, 2)
     with pytest.raises(InvariantError):
-        orbits(range(3), [swap], lambda p, x: p[x])
+        orbits(range(3), lambda x: [swap[x]])
     # identity plus a 3-cycle but not its square: the image sets overlap
     cyc = (1, 2, 0)
     with pytest.raises(InvariantError):
-        orbits(range(3), [(0, 1, 2), cyc], lambda p, x: p[x])
+        orbits(range(3), lambda x: [x, cyc[x]])
 
 
 def test_closure_generates_the_group():

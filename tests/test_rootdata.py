@@ -184,6 +184,20 @@ def test_point_label_format():
     assert point_label((0, 3, 4), 12) == "(0,1/4,1/3)"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-3 * n, 3 * n), min_size=1, max_size=4))))
+def test_point_label_matches_the_fraction_rendering(case):
+    # entries negative, zero or at least N reduce into [0, 1) first
+    modulus, v = case
+    expected = "(" + ",".join(str(Fraction(x % modulus, modulus)) for x in v) + ")"
+    assert point_label(tuple(v), modulus) == expected
+
+
+def test_point_label_with_modulus_one():
+    assert point_label((0, 5, -2), 1) == "(0,0,0)"
+
+
 def test_whittaker_torsor_sizes():
     assert whittaker_torsor_size(spec_of("gl2", 3)) == 1
     assert whittaker_torsor_size(spec_of("sl2", 3)) == 2
