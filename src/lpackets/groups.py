@@ -7,9 +7,10 @@ canonical element names used in reports, and ties are always broken by label
 so that output is deterministic.
 
 ``orbits`` (a finite group acting on a finite set), ``closure`` (the group
-some elements generate), ``strong_components`` (of a small digraph) and
-``table_group`` (the multiplication table of a closed set) are the
-package's one orbit loop, closure loop, component loop and table loop.
+some elements generate, with its right Cayley tables), ``strong_components``
+(of a small digraph) and ``table_group`` (the multiplication table of a
+closed set) are the package's one orbit loop, closure loop, component loop
+and table loop.
 
 ``Packet`` and ``Stratum`` are the one record both counting pipelines emit
 and the reports render: each pipeline counts its packets on its own groups,
@@ -18,6 +19,7 @@ then hands over only labels and sizes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from itertools import permutations
 
@@ -79,26 +81,41 @@ def orbits(items, images) -> list[tuple]:
     return out
 
 
-def closure(gens, mul, one, cap) -> set:
-    """The group generated by ``gens`` under ``mul``, as a set.
+@dataclass(frozen=True)
+class Closure:
+    """A group closed from generators: ``elements`` in breadth-first order
+    from the identity, which is element 0, and its right Cayley tables,
+    ``right[k][i]`` the index of ``elements[i]`` times generator k."""
+    elements: list
+    right: list
 
-    Raises ValueError once it holds more than ``cap`` elements; callers turn
-    that into their own error type.
+    def __len__(self) -> int:
+        return len(self.elements)
+
+
+def closure(gens, mul, one, cap) -> Closure:
+    """The group generated by ``gens`` under ``mul``, with its right
+    multiplication by each generator as index tables.
+
+    Indices are handed out in breadth-first order: scanning the elements in
+    order and the generators in order, each product not seen before gets
+    the next unused index.  Raises ValueError once it holds more than
+    ``cap`` elements; callers turn that into their own error type.
     """
-    seen = {one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                ag = mul(a, g)
-                if ag not in seen:
-                    seen.add(ag)
-                    nxt.append(ag)
-                    if len(seen) > cap:
-                        raise ValueError(f"closure exceeds {cap} elements")
-        frontier = nxt
-    return seen
+    index = {one: 0}
+    elements = [one]
+    right = [array("i") for _ in gens]
+    steps = list(zip(gens, right))
+    for a in elements:
+        for g, r in steps:
+            ag = mul(a, g)
+            i = index.setdefault(ag, len(elements))
+            if i == len(elements):
+                if i == cap:
+                    raise ValueError(f"closure exceeds {cap} elements")
+                elements.append(ag)
+            r.append(i)
+    return Closure(elements, right)
 
 
 def strong_components(edges) -> list[tuple[int, ...]]:

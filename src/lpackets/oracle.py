@@ -1,28 +1,30 @@
 """Brute-force irreducible-character counts for the named groups.
 
-Each named group gets explicit matrix generators over the field tables; the
-kernel closes them into the full finite group, the order is checked against
-the classical formula, and the number of irreducible characters is obtained
-as the number of conjugacy classes.  Nothing here touches the parameter
-pipelines: this is the independent side of every comparison.  The one
-shared piece is the generic breadth-first loop ``groups.closure``, and the
-order check guards what it returns.
+Each named group gets two explicit matrix generators over the field tables
+(one for the cyclic torus1); the kernel closes them into the full finite
+group, the order is checked against the classical formula, and the number
+of irreducible characters is obtained as the number of conjugacy classes.
+Nothing here touches the parameter pipelines: this is the independent side
+of every comparison.  The one shared piece is the generic breadth-first loop
+``groups.closure``, and the order check guards what it returns.
 
-The kernel works on row codes: a matrix over F_q is the tuple of its n rows,
-each row an integer in base q (entry j is digit j).  Right multiplication by
-a fixed generator g acts row by row, so it is one lookup per row in a table
-for g; each table entry is computed the first time that row occurs.
+The kernel works on row codes: a matrix over F_q is its n rows, each row an
+integer in base q (entry j is digit j), packed into one int.  Right
+multiplication by a fixed generator g acts row by row, so it is one lookup
+per row in a table for g; each table entry is computed the first time that
+row occurs.  The closure records these products as index tables, and the
+class count runs on the tables alone.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
+from struct import Struct
 
 from .errors import ConfigError, UnsupportedTypeError
 from .fq import Field, field
-from .groups import closure
+from .groups import Closure, closure
 
 __all__ = ["OracleResult", "ORACLE_GROUPS", "MAX_ORACLE_WORK",
            "expected_order", "oracle_count", "BACKEND"]
@@ -34,9 +36,10 @@ ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
 # The row-table kernel does one table lookup per row for each (element,
 # generator) product, on top of a fixed cost per product, so the work is
 # counted as order * len(gens) * (n + 12) row steps.  Closure and class count
-# together take about 0.33 us per row step, from pgl2/F19 (0.14 s) to
-# gl2/F27 (11.3 s) and pgl2/F64 (20.9 s); 2-vCPU x86-64, CPython 3.11.  The
-# limit is about 10 s of work.
+# together take about 0.2-0.25 us per row step: 1.3-1.4 s for the 5.4 * 10**6
+# steps of the benchmark's oracle cases (sl2/F49, gl2/F16, gl3/F3, pgl2/F11,
+# sp4/F2), 4.1 s for pgl2/F53 and 5.2 s for gl2/F31, the largest admitted;
+# 2-vCPU x86-64, CPython 3.11.  The limit is about 5-6 s of work.
 MAX_ORACLE_WORK = 25 * 10 ** 6
 
 
@@ -90,53 +93,63 @@ class _RowTable(dict):
         return value
 
 
-def _right_multipliers(gens, n, q, add, mul):
-    """One row lookup per generator, and the identity in row codes."""
-    return ([_RowTable(g, n, q, add, mul).__getitem__ for g in gens],
-            tuple(q ** i for i in range(n)))
+def _matrix_format(n: int, q: int) -> Struct:
+    """The n row codes of an n x n matrix over F_q, each in the smallest
+    unsigned type that holds q**n - 1."""
+    top = q ** n - 1
+    for kind, bits in (("B", 8), ("H", 16), ("I", 32), ("Q", 64)):
+        if top >> bits == 0:
+            return Struct(f"<{n}{kind}")
+    raise UnsupportedTypeError(
+        f"rows of {n} entries over F_{q} do not fit in 64 bits")
 
 
 def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
-                   cap: int = 1 << 20) -> list:
-    """All products of the n x n byte-matrix generators, as a sorted list of
-    row-code tuples."""
-    getters, one = _right_multipliers(gens, n, q, add, mul)
-    return sorted(closure(getters, lambda a, get: tuple(map(get, a)), one, cap))
+                   cap: int = 1 << 20) -> Closure:
+    """The group closed from the n x n byte-matrix generators, with its
+    right Cayley tables (``groups.closure``).
 
-
-def matrix_class_count(elements, gens, n: int, q: int, add: bytes,
-                       mul: bytes) -> int:
-    """Conjugacy classes of the group ``elements`` closed from ``gens``.
-
-    Elements become their indices in sorted order, found by bisection; a
-    dict index would hold about as much memory as the elements do.
-    ``right[k]`` maps x to x g_k and ``left[k]`` maps x to g_k^-1 x.  The
-    latter is filled along a breadth-first tree from the identity e: if
-    x = p g_j, then g_k^-1 x = (g_k^-1 p) g_j.  The classes are the orbits
-    of the maps x -> g_k^-1 x g_k.
+    Each element is one int, the little-endian value of its row codes
+    packed by ``_matrix_format``: the closure's index holds less memory with
+    int keys than with bytes or tuples of rows, and packing is linear in n.
     """
-    getters, one = _right_multipliers(gens, n, q, add, mul)
-    ordered = sorted(elements)
-    size = len(ordered)
-    right = [array("i", [bisect_left(ordered, tuple(map(get, x)))
-                         for x in ordered]) for get in getters]
-    e = bisect_left(ordered, one)
-    del ordered
-    left = [array("i", [e]) * size for _ in right]
-    for r, lk in zip(right, left):
-        while r[lk[e]] != e:         # g^-1 is the last power of g before e
-            lk[e] = r[lk[e]]
-    seen = bytearray(size)
-    seen[e] = 1
-    tree = array("i", [e])
-    for p in tree:
+    fmt = _matrix_format(n, q)
+    pack, unpack, size = fmt.pack, fmt.unpack, fmt.size
+
+    def times(a: int, get) -> int:
+        rows = unpack(a.to_bytes(size, "little"))
+        return int.from_bytes(pack(*map(get, rows)), "little")
+
+    getters = [_RowTable(g, n, q, add, mul).__getitem__ for g in gens]
+    one = int.from_bytes(pack(*(q ** i for i in range(n))), "little")
+    return closure(getters, times, one, cap)
+
+
+def matrix_class_count(elements, right) -> int:
+    """Conjugacy classes of a group closed by ``groups.closure``: its
+    ``elements``, in breadth-first order from the identity at index 0, and
+    its right Cayley tables ``right[k]``, which map x to x g_k.
+
+    ``left[k]`` maps x to g_k^-1 x.  g_k^-1 is the last power of g_k before
+    the identity.  The rest is filled in the closure's order: element x is
+    new exactly when ``right[j][p]`` is the next unused index, and then
+    g_k^-1 x = (g_k^-1 p) g_j.  The classes are the orbits of the maps
+    x -> g_k^-1 x g_k.
+    """
+    size = len(elements)
+    left = []
+    for r in right:
+        inv = r[0]
+        while r[inv]:
+            inv = r[inv]
+        left.append(array("i", [inv]) * size)
+    new = 1
+    for p in range(size):
         for r in right:
-            x = r[p]
-            if not seen[x]:
-                seen[x] = 1
-                tree.append(x)
+            if r[p] == new:
                 for lk in left:
-                    lk[x] = r[lk[p]]
+                    lk[new] = r[lk[p]]
+                new += 1
     conj = list(zip(right, left))
     seen = bytearray(size)
     count = 0
@@ -177,23 +190,44 @@ def _diag(entries) -> bytes:
     return bytes(out)
 
 
+def _mat_mul(f: Field, a: bytes, b: bytes, n: int) -> bytes:
+    """The product of two n x n byte matrices over f."""
+    q = f.q
+    out = bytearray(n * n)
+    for i in range(n):
+        for j in range(n):
+            acc = 0
+            for k in range(n):
+                acc = f.add[acc * q + f.mul[a[i * n + k] * q + b[k * n + j]]]
+            out[i * n + j] = acc
+    return bytes(out)
+
+
+# Two generators per group wherever the group needs two: every finite simple
+# group of Lie type is 2-generated (Steinberg, "Generators for simple groups",
+# Canad. J. Math. 14, 1962), with explicit pairs for the classical groups in
+# D. E. Taylor, "Pairs of generators for matrix groups", Cayley Bulletin 3,
+# 1987.  Each pair below closes to ``expected_order`` at every q <= 64 the
+# cap and the work limit admit, and ``oracle_count`` checks that each time.
+
 def _gens_gl(f: Field, n: int):
-    gens = [_diag([f.gen] + [1] * (n - 1))]
-    trans = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    trans[0][1] = 1
-    gens.append(_mat(f, trans))
-    cycle = [[1 if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
-    gens.append(_mat(f, cycle))
-    return gens, n, f
+    """diag(w, 1, ..., 1) and (I + E_01) C, with w the field's generator and C
+    the n-cycle; at q = 2, where w = 1, I + E_01 and C."""
+    trans = _mat(f, [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                     for i in range(n)])
+    cycle = _mat(f, [[int(j == (i + 1) % n) for j in range(n)]
+                     for i in range(n)])
+    if f.gen == 1:
+        return [trans, cycle], n, f
+    return [_diag([f.gen] + [1] * (n - 1)), _mat_mul(f, trans, cycle, n)], n, f
 
 
 def _gens_sl2(f: Field):
-    gens = [_mat(f, [[1, 1], [0, 1]]), _mat(f, [[1, 0], [1, 1]])]
-    if f.k > 1:
-        g = f.gen
-        gens.append(bytes([1, g, 0, 1]))
-        gens.append(bytes([1, 0, g, 1]))
-    return gens, 2, f
+    """[[1, 1], [0, 1]] and diag(w, w^-1) [[1, 0], [1, 1]], with w the
+    field's generator."""
+    torus = _diag([f.gen, f.inv[f.gen]])
+    lower = _mat_mul(f, torus, _mat(f, [[1, 0], [1, 1]]), 2)
+    return [_mat(f, [[1, 1], [0, 1]]), lower], 2, f
 
 
 def _gens_torus1(f: Field):
@@ -236,40 +270,20 @@ def _gens_pgl2(f: Field):
 
 
 def _gens_sp4(f: Field):
-    """Symplectic transvections x -> x + t<x,v>v for a small spanning set."""
-    basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    e1, e2, f1, f2 = basis
-
-    def pairing_row(v):
+    """t(e1) and t(e2) t(f1) t(f2) t(e1 + e2), where t(v) is the symplectic
+    transvection x -> x + <x, v> v."""
+    def transvection(v):
         # <x, v> = x^T J v with J pairing e_i with f_i
-        return (-v[2], -v[3], v[0], v[1])
+        row = (-v[2], -v[3], v[0], v[1])
+        return _mat(f, [[int(i == j) + v[i] * row[j] for j in range(4)]
+                        for i in range(4)])
 
-    def transvection(v, t):
-        row = pairing_row(v)
-        m = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(4):
-                m[i][j] = (1 if i == j else 0)
-        mat = bytearray(_mat(f, m))
-        for i in range(4):
-            vi = _signed(f, v[i])
-            if vi == 0:
-                continue
-            for j in range(4):
-                rj = _signed(f, row[j])
-                term = f.mul[f.mul[t * f.q + vi] * f.q + rj]
-                mat[i * 4 + j] = f.add[mat[i * 4 + j] * f.q + term]
-        return bytes(mat)
-
-    vs = [e1, e2, f1, f2,
-          tuple(a + b for a, b in zip(e1, e2)),
-          tuple(a + b for a, b in zip(e1, f2)),
-          tuple(a + b for a, b in zip(e2, f1))]
-    gens = []
-    for v in vs:
-        gens.append(transvection(v, 1))
-        if f.gen != 1:
-            gens.append(transvection(v, f.gen))
+    t_e1, t_e2, t_f1, t_f2, t_e1e2 = map(transvection, (
+        (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)))
+    word = t_e2
+    for t in (t_f1, t_f2, t_e1e2):
+        word = _mat_mul(f, word, t, 4)
+    gens = [t_e1, word]
 
     # every generator must preserve the form
     jm = _mat(f, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
@@ -280,20 +294,8 @@ def _gens_sp4(f: Field):
 
 
 def _preserves_form(f: Field, m: bytes, jm: bytes, n: int) -> bool:
-    q = f.q
-
-    def mm(a, b):
-        out = bytearray(n * n)
-        for i in range(n):
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = f.add[acc * q + f.mul[a[i * n + k] * q + b[k * n + j]]]
-                out[i * n + j] = acc
-        return bytes(out)
-
     mt = bytes(m[j * n + i] for i in range(n) for j in range(n))
-    return mm(mt, mm(jm, m)) == jm
+    return _mat_mul(f, mt, _mat_mul(f, jm, m, n), n) == jm
 
 
 _BUILDERS = {
@@ -320,11 +322,11 @@ def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
             f"{name} over F_{q} needs about {work:.1e} row steps "
             f"({expected} elements, {len(gens)} generators of size {n}); "
             f"the limit is {MAX_ORACLE_WORK:.1e}")
-    elements = matrix_closure(gens, n, tf.q, tf.add, tf.mul, cap=cap)
-    if len(elements) != expected:
+    group = matrix_closure(gens, n, tf.q, tf.add, tf.mul, cap=cap)
+    if len(group) != expected:
         raise ConfigError(
-            f"oracle generators for {name}/F_{q} close to {len(elements)} "
+            f"oracle generators for {name}/F_{q} close to {len(group)} "
             f"elements, expected {expected}")
-    classes = matrix_class_count(elements, gens, n, tf.q, tf.add, tf.mul)
-    return OracleResult(name=name, q=q, order=len(elements),
+    classes = matrix_class_count(group.elements, group.right)
+    return OracleResult(name=name, q=q, order=len(group),
                         class_count=classes)

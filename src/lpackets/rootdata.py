@@ -484,7 +484,8 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
             if not _is_root_permuting(datum, g):
                 raise ConfigError("component matrices must permute the roots")
         try:
-            components = tuple(sorted(closure(gens, mat_mul, identity(n), 256)))
+            components = tuple(sorted(
+                closure(gens, mat_mul, identity(n), 256).elements))
         except ValueError:
             raise ConfigError("component group is too large") from None
         _validate_components(datum, twist, components)

@@ -238,9 +238,9 @@ def test_huge_q_is_refused_before_factoring(tmp_path, source):
     ["compare", "--group", "pgl2", "--q", "64"],
 ])
 def test_oracle_refuses_work_over_its_limit(argv):
-    # pgl2/F64 (65 x 65 permutation matrices) and gl2/F32 are under the
-    # order cap, but each takes about 20 s; the timeout fails the test if
-    # the work is started instead of refused
+    # pgl2/F64 (65 x 65 permutation matrices, rows too wide for the kernel)
+    # and gl2/F32 (about 7 s and 135 MB if run) are under the order cap; the
+    # message shows that the work limit refused them before the closure
     proc = run_cli(argv, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -159,13 +159,36 @@ def test_orbits_reject_an_acting_set_that_is_not_a_group():
         orbits(range(3), lambda x: [x, cyc[x]])
 
 
-def test_closure_generates_the_group():
-    def compose(a, b):
-        return tuple(a[b[i]] for i in range(len(a)))
+def compose(a, b):
+    return tuple(a[b[i]] for i in range(len(a)))
 
+
+def test_closure_generates_the_group():
     s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)], compose, (0, 1, 2, 3), 24)
     assert len(s4) == 24
-    assert closure([], compose, (0, 1), 1) == {(0, 1)}
+    assert len(set(s4.elements)) == 24
+    trivial = closure([], compose, (0, 1), 1)
+    assert trivial.elements == [(0, 1)]
+    assert trivial.right == []
+
+
+def test_closure_records_right_multiplication_on_s4():
+    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
+    s4 = closure(gens, compose, (0, 1, 2, 3), 24)
+    assert s4.elements[0] == (0, 1, 2, 3)
+    index = {x: i for i, x in enumerate(s4.elements)}
+    assert len(s4.right) == len(gens)
+    for g, r in zip(gens, s4.right):
+        assert list(r) == [index[compose(x, g)] for x in s4.elements]
+    # breadth-first: each index first appears as the product of an
+    # earlier element, in scanning order
+    new = 1
+    for p in range(len(s4)):
+        for r in s4.right:
+            assert r[p] <= new
+            if r[p] == new:
+                new += 1
+    assert new == 24
 
 
 def test_closure_over_its_cap_raises():

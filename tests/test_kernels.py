@@ -2,7 +2,9 @@ import pytest
 
 from lpackets import oracle
 from lpackets.fq import field
-from lpackets.oracle import _BUILDERS, matrix_class_count, matrix_closure
+from lpackets.errors import UnsupportedTypeError
+from lpackets.oracle import (_BUILDERS, _matrix_format, matrix_class_count,
+                             matrix_closure)
 
 CASES = [("sl2", 2), ("sl2", 5), ("gl2", 3), ("pgl2", 3),
          ("torus1", 7), ("o2", 5), ("sp4", 2)]
@@ -79,10 +81,11 @@ def reference_class_count(elements, gens, n, q, add, mul):
     return count
 
 
-def to_bytes(rows, n, q):
-    """A row-code tuple as an n*n byte matrix."""
+def to_bytes(element, n, q):
+    """A packed element of ``matrix_closure`` as an n*n byte matrix."""
     out = bytearray()
-    for code in rows:
+    fmt = _matrix_format(n, q)
+    for code in fmt.unpack(element.to_bytes(fmt.size, "little")):
         for _ in range(n):
             code, entry = divmod(code, q)
             out.append(entry)
@@ -102,23 +105,36 @@ def test_backend_name_is_exposed():
 def test_backends_agree(name, q):
     gens, n, fq, add, mul = build(name, q)
     reference = reference_closure(gens, n, fq, add, mul)
-    elements = matrix_closure(gens, n, fq, add, mul)
-    assert len(elements) == len(reference)
-    assert {to_bytes(x, n, fq) for x in elements} == set(reference)
-    assert matrix_class_count(elements, gens, n, fq, add, mul) == \
+    group = matrix_closure(gens, n, fq, add, mul)
+    matrices = [to_bytes(x, n, fq) for x in group.elements]
+    assert len(group) == len(reference)
+    assert set(matrices) == set(reference)
+    assert matrices[0] == _identity(n)
+    assert len(group.right) == len(gens)
+    index = {m: i for i, m in enumerate(matrices)}
+    for g, r in zip(gens, group.right):
+        assert list(r) == [index[_mat_mul(m, g, n, fq, add, mul)]
+                           for m in matrices]
+    assert matrix_class_count(group.elements, group.right) == \
         reference_class_count(reference, gens, n, fq, add, mul)
 
 
 def test_class_count_ignores_element_order():
+    # the generators in the other order list the elements in another
+    # breadth-first order, with other tables, and give the same count
     gens, n, fq, add, mul = build("gl2", 3)
-    elements = matrix_closure(gens, n, fq, add, mul)
-    assert matrix_class_count(elements[::-1], gens, n, fq, add, mul) == 8
+    forward = matrix_closure(gens, n, fq, add, mul)
+    backward = matrix_closure(gens[::-1], n, fq, add, mul)
+    assert forward.elements != backward.elements
+    assert matrix_class_count(forward.elements, forward.right) == 8
+    assert matrix_class_count(backward.elements, backward.right) == 8
 
 
 def test_closure_of_nothing_is_identity():
     f = field(3)
     out = matrix_closure([], 2, 3, f.add, f.mul)
-    assert [to_bytes(x, 2, 3) for x in out] == [bytes((1, 0, 0, 1))]
+    assert [to_bytes(x, 2, 3) for x in out.elements] == [bytes((1, 0, 0, 1))]
+    assert matrix_class_count(out.elements, out.right) == 1
 
 
 def test_closure_cap():
@@ -127,8 +143,17 @@ def test_closure_cap():
         matrix_closure(gens, n, fq, add, mul, cap=10)
 
 
+def test_rows_over_64_bits_are_unsupported():
+    # 65 x 65 matrices over F_2, the size of pgl2 at q = 64, whose rows
+    # need 65 bits
+    f = field(2)
+    with pytest.raises(UnsupportedTypeError):
+        matrix_closure([_identity(65)], 65, 2, f.add, f.mul)
+    assert _matrix_format(64, 2).format == "<64Q"
+    assert _matrix_format(2, 16).format == "<2B"
+
+
 def test_abelian_group_has_singleton_classes():
     gens, n, fq, add, mul = build("torus1", 5)
-    elements = matrix_closure(gens, n, fq, add, mul)
-    assert matrix_class_count(elements, gens, n, fq, add, mul) == \
-        len(elements)
+    group = matrix_closure(gens, n, fq, add, mul)
+    assert matrix_class_count(group.elements, group.right) == len(group)

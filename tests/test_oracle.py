@@ -1,16 +1,33 @@
 import pytest
 
 from lpackets.errors import ConfigError
-from lpackets.oracle import ORACLE_GROUPS, expected_order, oracle_count
+from lpackets.fq import field
+from lpackets.oracle import (_BUILDERS, ORACLE_GROUPS, expected_order,
+                             oracle_count)
+
+
+def _is_prime_power(q):
+    p = next(d for d in range(2, q + 1) if q % d == 0)   # least prime factor
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = [q for q in range(2, 65) if _is_prime_power(q)]
 
 KNOWN = [
     ("sl2", 2, 6, 3),
     ("sl2", 3, 24, 7),
     ("sl2", 4, 60, 5),
     ("sl2", 5, 120, 9),
+    # characteristic 2 and an odd prime square
+    ("sl2", 8, 504, 9),
+    ("sl2", 9, 720, 13),
     ("gl2", 2, 6, 3),
     ("gl2", 3, 48, 8),
+    ("gl2", 4, 180, 15),
     ("pgl2", 3, 24, 5),
+    ("pgl2", 8, 504, 9),
     # 18 x 18 permutation matrices over F_2
     ("pgl2", 17, 4896, 19),
     ("gl3", 2, 168, 6),
@@ -29,6 +46,19 @@ def test_known_class_counts(name, q, order, classes):
     result = oracle_count(name, q)
     assert result.order == order
     assert result.class_count == classes
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_two_generators_close_to_the_order(name):
+    # every prime power q <= 64 at which the group is small enough to close
+    # here, q = 2 (where the multiplicative generator is 1) included
+    for q in PRIME_POWERS:
+        order = expected_order(name, q)
+        if order > 3 * 10 ** 4:
+            continue
+        gens, _, _ = _BUILDERS[name](field(q))
+        assert len(gens) <= 2, (name, q)
+        assert oracle_count(name, q).order == order
 
 
 def test_expected_order_formulas():
