@@ -367,7 +367,3 @@ def product_automorphism(groups, factor_perm):
             moved[factor_perm[i]] = coords[i]
         out.append(rank(moved))
     return out
-
-
-def identity_perm(n: int) -> list[int]:
-    return list(range(n))

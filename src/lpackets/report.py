@@ -18,7 +18,7 @@ from .springer import TABLE_VERSION
 from .strata import stratified_strata
 
 __all__ = ["CountReport", "spectral_report", "stratified_report",
-           "render_text", "render_json", "both_reports"]
+           "render_text", "render_json"]
 
 
 @dataclass
@@ -64,11 +64,6 @@ def spectral_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountReport
 def stratified_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountReport:
     return _report(spec, "stratified", stratified_strata(spec, rng=rng),
                    oracle_total)
-
-
-def both_reports(spec: GroupSpec, rng=None, oracle_total=None):
-    return (spectral_report(spec, rng=rng, oracle_total=oracle_total),
-            stratified_report(spec, rng=rng, oracle_total=oracle_total))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .lattice import (
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "integral_root_positions", "TorusOrbit",
+    "integral_root_positions", "TorusOrbit", "frobenius_point",
     "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
     "x_action", "x_preserves", "NAMED_SPECS",
 ]
@@ -617,11 +617,10 @@ def integral_root_positions(datum: RootDatum, point: Vector,
                  if datum.pairing(r, point) % modulus == 0)
 
 
-def centralizer_subdatum(datum: RootDatum, point: Vector, modulus: int) -> SubSystem:
-    """Subsystem of roots alpha with <alpha, s> integral, for the point
-    s = point / modulus of Y x Q/Z.  Everything past the integral root
-    positions reads the datum alone."""
-    positions = integral_root_positions(datum, point, modulus)
+def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSystem:
+    """Subsystem of the roots at ``positions``: the roots integral at a torsion
+    point, as ``integral_root_positions`` lists them.  The point itself is not
+    an input, so the subsystem depends on it only through these positions."""
     pos_all = set(datum.positive_indices)
     positive = tuple(i for i in positions if i in pos_all)
     pos_vectors = {datum.roots[i] for i in positive}
@@ -664,7 +663,9 @@ MAX_TORSION_POINTS = 10 ** 6
 @dataclass(frozen=True)
 class TorusOrbit:
     """An orbit of torsion points of the dual torus; each point v stands for
-    v / modulus."""
+    v / modulus.  ``images`` is the one pass of the acting group over the
+    least point; each pipeline reads the stabilizer and Frobenius witness of
+    its type key off it, so no acting matrix is applied to the point again."""
     rep: Vector                  # least point of the orbit
     orbit: tuple[Vector, ...]
     modulus: int
@@ -678,20 +679,25 @@ class TorusOrbit:
         return point_label(self.rep, self.modulus)
 
 
-def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
+def frobenius_point(spec: GroupSpec, v: Vector, modulus: int) -> Vector:
+    """q sigma (v) for a point v / modulus of the dual torus."""
+    return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, v))
+
+
+def stable_point_orbits(spec: GroupSpec, weyl, acting) -> list[TorusOrbit]:
     """Orbits of the group ``acting`` on the torsion points s of the dual
     torus with q sigma w (s) = s for some w in ``weyl``.
 
     Every point is an integer vector v with s = v / N, where N is the lcm
-    over w of |det(q sigma w - 1)|.  Each orbit is sorted and the orbits are
-    sorted by their least point; an ``rng`` shuffles the order the points are
-    visited in.  Specs whose solution count sum_w |det(q sigma w - 1)|
-    exceeds MAX_TORSION_POINTS are refused before anything is solved.
+    over w of |det(q sigma w - 1)|.  Specs whose solution count
+    sum_w |det(q sigma w - 1)| exceeds MAX_TORSION_POINTS are refused before
+    anything is solved.
 
-    All images of a point come from one pass over the rows of every acting
-    matrix, stacked into one list, and are regrouped by rank.  Each orbit
-    keeps the images of its least point: those of the pass that found it
-    when that point came first, else one more pass.
+    The points are visited once, in sorted order, so the first point seen in
+    each orbit is its least point and the orbits come out sorted by it.  All
+    images of that point come from one pass over the rows of every acting
+    matrix, stacked into one list, and are regrouped by rank; the orbit keeps
+    them, and no point is acted on twice.
     """
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
@@ -709,9 +715,6 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
     points = set()
     for a in systems:
         points.update(solve_torsion(a, modulus))
-    visit = sorted(points)
-    if rng is not None:
-        rng.shuffle(visit)
     rows = [row for g in acting for row in g]
 
     def images(v):
@@ -719,14 +722,11 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting, rng) -> list[TorusOrbit]:
         return tuple(zip(*[iter(values)] * n))
 
     out = []
-    for first, imgs in orbits(visit, images):
+    for rep, imgs in orbits(sorted(points), images):
         if not points.issuperset(imgs):
             raise InvariantError("orbit leaks outside the solution set")
-        pts = tuple(sorted(set(imgs)))
-        if first != pts[0]:
-            imgs = images(pts[0])
-        out.append(TorusOrbit(rep=pts[0], orbit=pts, modulus=modulus, images=imgs))
-    out.sort(key=lambda o: o.rep)
+        out.append(TorusOrbit(rep=rep, orbit=tuple(sorted(set(imgs))),
+                              modulus=modulus, images=imgs))
     return out
 
 

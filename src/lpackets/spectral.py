@@ -17,9 +17,13 @@ Semisimple classes fall into a few types.  The type key of a class is its
 integral root positions, its stabilizer in the dual Weyl group and its first
 Frobenius witness (see ``_type_key``).  Stabilizer and witness are read off
 the class's ``images``, the dual Weyl group applied to its least point once,
-when the class was found.  Within one ``spectral_strata`` call a local table
-builds the geometry and strata once per key, and every other class of that
-key gets copies of them under its own semisimple label.
+when the class was found.  ``_StratumGeometry`` takes the key and no point:
+the centralizer subsystem comes from the integral positions, the component
+elements are the based part of the stabilizer, and the Frobenius is
+corrected from the witness.  So two classes with one key have the same
+strata up to their semisimple label.  Within one ``spectral_strata`` call a
+local table builds the geometry and strata once per key, and every class of
+that key gets copies of them under its own semisimple label.
 
 Disconnected groups are refused here; the stratified route handles them.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
 from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect, table_group
-from .lattice import Matrix, Vector, mat_inv_unimodular, mat_mul, mat_vec, mat_vec_mod
+from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
     SubSystem,
@@ -39,6 +43,7 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
+    frobenius_point,
     integral_root_positions,
     stable_point_orbits,
     x_preserves,
@@ -95,31 +100,34 @@ def _require_connected(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 # semisimple classes
 
-def enumerate_ss_classes(spec: GroupSpec, rng=None, cox=None) -> list[TorusOrbit]:
+def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
     """Torsion points of the dual torus with q sigma (s) Weyl-conjugate to s,
     up to the Weyl group.
 
     ``cox`` is the dual Weyl group, built here when not given."""
     _require_connected(spec)
     cox = cox or enumerate_weyl(dual_datum(spec.datum))
-    return stable_point_orbits(spec, cox.elements, cox.elements, rng)
+    return stable_point_orbits(spec, cox.elements, cox.elements)
 
 
 # ---------------------------------------------------------------------------
-# geometry at one semisimple class
+# geometry of one semisimple type
 
 class _StratumGeometry:
-    """Everything about the centralizer at the canonical representative;
-    ``cox`` is the dual Weyl group."""
+    """Everything about the centralizer of one semisimple type, built from
+    its type key (see ``_type_key``) alone; ``cox`` is the dual Weyl
+    group."""
 
-    def __init__(self, spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup):
-        rep, modulus = ssc.rep, ssc.modulus
-        witness = _witness(spec, ssc)
+    def __init__(self, spec: GroupSpec, key: tuple, cox: CoxeterGroup):
+        positions, stab, witness = key
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
         self.cox = cox
-        self.sub = centralizer_subdatum(cox.datum, rep, modulus)
-        self.pi0 = _pi0_elements(cox, self.sub, rep, modulus)
+        self.sub = centralizer_subdatum(cox.datum, positions)
+        # the based part of the stabilizer, in element order (length, word)
+        pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
+        self.pi0 = [cox.elements[i] for i in stab
+                    if x_preserves(cox.elements[i], pos_set)]
         self.factor_types = self.sub.factor_types
         # Frobenius as a based automorphism of the subsystem:
         # v0 . witness^-1 . sigma with v0 the positivity correction
@@ -133,23 +141,6 @@ class _StratumGeometry:
         for i, lab in enumerate(labels):
             out[perm[i]] = lab
         return tuple(out)
-
-
-def _witness(spec: GroupSpec, ssc: TorusOrbit) -> int | None:
-    """Index of the first w in the dual Weyl group with w(s) = q sigma(s),
-    read off ``ssc.images`` (the images w(s) in the group's element order)."""
-    rep, modulus = ssc.rep, ssc.modulus
-    sigma = spec.twist.sigma_x  # the twist seen by the dual side
-    target = tuple(spec.q * x % modulus for x in mat_vec(sigma, rep))
-    return next((i for i, v in enumerate(ssc.images) if v == target), None)
-
-
-def _pi0_elements(cox: CoxeterGroup, sub: SubSystem, rep: Vector,
-                  modulus: int) -> list[Matrix]:
-    pos_set = {sub.ambient.roots[i] for i in sub.positive_positions}
-    # element order = (length, word): deterministic
-    return [w for w in cox.elements
-            if mat_vec_mod(w, rep, modulus) == rep and x_preserves(w, pos_set)]
 
 
 def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
@@ -298,33 +289,27 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
 def _type_key(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> tuple:
     """The semisimple type of a class: the positions in ``cox.datum`` of the
     roots integral at its point, the indices in ``cox.elements`` of the
-    point's stabilizer, and the index of its first Frobenius witness.  Both
-    indices are read off ``ssc.images``, the images w(s) for w in
-    ``cox.elements``: w fixes s when its image is s, and the witness is the
-    first w whose image is q sigma(s).
-
-    ``_StratumGeometry`` reads the point only through these:
-    ``centralizer_subdatum`` reads it only through the integral positions,
-    the component elements are the based part of the stabilizer, and the
-    Frobenius is corrected from the witness.  ``special_pairs``,
-    ``extended_group`` and ``mbar`` read the geometry alone.  So two classes
-    with one key have the same strata up to their semisimple label, and the
-    ``InvariantError`` checks made at one of them hold at all.
+    point's stabilizer, and the index of its first Frobenius witness, the
+    first w with w(s) = q sigma(s) (None when there is none).  Both indices
+    are read off ``ssc.images``, the images w(s) for w in ``cox.elements``.
+    ``_StratumGeometry`` takes this key and nothing else of the class.
     """
-    rep = ssc.rep
+    rep, modulus = ssc.rep, ssc.modulus
+    target = frobenius_point(spec, rep, modulus)
     stab = tuple(i for i, v in enumerate(ssc.images) if v == rep)
-    return (integral_root_positions(cox.datum, rep, ssc.modulus), stab,
-            _witness(spec, ssc))
+    witness = next((i for i, v in enumerate(ssc.images) if v == target), None)
+    return integral_root_positions(cox.datum, rep, modulus), stab, witness
 
 
-def _class_strata(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup,
+def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
                   rng=None) -> list[Stratum]:
-    """The strata over one semisimple class, from the geometry at its point."""
-    geo = _StratumGeometry(spec, ssc, cox)
+    """The strata of one semisimple type, with an empty semisimple label:
+    each class of the type gets relabelled copies."""
+    geo = _StratumGeometry(spec, key, cox)
     strata = []
     for pair in special_pairs(geo, rng=rng):
         ext = extended_group(geo, pair)
-        strata.append(Stratum(ss_label=ssc.label(),
+        strata.append(Stratum(ss_label="",
                               labels={"class": pair.class_label()},
                               group_desc=ext.description,
                               packets=mbar(ext, rng=rng)))
@@ -336,10 +321,10 @@ def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     cox = enumerate_weyl(dual_datum(spec.datum))
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
-    for ssc in enumerate_ss_classes(spec, rng=rng, cox=cox):
+    for ssc in enumerate_ss_classes(spec, cox=cox):
         key = _type_key(spec, ssc, cox)
         if key not in by_type:
-            by_type[key] = _class_strata(spec, ssc, cox, rng=rng)
+            by_type[key] = _class_strata(spec, key, cox, rng=rng)
         label = ssc.label()
         strata += [st.relabelled(label) for st in by_type[key]]
     return strata

@@ -110,8 +110,6 @@ def abar_group(label: str) -> FiniteGroup:
             _GROUP_CACHE[label] = trivial_group()
         elif label == "Z2":
             _GROUP_CACHE[label] = cyclic(2)
-        elif label == "Z3":
-            _GROUP_CACHE[label] = cyclic(3)
         elif label == "S3":
             _GROUP_CACHE[label] = symmetric(3)
         else:

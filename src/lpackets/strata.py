@@ -19,11 +19,15 @@ cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
 
 Points fall into a few semisimple types.  The type key of an orbit is its
 integral root positions, its stabilizer in the acting group and its first
-Frobenius witness (see ``_type_key``).  Stabilizer and witness are read off
-the orbit's ``images``, the acting group applied to its least point once,
-when the orbit was found.  Within one ``stratified_strata`` call a local
-table builds the geometry and strata once per key, and every other orbit of
-that key gets copies of them under its own semisimple label.
+Frobenius witness w0 (see ``_type_key``).  Stabilizer and witness are read
+off the orbit's ``images``, the acting group applied to its least point
+once, when the orbit was found.  ``_PointGeometry`` takes the key and no
+point: the centralizer subsystem comes from the integral positions, the
+based complement from the stabilizer, and the Frobenius solutions are
+Stab_W(s) w0.  So two orbits with one key have the same strata up to their
+semisimple label.  Within one ``stratified_strata`` call a local table
+builds the geometry and strata once per key, and every orbit of that key
+gets copies of them under its own semisimple label.
 """
 
 from __future__ import annotations
@@ -33,15 +37,7 @@ from functools import lru_cache
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
 from .groups import Packet, Stratum, orbits, semidirect, table_group
-from .lattice import (
-    Matrix,
-    Vector,
-    identity,
-    mat_inv_unimodular,
-    mat_mul,
-    mat_vec,
-    mat_vec_mod,
-)
+from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
     SubSystem,
@@ -50,6 +46,7 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
+    frobenius_point,
     integral_root_positions,
     stable_point_orbits,
     x_action,
@@ -77,7 +74,6 @@ class _Ambient:
         self.cox = enumerate_weyl(self.dd)
         self.sigma = spec.twist.sigma_x
         self.sigma_inv = mat_inv_unimodular(self.sigma)
-        self.q = spec.q
         ident = identity(spec.datum.rank)
         # elements[weyl_start + j] is cox.elements[j]
         self.weyl_start = spec.components.index(ident) * self.cox.order
@@ -99,21 +95,17 @@ class _Ambient:
                 self.label_of[m] = label
                 self.elements.append((label, m))
 
-    def frobenius(self, v: Vector, modulus: int) -> Vector:
-        """q sigma on the dual torus."""
-        return tuple(self.q * x % modulus for x in mat_vec(self.sigma, v))
-
 
 # ---------------------------------------------------------------------------
 # semisimple parameters
 
-def semisimple_parameters(spec: GroupSpec, rng=None, amb=None) -> list[TorusOrbit]:
+def semisimple_parameters(spec: GroupSpec, amb=None) -> list[TorusOrbit]:
     """Orbits on the dual torus containing a Frobenius-stable reflection orbit.
 
     ``amb`` is the spec's acting group, built here when not given."""
     amb = amb or _Ambient(spec)
     mats = [m for _, m in amb.elements]
-    return stable_point_orbits(spec, amb.cox.elements, mats, rng)
+    return stable_point_orbits(spec, amb.cox.elements, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -164,24 +156,26 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
 
 
 # ---------------------------------------------------------------------------
-# geometry at one canonical point
+# geometry of one semisimple type
 
 class _PointGeometry:
-    """Stabilizer, cells, and Frobenius cosets at one torus point."""
+    """Stabilizer, cells, and Frobenius cosets of one semisimple type, built
+    from its type key (see ``_type_key``) alone."""
 
-    def __init__(self, amb: _Ambient, rep: Vector, modulus: int):
+    def __init__(self, amb: _Ambient, key: tuple):
+        positions, stab_idx, w0 = key
+        if w0 is None:
+            raise InvariantError("point enumerated without a Frobenius witness")
         self.amb = amb
-        self.rep = rep
         dd = amb.dd
-        self.sub = centralizer_subdatum(dd, rep, modulus)
+        self.sub = centralizer_subdatum(dd, positions)
         self.sub_cox = enumerate_weyl(self.sub.as_datum())
         self.part = cells(kl_table(self.sub_cox))
         self.factor_cells = _factor_cell_ids(self.sub, self.sub_cox, self.part)
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
 
         int_set = set(self.sub_cox.elements)
-        stab = [(lab, m) for lab, m in amb.elements
-                if mat_vec_mod(m, rep, modulus) == rep]
+        stab = [amb.elements[i] for i in stab_idx]
         omega = [(lab, m) for lab, m in stab if self._based(m)]
         if len(stab) != len(omega) * len(int_set):
             raise InvariantError(
@@ -194,13 +188,13 @@ class _PointGeometry:
             raise InvariantError("based stabilizer complement is not closed") from None
         self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega_mats]
 
-        # Frobenius cosets: reflection-group solutions of w(F(rep)) = rep,
-        # partitioned into left cosets of the integral reflection group
-        target = amb.frobenius(rep, modulus)
-        sprime = [w for w in amb.cox.elements
-                  if mat_vec_mod(w, target, modulus) == rep]
-        if not sprime:
-            raise InvariantError("point enumerated without a Frobenius witness")
+        # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0,
+        # listed in reflection-group order and partitioned into left cosets
+        # of the integral reflection group
+        cox, start = amb.cox, amb.weyl_start
+        sprime = [cox.elements[j] for j in sorted(
+            cox.index[mat_mul(cox.elements[i - start], cox.elements[w0])]
+            for i in stab_idx if start <= i < start + cox.order)]
         sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
         self.coset_of: dict = {}
@@ -312,27 +306,22 @@ def _type_key(amb: _Ambient, ss: TorusOrbit) -> tuple:
     Stabilizer and witness are read off ``ss.images``, the images g(s) for g
     in ``amb.elements``: g fixes s when its image is s, and w(F(s)) = s
     exactly when w^-1(s) = F(s), the image at ``amb.weyl_start`` plus the
-    index of w^-1.
-
-    ``_PointGeometry`` and ``_stratum_packets`` read the point only through
-    these: ``centralizer_subdatum`` reads it only through the integral
-    positions, and the Frobenius solutions are the coset Stab_W(s) w0 of the
-    first witness w0, with Stab_W(s) the stabilizer's reflection part.  So
-    two orbits with one key have the same strata up to their semisimple
-    label, and the ``InvariantError`` checks made at one of them hold at all.
+    index of w^-1.  ``_PointGeometry`` takes this key and nothing else of
+    the orbit.
     """
     rep, modulus, images = ss.rep, ss.modulus, ss.images
     stab = tuple(i for i, v in enumerate(images) if v == rep)
-    target = amb.frobenius(rep, modulus)
+    target = frobenius_point(amb.spec, rep, modulus)
     start = amb.weyl_start
     w0 = next((i for i, j in enumerate(amb.cox.inverse)
                if images[start + j] == target), None)
     return integral_root_positions(amb.dd, rep, modulus), stab, w0
 
 
-def _point_strata(amb: _Ambient, ss: TorusOrbit, rng=None) -> list[Stratum]:
-    """The strata over one orbit, from the geometry at its point."""
-    geo = _PointGeometry(amb, ss.rep, ss.modulus)
+def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
+    """The strata of one semisimple type, with an empty semisimple label:
+    each orbit of the type gets relabelled copies."""
+    geo = _PointGeometry(amb, key)
     k = len(geo.part.two_sided_cells)
     strata = []
 
@@ -356,7 +345,7 @@ def _point_strata(amb: _Ambient, ss: TorusOrbit, rng=None) -> list[Stratum]:
             packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
                                              rng=rng)
             beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]])
-            strata.append(Stratum(ss_label=ss.label(),
+            strata.append(Stratum(ss_label="",
                                   labels={"cell": cell_label, "beta": beta_label},
                                   group_desc=desc, packets=packets))
     return strata
@@ -366,10 +355,10 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     amb = _Ambient(spec)
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
-    for ss in semisimple_parameters(spec, rng=rng, amb=amb):
+    for ss in semisimple_parameters(spec, amb=amb):
         key = _type_key(amb, ss)
         if key not in by_type:
-            by_type[key] = _point_strata(amb, ss, rng=rng)
+            by_type[key] = _point_strata(amb, key, rng=rng)
         label = ss.label()
         strata += [st.relabelled(label) for st in by_type[key]]
     return strata

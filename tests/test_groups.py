@@ -9,7 +9,6 @@ from lpackets.groups import (
     cyclic,
     direct_product,
     from_permutations,
-    identity_perm,
     orbits,
     product_automorphism,
     semidirect,
@@ -80,7 +79,7 @@ def test_semidirect_builds_dihedral():
     c2 = cyclic(2)
     inv_auto = [c3.inv(x) for x in range(3)]
 
-    s3 = semidirect(c3, c2, [identity_perm(3), inv_auto])
+    s3 = semidirect(c3, c2, [list(range(3)), inv_auto])
     assert s3.order == 6
     assert s3.class_count() == 3
     assert not s3.is_abelian()
@@ -96,7 +95,7 @@ def test_subgroup_and_centralizer():
 
 def test_twisted_orbits_identity_twist_is_conjugacy():
     s3 = symmetric(3)
-    ident = identity_perm(6)
+    ident = list(range(6))
     orbits = s3.twisted_orbits(ident)
     assert len(orbits) == s3.class_count()
 

@@ -150,6 +150,58 @@ def test_unread_parameter_is_caught():
                                          "g.c", "m.y"]
 
 
+def referenced_names(node):
+    """Every name a node reads, as a bare name, an attribute or an import."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.ImportFrom):
+            yield from (alias.name for alias in n.names)
+
+
+def unreferenced_private(sources):
+    """``module.name`` for every module-level ``_``-prefixed function or
+    class that no module references outside its own definition."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set(referenced_names(node))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(node.name)
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((module, node.name))
+            used |= names
+    return sorted(f"{m}.{name}" for m, name in defined if name not in used)
+
+
+def test_every_private_helper_is_referenced():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_private_helper_is_caught():
+    a = ("def _called():\n"
+         "    return 1\n"
+         "def _recursive(n):\n"
+         "    return _recursive(n - 1)\n"
+         "class _Unused:\n"
+         "    pass\n"
+         "def _imported():\n"
+         "    pass\n"
+         "def _by_attribute():\n"
+         "    pass\n"
+         "def __getattr__(name):\n"
+         "    pass\n"
+         "def public():\n"
+         "    return _called()\n")
+    b = ("from .a import _imported\n"
+         "from . import a\n"
+         "f = a._by_attribute\n")
+    assert unreferenced_private({"a": a, "b": b}) == ["a._Unused", "a._recursive"]
+
+
 CACHE_NAMES = {"lru_cache", "cache"}
 MUTABLE_CALLS = {"dict", "list", "set", "bytearray", "defaultdict",
                  "OrderedDict", "Counter", "deque"}

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from lpackets.report import (
-    both_reports,
     render_json,
     render_text,
     report_dict,
@@ -55,7 +54,8 @@ def test_render_text_mentions_oracle():
 
 
 def test_both_reports_agree():
-    a, b = both_reports(spec_of("sl2", 5))
+    spec = spec_of("sl2", 5)
+    a, b = spectral_report(spec), stratified_report(spec)
     assert a.pipeline == "spectral"
     assert b.pipeline == "stratified"
     assert a.total == b.total == 9

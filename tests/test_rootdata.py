@@ -18,6 +18,7 @@ from lpackets.rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
+    integral_root_positions,
     parse_group_spec,
     point_label,
     whittaker_torsor_size,
@@ -137,15 +138,15 @@ def test_twist_permutation_grammar():
 
 def test_centralizer_subdatum_full_and_empty():
     d = dual_datum(spec_of("sp4", 5).datum)
-    full = centralizer_subdatum(d, (0, 0), 1)
+    full = centralizer_subdatum(d, integral_root_positions(d, (0, 0), 1))
     assert len(full.root_positions) == len(d.roots)
-    generic = centralizer_subdatum(d, (1, 2), 7)
+    generic = centralizer_subdatum(d, integral_root_positions(d, (1, 2), 7))
     assert not generic.root_positions
 
 
 def test_centralizer_subdatum_proper_subsystem():
     d = dual_datum(spec_of("sp4", 5).datum)
-    sub = centralizer_subdatum(d, (1, 1), 2)
+    sub = centralizer_subdatum(d, integral_root_positions(d, (1, 1), 2))
     assert 0 < len(sub.root_positions) < len(d.roots)
     assert len(sub.factors) >= 1
     for pos in sub.simple_positions:
@@ -157,7 +158,7 @@ def test_centralizer_subdatum_proper_subsystem():
 
 def test_factor_permutation_identity():
     d = dual_datum(spec_of("sp4", 5).datum)
-    sub = centralizer_subdatum(d, (1, 1), 2)
+    sub = centralizer_subdatum(d, integral_root_positions(d, (1, 1), 2))
     n = len(sub.factors)
     assert factor_permutation(sub, identity(2)) == tuple(range(n))
 

@@ -10,6 +10,7 @@ from lpackets.spectral import total_count as spectral_total
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
+    _type_key,
     semisimple_parameters,
     stratified_strata,
     stratified_total,
@@ -140,5 +141,5 @@ def test_beta_classes_cover_frobenius_cosets():
     amb = _Ambient(spec)
     [orbit] = [o for o in semisimple_parameters(spec, amb=amb)
                if o.label() == "(0)"]
-    geo = _PointGeometry(amb, orbit.rep, orbit.modulus)
+    geo = _PointGeometry(amb, _type_key(amb, orbit))
     assert len(geo.coset_reps) == 1
