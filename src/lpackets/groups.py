@@ -7,7 +7,8 @@ canonical element names used in reports, and ties are always broken by label
 so that output is deterministic.
 
 ``orbits`` (a finite group acting on a finite set), ``closure`` (the group
-some elements generate, with its right Cayley tables), ``strong_components``
+some elements generate, with its right Cayley tables, or any set closed
+under right multiplication), ``strong_components``
 (of a small digraph) and ``table_group`` (the multiplication table of a
 closed set) are the package's one orbit loop, closure loop, component loop
 and table loop.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import compress, count, permutations, repeat
+from operator import is_
 
 from .errors import InvariantError
 
@@ -83,9 +85,10 @@ def orbits(items, images) -> list[tuple]:
 
 @dataclass(frozen=True)
 class Closure:
-    """A group closed from generators: ``elements`` in breadth-first order
-    from the identity, which is element 0, and its right Cayley tables,
-    ``right[k][i]`` the index of ``elements[i]`` times generator k."""
+    """A set closed under right multiplication by generators: ``elements``
+    in breadth-first order from the seeds (for a group, the identity, which
+    is element 0), and its right Cayley tables, ``right[k][i]`` the index of
+    ``elements[i]`` times generator k."""
     elements: list
     right: list
 
@@ -93,28 +96,48 @@ class Closure:
         return len(self.elements)
 
 
-def closure(gens, mul, one, cap) -> Closure:
-    """The group generated by ``gens`` under ``mul``, with its right
-    multiplication by each generator as index tables.
+# Elements closed per step of ``closure``: each step makes one call of the
+# block multiplier per generator and one dictionary pass over the products.
+CLOSURE_BLOCK = 1024
 
-    Indices are handed out in breadth-first order: scanning the elements in
-    order and the generators in order, each product not seen before gets
-    the next unused index.  Raises ValueError once it holds more than
-    ``cap`` elements; callers turn that into their own error type.
+
+def closure(gens, times, seeds, cap) -> Closure:
+    """The closure of ``seeds`` under right multiplication by ``gens``, with
+    that multiplication as index tables.  With the identity as the one seed
+    this is the group the generators generate.
+
+    ``times(block, g)`` lists a x g for each a in the list ``block``.  Seeds
+    take the first indices; after them indices are handed out in
+    breadth-first order: scanning the elements in order and the generators
+    in order, each product not seen before gets the next unused index.  The
+    scan goes a block of ``CLOSURE_BLOCK`` elements at a time, so only the
+    products not seen before take a Python step each.  Raises ValueError
+    once it holds more than ``cap`` elements; callers turn that into their
+    own error type.
     """
-    index = {one: 0}
-    elements = [one]
+    elements = list(seeds)
+    index = {x: i for i, x in enumerate(elements)}
     right = [array("i") for _ in gens]
-    steps = list(zip(gens, right))
-    for a in elements:
-        for g, r in steps:
-            ag = mul(a, g)
-            i = index.setdefault(ag, len(elements))
+    stride = len(gens)
+    done = 0
+    while done < len(elements):
+        block = elements[done:done + CLOSURE_BLOCK]
+        done += len(block)
+        # products element-major: a_0 g_0, a_0 g_1, ..., a_1 g_0, ...
+        products = [None] * (stride * len(block))
+        for k, g in enumerate(gens):
+            products[k::stride] = times(block, g)
+        found = list(map(index.get, products))
+        for j in compress(count(), map(is_, found, repeat(None))):
+            x = products[j]
+            i = index.setdefault(x, len(elements))
             if i == len(elements):
                 if i == cap:
                     raise ValueError(f"closure exceeds {cap} elements")
-                elements.append(ag)
-            r.append(i)
+                elements.append(x)
+            found[j] = i
+        for k, r in enumerate(right):
+            r.extend(found[k::stride])
     return Closure(elements, right)
 
 

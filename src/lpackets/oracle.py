@@ -8,19 +8,21 @@ Nothing here touches the parameter pipelines: this is the independent side
 of every comparison.  The one shared piece is the generic breadth-first loop
 ``groups.closure``, and the order check guards what it returns.
 
-The kernel works on row codes: a matrix over F_q is its n rows, each row an
-integer in base q (entry j is digit j), packed into one int.  Right
-multiplication by a fixed generator g acts row by row, so it is one lookup
-per row in a table for g; each table entry is computed the first time that
-row occurs.  The closure records these products as index tables, and the
-class count runs on the tables alone.
+The kernel first numbers the rows that occur: the closure of the n basis
+rows under right multiplication by the generators.  Each generator then
+acts on row numbers by a list, and a matrix is its n row numbers packed
+into one int.  ``groups.closure`` multiplies a block of elements by one
+generator at a time, mapping every row of the block through the list, and
+spends a Python step only on elements not seen before.  It records the
+products as index tables, and the class count runs on the tables alone.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from struct import Struct
+from itertools import repeat
+from operator import and_, or_, rshift
 
 from .errors import ConfigError, UnsupportedTypeError
 from .fq import Field, field
@@ -33,13 +35,19 @@ BACKEND = "python"
 
 ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
 
-# The row-table kernel does one table lookup per row for each (element,
-# generator) product, on top of a fixed cost per product, so the work is
-# counted as order * len(gens) * (n + 12) row steps.  Closure and class count
-# together take about 0.2-0.25 us per row step: 1.3-1.4 s for the 5.4 * 10**6
-# steps of the benchmark's oracle cases (sl2/F49, gl2/F16, gl3/F3, pgl2/F11,
-# sp4/F2), 4.1 s for pgl2/F53 and 5.2 s for gl2/F31, the largest admitted;
-# 2-vCPU x86-64, CPython 3.11.  The limit is about 5-6 s of work.
+# The closure maps each row of each (element, generator) product through a
+# list, on top of a fixed cost per product, so the work is counted as
+# order * len(gens) * (n + 12) row steps.  Closure and class count together
+# take about 0.1-0.2 us per row step: 0.9 s for the 5.4 * 10**6 steps of the
+# benchmark's oracle cases (sl2/F49, gl2/F16, gl3/F3, pgl2/F11, sp4/F2),
+# 1.4 s for sl2/F64 and 4.3 s for gl2/F31, the largest admitted.  Where the
+# rows are numbered in a byte (at most 256 rows: every group but sl2 and gl2
+# from q = 17 on), one bytes.translate multiplies a whole element, so the
+# rows cost next to nothing: pgl2/F53 (n = 54) takes 0.04 us per row step,
+# 0.7 s, and the count overstates its work.  ``lpackets oracle`` takes
+# 4.1-4.7 s and 134 MB peak RSS on gl2/F31, 0.6-1.0 s and 44 MB on pgl2/F53,
+# and 1.6-1.7 s and 50 MB on sl2/F64; 2-vCPU x86-64, CPython 3.11.  The
+# limit is about 5 s of work.
 MAX_ORACLE_WORK = 25 * 10 ** 6
 
 
@@ -73,35 +81,37 @@ def expected_order(name: str, q: int) -> int:
 # ---------------------------------------------------------------------------
 # kernel
 
-class _RowTable(dict):
-    """Row code -> code of that row times g, filled on first use."""
-
-    def __init__(self, g: bytes, n: int, q: int, add: bytes, mul: bytes):
-        super().__init__()
-        self.rows = [g[k * n:(k + 1) * n] for k in range(n)]
-        self.q, self.add, self.mul = q, add, mul
-
-    def __missing__(self, code: int) -> int:
-        q, add, mul = self.q, self.add, self.mul
-        out = [0] * len(self.rows)
-        rest = code
-        for g_row in self.rows:
-            rest, c = divmod(rest, q)
-            if c:
-                out = [add[o * q + mul[c * q + x]] for o, x in zip(out, g_row)]
-        self[code] = value = sum(x * q ** j for j, x in enumerate(out))
-        return value
+def _row_times(row: bytes, g: bytes, n: int, q: int, add: bytes,
+               mul: bytes) -> bytes:
+    """The row vector ``row`` times the n x n byte matrix g over F_q."""
+    out = bytes(n)
+    for k, c in enumerate(row):
+        if c:
+            out = bytes(add[o * q + mul[c * q + x]]
+                        for o, x in zip(out, g[k * n:(k + 1) * n]))
+    return out
 
 
-def _matrix_format(n: int, q: int) -> Struct:
-    """The n row codes of an n x n matrix over F_q, each in the smallest
-    unsigned type that holds q**n - 1."""
-    top = q ** n - 1
-    for kind, bits in (("B", 8), ("H", 16), ("I", 32), ("Q", 64)):
-        if top >> bits == 0:
-            return Struct(f"<{n}{kind}")
-    raise UnsupportedTypeError(
-        f"rows of {n} entries over F_{q} do not fit in 64 bits")
+def row_numbering(gens, n: int, q: int, add: bytes, mul: bytes,
+                  cap: int) -> tuple[Closure, int]:
+    """The rows that occur in the group generated by the n x n byte matrices
+    ``gens``, numbered, and the bits a row number takes in a packed matrix.
+
+    The rows are the closure of the n basis rows (numbers 0 to n - 1) under
+    right multiplication by the generators (``groups.closure``), which
+    computes each row product once; ``right[k]`` is generator k as a map on
+    row numbers.  A row number takes 8 bits when every number fits in a
+    byte, and otherwise as many as the largest one.  Each basis row's orbit
+    has at most as many rows as the group has elements, so rows beyond
+    ``n * cap`` raise ValueError.
+    """
+    def times(block, g):
+        return [_row_times(row, g, n, q, add, mul) for row in block]
+
+    basis = [bytes(int(i == j) for j in range(n)) for i in range(n)]
+    rows = closure(gens, times, basis, n * cap)
+    width = 8 if len(rows) <= 256 else (len(rows) - 1).bit_length()
+    return rows, width
 
 
 def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
@@ -109,20 +119,41 @@ def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
     """The group closed from the n x n byte-matrix generators, with its
     right Cayley tables (``groups.closure``).
 
-    Each element is one int, the little-endian value of its row codes
-    packed by ``_matrix_format``: the closure's index holds less memory with
-    int keys than with bytes or tuples of rows, and packing is linear in n.
+    Each element is one int: its n row numbers (``row_numbering``), row i
+    at bits ``i * width``.  Right multiplication by a generator maps each row
+    number through a list.  With byte-sized row numbers that is one
+    ``bytes.translate`` of the element's bytes.  Otherwise a block of
+    elements is multiplied one row position at a time: shift the position
+    out of every element, map it through the generator's list, shifted back
+    into place, and OR it into the products.
     """
-    fmt = _matrix_format(n, q)
-    pack, unpack, size = fmt.pack, fmt.unpack, fmt.size
+    rows, width = row_numbering(gens, n, q, add, mul, cap)
+    one = sum(i << (i * width) for i in range(n))
+    if width == 8:
+        tables = [bytes(list(perm)).ljust(256, b"\0") for perm in rows.right]
 
-    def times(a: int, get) -> int:
-        rows = unpack(a.to_bytes(size, "little"))
-        return int.from_bytes(pack(*map(get, rows)), "little")
+        def translate(block, table):
+            return list(map(int.from_bytes, map(
+                bytes.translate,
+                map(int.to_bytes, block, repeat(n), repeat("little")),
+                repeat(table)), repeat("little")))
 
-    getters = [_RowTable(g, n, q, add, mul).__getitem__ for g in gens]
-    one = int.from_bytes(pack(*(q ** i for i in range(n))), "little")
-    return closure(getters, times, one, cap)
+        return closure(tables, translate, [one], cap)
+
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    steps = [[(s, [r << s for r in perm]) for s in shifts]
+             for perm in rows.right]
+
+    def times(block, step):
+        out = repeat(0)
+        for s, perm in step:
+            moved = map(perm.__getitem__,
+                        map(and_, map(rshift, block, repeat(s)), repeat(mask)))
+            out = list(map(or_, out, moved))
+        return out
+
+    return closure(steps, times, [one], cap)
 
 
 def matrix_class_count(elements, right) -> int:

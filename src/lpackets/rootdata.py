@@ -485,7 +485,8 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
                 raise ConfigError("component matrices must permute the roots")
         try:
             components = tuple(sorted(
-                closure(gens, mat_mul, identity(n), 256).elements))
+                closure(gens, lambda block, g: [mat_mul(a, g) for a in block],
+                        [identity(n)], 256).elements))
         except ValueError:
             raise ConfigError("component group is too large") from None
         _validate_components(datum, twist, components)

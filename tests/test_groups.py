@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from lpackets.errors import InvariantError
 from lpackets.groups import (
+    CLOSURE_BLOCK,
     FiniteGroup,
     closure,
     cyclic,
@@ -162,38 +163,66 @@ def compose(a, b):
     return tuple(a[b[i]] for i in range(len(a)))
 
 
+def times(block, g):
+    return [compose(a, g) for a in block]
+
+
 def test_closure_generates_the_group():
-    s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)], compose, (0, 1, 2, 3), 24)
+    s4 = closure([(1, 2, 3, 0), (1, 0, 2, 3)], times, [(0, 1, 2, 3)], 24)
     assert len(s4) == 24
     assert len(set(s4.elements)) == 24
-    trivial = closure([], compose, (0, 1), 1)
+    trivial = closure([], times, [(0, 1)], 1)
     assert trivial.elements == [(0, 1)]
     assert trivial.right == []
 
 
-def test_closure_records_right_multiplication_on_s4():
-    gens = [(1, 2, 3, 0), (1, 0, 2, 3)]
-    s4 = closure(gens, compose, (0, 1, 2, 3), 24)
-    assert s4.elements[0] == (0, 1, 2, 3)
-    index = {x: i for i, x in enumerate(s4.elements)}
-    assert len(s4.right) == len(gens)
-    for g, r in zip(gens, s4.right):
-        assert list(r) == [index[compose(x, g)] for x in s4.elements]
+def _check_symmetric_closure(n, order):
+    gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
+    sn = closure(gens, times, [tuple(range(n))], order)
+    assert len(sn) == order
+    assert sn.elements[0] == tuple(range(n))
+    index = {x: i for i, x in enumerate(sn.elements)}
+    assert len(sn.right) == len(gens)
+    for g, r in zip(gens, sn.right):
+        assert list(r) == [index[compose(x, g)] for x in sn.elements]
     # breadth-first: each index first appears as the product of an
     # earlier element, in scanning order
     new = 1
-    for p in range(len(s4)):
-        for r in s4.right:
+    for p in range(len(sn)):
+        for r in sn.right:
             assert r[p] <= new
             if r[p] == new:
                 new += 1
-    assert new == 24
+    assert new == order
+
+
+def test_closure_records_right_multiplication_on_s4():
+    _check_symmetric_closure(4, 24)
+
+
+def test_closure_keeps_breadth_first_order_across_blocks():
+    assert CLOSURE_BLOCK < 5040
+    _check_symmetric_closure(7, 5040)
 
 
 def test_closure_over_its_cap_raises():
-    with pytest.raises(ValueError):
-        closure([1], lambda a, b: (a + b) % 10, 0, 9)
-    assert len(closure([1], lambda a, b: (a + b) % 10, 0, 10)) == 10
+    assert CLOSURE_BLOCK < 3000
+    # Z/10 in one closure block and Z/3000 in more than one
+    for n in (10, 3000):
+        def add(block, g):
+            return [(a + g) % n for a in block]
+
+        with pytest.raises(ValueError):
+            closure([1], add, [0], n - 1)
+        assert len(closure([1], add, [0], n)) == n
+
+
+def test_closure_from_several_seeds():
+    # the orbits of 0 and 5 under x -> x + 2 mod 10, seeds first
+    got = closure([2], lambda block, g: [(a + g) % 10 for a in block],
+                  [0, 5], 10)
+    assert got.elements == [0, 5, 2, 7, 4, 9, 6, 1, 8, 3]
+    assert list(got.right[0]) == [2, 3, 4, 5, 6, 7, 8, 9, 0, 1]
 
 
 @st.composite

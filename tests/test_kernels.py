@@ -2,12 +2,14 @@ import pytest
 
 from lpackets import oracle
 from lpackets.fq import field
-from lpackets.errors import UnsupportedTypeError
-from lpackets.oracle import (_BUILDERS, _matrix_format, matrix_class_count,
-                             matrix_closure)
+from lpackets.oracle import (_BUILDERS, matrix_class_count, matrix_closure,
+                             row_numbering)
 
+# gl2/F7 and gl3/F3 take more than one closure block; sl2/F17 has 288 rows,
+# too many to number in a byte
 CASES = [("sl2", 2), ("sl2", 5), ("gl2", 3), ("pgl2", 3),
-         ("torus1", 7), ("o2", 5), ("sp4", 2)]
+         ("torus1", 7), ("o2", 5), ("sp4", 2),
+         ("gl2", 7), ("gl3", 3), ("sl2", 17)]
 
 
 # Reference kernel: schoolbook products of n*n byte matrices.
@@ -81,15 +83,13 @@ def reference_class_count(elements, gens, n, q, add, mul):
     return count
 
 
-def to_bytes(element, n, q):
-    """A packed element of ``matrix_closure`` as an n*n byte matrix."""
-    out = bytearray()
-    fmt = _matrix_format(n, q)
-    for code in fmt.unpack(element.to_bytes(fmt.size, "little")):
-        for _ in range(n):
-            code, entry = divmod(code, q)
-            out.append(entry)
-    return bytes(out)
+def to_bytes(elements, gens, n, q, add, mul):
+    """The packed elements of ``matrix_closure`` as n*n byte matrices: row i
+    is the row numbered by the bits ``i * width`` on."""
+    rows, width = row_numbering(gens, n, q, add, mul, 1 << 20)
+    mask = (1 << width) - 1
+    return [b"".join(rows.elements[(x >> (i * width)) & mask]
+                     for i in range(n)) for x in elements]
 
 
 def build(name, q):
@@ -106,7 +106,7 @@ def test_backends_agree(name, q):
     gens, n, fq, add, mul = build(name, q)
     reference = reference_closure(gens, n, fq, add, mul)
     group = matrix_closure(gens, n, fq, add, mul)
-    matrices = [to_bytes(x, n, fq) for x in group.elements]
+    matrices = to_bytes(group.elements, gens, n, fq, add, mul)
     assert len(group) == len(reference)
     assert set(matrices) == set(reference)
     assert matrices[0] == _identity(n)
@@ -133,7 +133,8 @@ def test_class_count_ignores_element_order():
 def test_closure_of_nothing_is_identity():
     f = field(3)
     out = matrix_closure([], 2, 3, f.add, f.mul)
-    assert [to_bytes(x, 2, 3) for x in out.elements] == [bytes((1, 0, 0, 1))]
+    assert to_bytes(out.elements, [], 2, 3, f.add, f.mul) == \
+        [bytes((1, 0, 0, 1))]
     assert matrix_class_count(out.elements, out.right) == 1
 
 
@@ -143,17 +144,27 @@ def test_closure_cap():
         matrix_closure(gens, n, fq, add, mul, cap=10)
 
 
-def test_rows_over_64_bits_are_unsupported():
-    # 65 x 65 matrices over F_2, the size of pgl2 at q = 64, whose rows
-    # need 65 bits
+def test_closure_of_a_65_by_65_identity():
+    # 65 x 65 matrices over F_2, the size of pgl2 at q = 64
     f = field(2)
-    with pytest.raises(UnsupportedTypeError):
-        matrix_closure([_identity(65)], 65, 2, f.add, f.mul)
-    assert _matrix_format(64, 2).format == "<64Q"
-    assert _matrix_format(2, 16).format == "<2B"
+    out = matrix_closure([_identity(65)], 65, 2, f.add, f.mul)
+    assert len(out) == 1
+    assert matrix_class_count(out.elements, out.right) == 1
 
 
 def test_abelian_group_has_singleton_classes():
     gens, n, fq, add, mul = build("torus1", 5)
     group = matrix_closure(gens, n, fq, add, mul)
     assert matrix_class_count(group.elements, group.right) == len(group)
+
+
+@pytest.mark.parametrize("name,q,count,width", [
+    ("pgl2", 17, 18, 8), ("pgl2", 53, 54, 8), ("sl2", 17, 288, 9),
+    ("sl2", 49, 2400, 12)])
+def test_row_numbering(name, q, count, width):
+    # the rows of sl2 are the nonzero vectors, those of pgl2 the basis rows
+    gens, n, fq, add, mul = build(name, q)
+    rows, got = row_numbering(gens, n, fq, add, mul, 1 << 20)
+    assert (len(rows), got) == (count, width)
+    assert rows.elements[:n] == [_identity(n)[i * n:(i + 1) * n]
+                                 for i in range(n)]

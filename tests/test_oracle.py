@@ -38,6 +38,15 @@ KNOWN = [
     ("torus1", 5, 4, 4),
     ("o2", 3, 4, 4),
     ("o2", 5, 8, 5),
+    # even q: SL2(2^k) = PGL2(2^k) has q + 1 classes (Schur, J. reine angew.
+    # Math. 132, 1907); O2 is dihedral of order 2(q - 1) with q - 1 odd, so
+    # it has (q + 2)/2 classes
+    ("sl2", 16, 4080, 17),
+    ("sl2", 32, 32736, 33),
+    ("pgl2", 16, 4080, 17),
+    ("o2", 8, 14, 5),
+    ("o2", 16, 30, 9),
+    ("o2", 32, 62, 17),
 ]
 
 
