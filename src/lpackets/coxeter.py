@@ -16,7 +16,7 @@ through the R-polynomial inversion identity is provided for the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvariantError
@@ -95,17 +95,14 @@ def reflection_on_y(datum: RootDatum, root_index: int) -> Matrix:
     )
 
 
-@dataclass
-class CoxeterGroup:
-    datum: RootDatum
-    generators: tuple[Matrix, ...]
-    elements: tuple[Matrix, ...]
-    words: tuple[tuple[int, ...], ...]
-    length: tuple[int, ...]
-    index: dict
-    left: tuple[tuple[int, ...], ...]   # left[s][i] = index of gens[s] @ elements[i]
-    right: tuple[tuple[int, ...], ...]  # right[s][i] = index of elements[i] @ gens[s]
-    inverse: tuple[int, ...]
+class CoxeterGroup(namedtuple("CoxeterGroup", "datum generators elements words "
+                                                "length index left right inverse")):
+    """The reflection group of ``datum``: ``elements`` (Y-matrices) with
+    their canonical ``words`` and ``length``s, ``index`` the dict from matrix
+    to position, ``left[s][i]`` the index of ``generators[s] @ elements[i]``,
+    ``right[s][i]`` that of ``elements[i] @ generators[s]``, and
+    ``inverse[i]`` the index of the inverse."""
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -217,12 +214,11 @@ def bruhat_leq_table(cox: CoxeterGroup):
 
 # ---- KL table --------------------------------------------------------------
 
-@dataclass
-class KLTable:
-    cox: CoxeterGroup
-    leq: list
-    polynomials: dict  # (x, w) -> coeff tuple, for x <= w
-    mu: dict           # (x, w) -> int, for x < w
+class KLTable(namedtuple("KLTable", "cox leq polynomials mu")):
+    """KL data of ``cox``: ``leq`` the Bruhat table, ``polynomials`` maps
+    (x, w) to a coefficient tuple for x <= w, and ``mu`` maps (x, w) to its
+    nonzero mu-coefficient for x < w."""
+    __slots__ = ()
 
 
 def kl_table(cox: CoxeterGroup) -> KLTable:
@@ -340,13 +336,12 @@ def verify_kl_by_inversion(kl: KLTable) -> bool:
 
 # ---- cells ------------------------------------------------------------------
 
-@dataclass
-class CellPartition:
-    cox: CoxeterGroup
-    left_cells: tuple[tuple[int, ...], ...]
-    right_cells: tuple[tuple[int, ...], ...]
-    two_sided_cells: tuple[tuple[int, ...], ...]
-    cell_of: tuple[int, ...]  # element index -> two-sided cell position
+class CellPartition(namedtuple("CellPartition", "cox left_cells right_cells "
+                                                  "two_sided_cells cell_of")):
+    """The left, right and two-sided cells of ``cox``, each a tuple of
+    sorted element-index tuples; ``cell_of`` maps an element index to the
+    position of its two-sided cell."""
+    __slots__ = ()
 
     def cell_id(self, cell_pos: int) -> str:
         members = self.two_sided_cells[cell_pos]

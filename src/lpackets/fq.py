@@ -7,7 +7,7 @@ indexed by a*q + b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -41,16 +41,11 @@ def prime_power(q: int):
     return p, k
 
 
-@dataclass(frozen=True)
-class Field:
-    q: int
-    p: int
-    k: int
-    add: bytes        # add[a*q+b]
-    mul: bytes        # mul[a*q+b]
-    neg: bytes        # additive inverse
-    inv: bytes        # multiplicative inverse, inv[0] = 0 unused
-    gen: int          # a generator of the multiplicative group
+class Field(namedtuple("Field", "q p k add mul neg inv gen")):
+    """F_q with q = p^k: ``add[a*q+b]`` and ``mul[a*q+b]``, ``neg`` the
+    additive inverse, ``inv`` the multiplicative one (``inv[0] = 0`` is
+    unused), and ``gen`` a generator of the multiplicative group."""
+    __slots__ = ()
 
     def embed_int(self, c: int) -> int:
         """The image of an integer, i.e. c * 1 in the field."""

@@ -15,38 +15,34 @@ and table loop.
 
 ``Packet`` and ``Stratum`` are the one record both counting pipelines emit
 and the reports render: each pipeline counts its packets on its own groups,
-then hands over only labels and sizes.
+then hands over only labels and sizes.  Like every record in the package,
+they are immutable named tuples: equal fields make equal records, and no
+field can be reassigned.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from itertools import compress, count, permutations, repeat
 from operator import is_
 
 from .errors import InvariantError
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(namedtuple("Packet", "x_label size group_label")):
     """One parameter of a stratum: the twisted class of ``x_label`` and its
     packet, of ``size`` irreducible characters of the centralizer named
     ``group_label``."""
-    x_label: str
-    size: int
-    group_label: str
+    __slots__ = ()
 
 
-@dataclass
-class Stratum:
-    """The parameters over one semisimple label; ``labels`` names the
-    stratum in the pipeline's own terms and ``group_desc`` the group whose
-    twisted classes are the packets."""
-    ss_label: str
-    labels: dict
-    group_desc: str
-    packets: list[Packet]
+class Stratum(namedtuple("Stratum", "ss_label labels group_desc packets")):
+    """The parameters over one semisimple label; ``labels`` (a dict) names
+    the stratum in the pipeline's own terms, ``group_desc`` the group whose
+    twisted classes are the packets, and ``packets`` is a list of
+    ``Packet``."""
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -55,8 +51,8 @@ class Stratum:
     def relabelled(self, ss_label: str) -> Stratum:
         """A copy under another semisimple label, sharing no mutable field
         with this one."""
-        return replace(self, ss_label=ss_label, labels=dict(self.labels),
-                       packets=list(self.packets))
+        return Stratum(ss_label, dict(self.labels), self.group_desc,
+                       list(self.packets))
 
 
 def orbits(items, images) -> list[tuple]:
@@ -83,14 +79,16 @@ def orbits(items, images) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
 class Closure:
     """A set closed under right multiplication by generators: ``elements``
     in breadth-first order from the seeds (for a group, the identity, which
     is element 0), and its right Cayley tables, ``right[k][i]`` the index of
-    ``elements[i]`` times generator k."""
-    elements: list
-    right: list
+    ``elements[i]`` times generator k.  Its ``len`` is the element count."""
+    __slots__ = ("elements", "right")
+
+    def __init__(self, elements, right):
+        self.elements = elements
+        self.right = right
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -20,7 +20,7 @@ products as index tables, and the class count runs on the tables alone.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 from operator import and_, or_, rshift
 
@@ -51,12 +51,7 @@ ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
 MAX_ORACLE_WORK = 25 * 10 ** 6
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    name: str
-    q: int
-    order: int
-    class_count: int
+OracleResult = namedtuple("OracleResult", "name q order class_count")
 
 
 def expected_order(name: str, q: int) -> int:

@@ -9,7 +9,7 @@ order the run used internally.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .groups import Stratum
 from .rootdata import GroupSpec, whittaker_torsor_size
@@ -21,15 +21,13 @@ __all__ = ["CountReport", "spectral_report", "stratified_report",
            "render_text", "render_json"]
 
 
-@dataclass
-class CountReport:
-    group: str
-    cartan: str
-    q: int
-    pipeline: str
-    strata: list[Stratum] = field(default_factory=list)
-    oracle_total: int | None = None
-    conventions: dict = field(default_factory=dict)
+class CountReport(namedtuple("CountReport", "group cartan q pipeline strata "
+                                              "conventions oracle_total",
+                              defaults=(None,))):
+    """One pipeline's count for a spec: ``strata`` (a list of
+    ``groups.Stratum``), the ``conventions`` dict, and the oracle's total
+    when it was run."""
+    __slots__ = ()
 
     @property
     def parameter_count(self) -> int:

@@ -11,12 +11,14 @@ as an integer vector v with entries in [0, N), s = v / N, where the modulus N
 is fixed once per spec before any solving (see ``stable_point_orbits``), so
 every Weyl action, integrality test and comparison is integer arithmetic mod
 N.  ``point_label`` is the one place a point becomes a fraction.  The same
-solver feeds both counting pipelines.
+solver feeds both counting pipelines, and hands each orbit over as a
+``TorusOrbit``.  That record and the others here are immutable named
+tuples: equal fields make equal records, and no field can be reassigned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
@@ -48,13 +50,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    rank: int
-    roots: tuple[Vector, ...]
-    coroots: tuple[Vector, ...]
-    simple_indices: tuple[int, ...]
-    cartan_label: str
+class RootDatum(namedtuple("RootDatum", "rank roots coroots simple_indices "
+                                        "cartan_label")):
+    """Roots and coroots in matched order on Z^rank, with the positions of
+    the simple ones.  No ``__slots__``: ``positive_indices`` is cached in the
+    instance ``__dict__``."""
+
+    def __new__(cls, rank, roots, coroots, simple_indices, cartan_label):
+        self = super().__new__(cls, rank, roots, coroots, simple_indices,
+                               cartan_label)
+        if len(roots) != len(coroots):
+            raise InvariantError("roots and coroots must be matched in length")
+        for i in simple_indices:
+            if self.pairing(roots[i], coroots[i]) != 2:
+                raise InvariantError("simple root paired with its coroot must give 2")
+        return self
 
     def pairing(self, x, y):
         return sum(map(mul, x, y))
@@ -66,13 +76,6 @@ class RootDatum:
     @property
     def simple_coroots(self):
         return tuple(self.coroots[i] for i in self.simple_indices)
-
-    def __post_init__(self):
-        if len(self.roots) != len(self.coroots):
-            raise InvariantError("roots and coroots must be matched in length")
-        for i in self.simple_indices:
-            if self.pairing(self.roots[i], self.coroots[i]) != 2:
-                raise InvariantError("simple root paired with its coroot must give 2")
 
     @cached_property
     def positive_indices(self) -> tuple[int, ...]:
@@ -104,23 +107,20 @@ class RootDatum:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class FrobeniusTwist:
-    q: int
-    p: int
-    sigma_y: Matrix  # finite-order action on Y, permuting the coroots
+class FrobeniusTwist(namedtuple("FrobeniusTwist", "q p sigma_y")):
+    """The Frobenius of F_q, q a power of p, with ``sigma_y`` its
+    finite-order action on Y, permuting the coroots.  No ``__slots__``:
+    ``sigma_x`` is cached in the instance ``__dict__``."""
 
     @cached_property
     def sigma_x(self) -> Matrix:
         return x_action(self.sigma_y)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    datum: RootDatum
-    twist: FrobeniusTwist
-    components: tuple[Matrix, ...]  # Y-matrices of the component group (identity included)
-    name: str
+class GroupSpec(namedtuple("GroupSpec", "datum twist components name")):
+    """A named group over F_q: its root datum, Frobenius twist, and the
+    Y-matrices of its component group (identity included)."""
+    __slots__ = ()
 
     @property
     def connected(self) -> bool:
@@ -514,22 +514,17 @@ def _validate_components(datum: RootDatum, twist: FrobeniusTwist, components):
 # ---------------------------------------------------------------------------
 # centralizer subsystems
 
-@dataclass(frozen=True)
-class SubSystem:
+class SubSystem(namedtuple("SubSystem", "ambient root_positions positive_positions "
+                                        "simple_positions factors factor_types")):
     """The roots of the ambient datum pairing integrally with a torsion point.
 
     ``positions`` index into ambient.roots; simples are the indecomposable
     positive elements with positivity inherited from the ambient system.
     Factors are the connected components of the simple-root graph, ordered by
-    their smallest ambient root index.
+    their smallest ambient root index; ``factors`` partitions
+    ``range(len(simple_positions))``.
     """
-
-    ambient: RootDatum
-    root_positions: tuple[int, ...]
-    positive_positions: tuple[int, ...]
-    simple_positions: tuple[int, ...]
-    factors: tuple[tuple[int, ...], ...]  # partition of range(len(simple_positions))
-    factor_types: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -661,16 +656,14 @@ def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSys
 MAX_TORSION_POINTS = 10 ** 6
 
 
-@dataclass(frozen=True)
-class TorusOrbit:
-    """An orbit of torsion points of the dual torus; each point v stands for
-    v / modulus.  ``images`` is the one pass of the acting group over the
-    least point; each pipeline reads the stabilizer and Frobenius witness of
-    its type key off it, so no acting matrix is applied to the point again."""
-    rep: Vector                  # least point of the orbit
-    orbit: tuple[Vector, ...]
-    modulus: int
-    images: tuple[Vector, ...]   # g(rep) for g in the acting list, in order
+class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus images")):
+    """An orbit of torsion points of the dual torus; each point v stands
+    for v / modulus and ``rep`` is the least point.  ``images`` lists g(rep)
+    for g in the acting list, in order: the one pass of the acting group
+    over the least point.  Each pipeline reads the stabilizer and Frobenius
+    witness of its type key off it, so no acting matrix is applied to the
+    point again."""
+    __slots__ = ()
 
     @property
     def orbit_size(self) -> int:

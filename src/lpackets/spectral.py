@@ -30,11 +30,11 @@ Disconnected groups are refused here; the stratified route handles them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import FiniteGroup, Packet, Stratum, orbits, semidirect, table_group
+from .groups import Packet, Stratum, orbits, semidirect, table_group
 from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
@@ -62,9 +62,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SpecialPair:
-    class_tuple: tuple[str, ...]     # canonical representative, one label per factor
+class SpecialPair(namedtuple("SpecialPair", "class_tuple")):
+    """A special class by its canonical representative ``class_tuple``, one
+    label per factor."""
+    __slots__ = ()
 
     def class_label(self) -> str:
         if not self.class_tuple:
@@ -72,22 +73,16 @@ class SpecialPair:
         return ",".join(self.class_tuple)
 
 
-@dataclass
-class ExtendedComponentGroup:
-    abar: FiniteGroup
-    f_action: tuple[int, ...]
-    description: str
+ExtendedComponentGroup = namedtuple("ExtendedComponentGroup",
+                                    "abar f_action description")
 
 
-@dataclass(frozen=True)
-class FiniteLParameter:
-    ss_label: str
-    class_label: str
-    x_label: str
-    packet_group_label: str
-    packet_size: int
-    normal_form: str            # "sl2" or "wd"
-    monodromy_label: str        # class label in sl2 form, nilpotent label in wd form
+class FiniteLParameter(namedtuple("FiniteLParameter", "ss_label class_label x_label "
+                                  "packet_group_label packet_size normal_form "
+                                  "monodromy_label")):
+    """One parameter in ``normal_form`` "sl2" or "wd"; ``monodromy_label``
+    is the class label in sl2 form and the nilpotent label in wd form."""
+    __slots__ = ()
 
 
 def _require_connected(spec: GroupSpec):

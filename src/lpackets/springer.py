@@ -15,7 +15,7 @@ fiber dimension attached to the class, not to the matched cell).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError, UnsupportedTypeError
 from .groups import FiniteGroup, cyclic, direct_product, product_automorphism, symmetric, trivial_group
@@ -29,21 +29,15 @@ __all__ = [
 TABLE_VERSION = "1"
 
 
-@dataclass(frozen=True)
-class SpecialClassRecord:
-    type_label: str
-    class_label: str
-    dim: int
-    a_of_u: int
-    abar_label: str   # "1", "Z2", "S3"
-    dual_class: str
-    cell_id: str      # id of the matched two-sided cell (canonical word of its least element)
+class SpecialClassRecord(namedtuple("SpecialClassRecord", "type_label class_label "
+                                    "dim a_of_u abar_label dual_class cell_id")):
+    """One special class of a simple type: ``abar_label`` is its component
+    group ("1", "Z2", "S3") and ``cell_id`` the id of the matched two-sided
+    cell (the canonical word of its least element)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FamilyGroupRecord:
-    cell_id: str
-    group_label: str
+FamilyGroupRecord = namedtuple("FamilyGroupRecord", "cell_id group_label")
 
 
 _TABLES: dict[str, tuple[SpecialClassRecord, ...]] = {

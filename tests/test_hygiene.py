@@ -1,6 +1,9 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,6 +53,45 @@ def test_unused_import_is_caught():
               "__all__ = ['sep']\n"
               "print(path)\n")
     assert unused_imports(source) == ["args", "json"]
+
+
+def imported_packages(source):
+    """The top-level package of every absolute import."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+# Records are named tuples: importing ``dataclasses`` (which loads
+# ``inspect``, ``ast``, ``dis`` and ``tokenize``) and decorating the classes
+# took longer than most counts.
+def test_no_module_imports_dataclasses():
+    assert [p.name for p in MODULES
+            if "dataclasses" in imported_packages(p.read_text())] == []
+
+
+def test_dataclasses_import_is_caught():
+    source = ("from __future__ import annotations\n"
+              "import dataclasses.field, json\n"
+              "from . import groups\n"
+              "def f():\n"
+              "    from dataclasses import dataclass\n")
+    assert list(imported_packages(source)) == [
+        "__future__", "dataclasses", "json", "dataclasses"]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            "import lpackets.cli\n"
+            "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n")
+    path = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
 
 
 def module_imports(source):

@@ -243,6 +243,15 @@ def test_extra_torus_suffix():
         parse_group_spec({"type": "A1+X2", "isogeny": "sc"}, q=3)
 
 
+def test_root_datum_checks_its_roots_at_construction():
+    a1 = ((2,), (-2,))
+    RootDatum(1, a1, ((1,), (-1,)), (0,), "A1")
+    with pytest.raises(InvariantError, match="matched in length"):
+        RootDatum(1, a1, ((1,),), (0,), "A1")
+    with pytest.raises(InvariantError, match="must give 2"):
+        RootDatum(1, a1, ((2,), (-2,)), (0,), "A1")
+
+
 def test_reflection_closure_over_its_cap_is_an_invariant_error():
     # Cartan matrix [[2, -2], [-2, 2]]: the affine A1 reflections generate an
     # infinite group, so the closure runs into its cap
