@@ -20,7 +20,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvariantError
-from .groups import strong_components
+from .groups import closure, strong_components
 from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec, transpose
 
 if TYPE_CHECKING:
@@ -134,37 +134,30 @@ def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
 
     Canonical word = lex-least reduced word; elements are sorted by
     (length, canonical word) so index order is deterministic and index 0 is
-    the identity.
+    the identity.  That is the breadth-first order of ``groups.closure``
+    from the identity under right multiplication by the simple reflections:
+    element i > 0 is first reached as p s, scanning p and then s, and its
+    word is the word of p followed by s.
     """
     gens = tuple(reflection_on_y(datum, i) for i in datum.simple_indices)
-    n = datum.rank
-    ident = identity(n)
-    words = {ident: ()}
-    level = [ident]
-    while level:
-        nxt = {}
-        for m in sorted(level, key=lambda m: words[m]):
-            for s, g in enumerate(gens):
-                m2 = mat_mul(m, g)  # extend the word on the right
-                if m2 in words:
-                    continue
-                cand = words[m] + (s,)
-                if m2 not in nxt or cand < nxt[m2]:
-                    nxt[m2] = cand
-        for m2, w in nxt.items():
-            words[m2] = w
-        level = list(nxt)
-        if len(words) > 10000:
-            raise InvariantError("reflection group too large")
-
-    order = sorted(words, key=lambda m: (len(words[m]), words[m]))
-    index = {m: i for i, m in enumerate(order)}
-    elements = tuple(order)
-    word_list = tuple(words[m] for m in order)
+    ident = identity(datum.rank)
+    try:
+        group = closure(gens, lambda block, g: [mat_mul(m, g) for m in block],
+                        [ident], 10000)
+    except ValueError:
+        raise InvariantError("reflection group too large") from None
+    elements = tuple(group.elements)
+    right = tuple(tuple(r) for r in group.right)
+    word_list = [()]
+    for i, row in enumerate(zip(*right)):
+        for s, j in enumerate(row):
+            if j == len(word_list):
+                word_list.append(word_list[i] + (s,))
+    word_list = tuple(word_list)
+    index = {m: i for i, m in enumerate(elements)}
     length = tuple(len(w) for w in word_list)
 
     left = tuple(tuple(index[mat_mul(g, m)] for m in elements) for g in gens)
-    right = tuple(tuple(index[mat_mul(m, g)] for m in elements) for g in gens)
     # the inverse of a word is the reversed word
     inverse = []
     for w in word_list:

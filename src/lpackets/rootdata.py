@@ -12,8 +12,10 @@ is fixed once per spec before any solving (see ``stable_point_orbits``), so
 every Weyl action, integrality test and comparison is integer arithmetic mod
 N.  ``point_label`` is the one place a point becomes a fraction.  The same
 solver feeds both counting pipelines, and hands each orbit over as a
-``TorusOrbit``.  That record and the others here are immutable named
-tuples: equal fields make equal records, and no field can be reassigned.
+``TorusOrbit`` that carries its semisimple type key: this is the one place
+a point's type is read.  That record and the others here are immutable
+named tuples: equal fields make equal records, and no field can be
+reassigned.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .coxeter import enumerate_weyl
+from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
 from .fq import prime_power
 from .groups import closure, orbits, strong_components
@@ -44,9 +46,9 @@ from .lattice import (
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "integral_root_positions", "TorusOrbit", "frobenius_point",
-    "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
-    "x_action", "x_preserves", "NAMED_SPECS",
+    "integral_root_positions", "TorusOrbit", "stable_point_orbits",
+    "whittaker_torsor_size", "MAX_TORSION_POINTS", "x_action", "x_preserves",
+    "NAMED_SPECS",
 ]
 
 
@@ -656,13 +658,12 @@ def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSys
 MAX_TORSION_POINTS = 10 ** 6
 
 
-class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus images")):
+class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key")):
     """An orbit of torsion points of the dual torus; each point v stands
-    for v / modulus and ``rep`` is the least point.  ``images`` lists g(rep)
-    for g in the acting list, in order: the one pass of the acting group
-    over the least point.  Each pipeline reads the stabilizer and Frobenius
-    witness of its type key off it, so no acting matrix is applied to the
-    point again."""
+    for v / modulus and ``rep`` is the least point.  ``key`` is the orbit's
+    semisimple type (see ``stable_point_orbits``): each pipeline builds its
+    strata from the key and reads nothing else of the orbit but its
+    label."""
     __slots__ = ()
 
     @property
@@ -673,14 +674,10 @@ class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus images")):
         return point_label(self.rep, self.modulus)
 
 
-def frobenius_point(spec: GroupSpec, v: Vector, modulus: int) -> Vector:
-    """q sigma (v) for a point v / modulus of the dual torus."""
-    return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, v))
-
-
-def stable_point_orbits(spec: GroupSpec, weyl, acting) -> list[TorusOrbit]:
+def stable_point_orbits(spec: GroupSpec, cox: CoxeterGroup, acting) -> list[TorusOrbit]:
     """Orbits of the group ``acting`` on the torsion points s of the dual
-    torus with q sigma w (s) = s for some w in ``weyl``.
+    torus with q sigma w (s) = s for some w in the dual Weyl group ``cox``.
+    ``acting`` must hold every element of ``cox``, in any order.
 
     Every point is an integer vector v with s = v / N, where N is the lcm
     over w of |det(q sigma w - 1)|.  Specs whose solution count
@@ -690,13 +687,16 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting) -> list[TorusOrbit]:
     The points are visited once, in sorted order, so the first point seen in
     each orbit is its least point and the orbits come out sorted by it.  All
     images of that point come from one pass over the rows of every acting
-    matrix, stacked into one list, and are regrouped by rank; the orbit keeps
-    them, and no point is acted on twice.
+    matrix, stacked into one list, and are regrouped by rank.  The orbit's
+    type key is read off them at once: the positions in ``cox.datum`` of the
+    roots integral at s, the indices in ``acting`` of the stabilizer of s,
+    and the index in ``cox.elements`` of the first w with w(s) = q sigma(s),
+    or None when there is none.
     """
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
     systems = []
-    for w in weyl:
+    for w in cox.elements:
         m = mat_mul(sigma, w)
         systems.append(tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
                              for i in range(n)))
@@ -705,6 +705,11 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting) -> list[TorusOrbit]:
         raise UnsupportedTypeError(
             f"{spec.name} at q = {q} needs up to {sum(dets)} torsion points; "
             f"the limit is {MAX_TORSION_POINTS}")
+    at = {g: i for i, g in enumerate(acting)}
+    try:
+        weyl_at = [at[w] for w in cox.elements]
+    except KeyError:
+        raise InvariantError("the acting group lacks an element of the Weyl group") from None
     modulus = lcm(*dets)
     points = set()
     for a in systems:
@@ -719,8 +724,11 @@ def stable_point_orbits(spec: GroupSpec, weyl, acting) -> list[TorusOrbit]:
     for rep, imgs in orbits(sorted(points), images):
         if not points.issuperset(imgs):
             raise InvariantError("orbit leaks outside the solution set")
-        out.append(TorusOrbit(rep=rep, orbit=tuple(sorted(set(imgs))),
-                              modulus=modulus, images=imgs))
+        target = tuple(q * x % modulus for x in mat_vec(sigma, rep))
+        stab = tuple(i for i, v in enumerate(imgs) if v == rep)
+        witness = next((j for j, i in enumerate(weyl_at) if imgs[i] == target), None)
+        key = (integral_root_positions(cox.datum, rep, modulus), stab, witness)
+        out.append(TorusOrbit(rep, tuple(sorted(set(imgs))), modulus, key))
     return out
 
 

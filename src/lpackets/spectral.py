@@ -13,17 +13,17 @@ characters of its twisted centralizer.
 ``spectral_strata`` returns one shared ``groups.Stratum`` per pair, labelled
 ``{"class": C}``, with one ``groups.Packet`` per twisted class.
 
-Semisimple classes fall into a few types.  The type key of a class is its
-integral root positions, its stabilizer in the dual Weyl group and its first
-Frobenius witness (see ``_type_key``).  Stabilizer and witness are read off
-the class's ``images``, the dual Weyl group applied to its least point once,
-when the class was found.  ``_StratumGeometry`` takes the key and no point:
-the centralizer subsystem comes from the integral positions, the component
-elements are the based part of the stabilizer, and the Frobenius is
-corrected from the witness.  So two classes with one key have the same
-strata up to their semisimple label.  Within one ``spectral_strata`` call a
-local table builds the geometry and strata once per key, and every class of
-that key gets copies of them under its own semisimple label.
+Semisimple classes fall into a few types.  Each class arrives from
+``rootdata.stable_point_orbits`` with its type key: its integral root
+positions, its stabilizer in the dual Weyl group and its first Frobenius
+witness, the first w with w(s) = q sigma(s).  ``_StratumGeometry`` takes the
+key and no point: the centralizer subsystem comes from the integral
+positions, the component elements are the based part of the stabilizer, and
+the Frobenius is corrected from the witness.  So two classes with one key
+have the same strata up to their semisimple label.  Within one
+``spectral_strata`` call a local table builds the geometry and strata once
+per key, and every class of that key gets copies of them under its own
+semisimple label.
 
 Disconnected groups are refused here; the stratified route handles them.
 """
@@ -43,8 +43,6 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
-    frobenius_point,
-    integral_root_positions,
     stable_point_orbits,
     x_preserves,
 )
@@ -102,7 +100,7 @@ def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
     ``cox`` is the dual Weyl group, built here when not given."""
     _require_connected(spec)
     cox = cox or enumerate_weyl(dual_datum(spec.datum))
-    return stable_point_orbits(spec, cox.elements, cox.elements)
+    return stable_point_orbits(spec, cox, cox.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +108,8 @@ def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
 
 class _StratumGeometry:
     """Everything about the centralizer of one semisimple type, built from
-    its type key (see ``_type_key``) alone; ``cox`` is the dual Weyl
-    group."""
+    its type key (see ``rootdata.stable_point_orbits``) alone; ``cox`` is the
+    dual Weyl group."""
 
     def __init__(self, spec: GroupSpec, key: tuple, cox: CoxeterGroup):
         positions, stab, witness = key
@@ -281,21 +279,6 @@ def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _type_key(spec: GroupSpec, ssc: TorusOrbit, cox: CoxeterGroup) -> tuple:
-    """The semisimple type of a class: the positions in ``cox.datum`` of the
-    roots integral at its point, the indices in ``cox.elements`` of the
-    point's stabilizer, and the index of its first Frobenius witness, the
-    first w with w(s) = q sigma(s) (None when there is none).  Both indices
-    are read off ``ssc.images``, the images w(s) for w in ``cox.elements``.
-    ``_StratumGeometry`` takes this key and nothing else of the class.
-    """
-    rep, modulus = ssc.rep, ssc.modulus
-    target = frobenius_point(spec, rep, modulus)
-    stab = tuple(i for i, v in enumerate(ssc.images) if v == rep)
-    witness = next((i for i, v in enumerate(ssc.images) if v == target), None)
-    return integral_root_positions(cox.datum, rep, modulus), stab, witness
-
-
 def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
                   rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
@@ -317,11 +300,10 @@ def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for ssc in enumerate_ss_classes(spec, cox=cox):
-        key = _type_key(spec, ssc, cox)
-        if key not in by_type:
-            by_type[key] = _class_strata(spec, key, cox, rng=rng)
+        if ssc.key not in by_type:
+            by_type[ssc.key] = _class_strata(spec, ssc.key, cox, rng=rng)
         label = ssc.label()
-        strata += [st.relabelled(label) for st in by_type[key]]
+        strata += [st.relabelled(label) for st in by_type[ssc.key]]
     return strata
 
 

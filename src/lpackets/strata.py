@@ -17,17 +17,17 @@ alongside the reflections and enter every stabilizer.
 cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
 ``groups.Packet`` per twisted class.
 
-Points fall into a few semisimple types.  The type key of an orbit is its
-integral root positions, its stabilizer in the acting group and its first
-Frobenius witness w0 (see ``_type_key``).  Stabilizer and witness are read
-off the orbit's ``images``, the acting group applied to its least point
-once, when the orbit was found.  ``_PointGeometry`` takes the key and no
-point: the centralizer subsystem comes from the integral positions, the
-based complement from the stabilizer, and the Frobenius solutions are
-Stab_W(s) w0.  So two orbits with one key have the same strata up to their
-semisimple label.  Within one ``stratified_strata`` call a local table
-builds the geometry and strata once per key, and every orbit of that key
-gets copies of them under its own semisimple label.
+Points fall into a few semisimple types.  Each orbit arrives from
+``rootdata.stable_point_orbits`` with its type key: its integral root
+positions, its stabilizer in the acting group and its first Frobenius
+witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the key
+and no point: the centralizer subsystem comes from the integral positions,
+the based complement from the stabilizer, and the Frobenius solutions, the
+w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's inverse.  So two
+orbits with one key have the same strata up to their semisimple label.
+Within one ``stratified_strata`` call a local table builds the geometry and
+strata once per key, and every orbit of that key gets copies of them under
+its own semisimple label.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ from .rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
-    frobenius_point,
-    integral_root_positions,
     stable_point_orbits,
     x_action,
     x_preserves,
@@ -69,14 +67,11 @@ class _Ambient:
     """Dual reflection group extended by the component matrices."""
 
     def __init__(self, spec: GroupSpec):
-        self.spec = spec
         self.dd = dual_datum(spec.datum)
         self.cox = enumerate_weyl(self.dd)
         self.sigma = spec.twist.sigma_x
         self.sigma_inv = mat_inv_unimodular(self.sigma)
         ident = identity(spec.datum.rank)
-        # elements[weyl_start + j] is cox.elements[j]
-        self.weyl_start = spec.components.index(ident) * self.cox.order
         self.elements: list[tuple[str, Matrix]] = []
         self.label_of: dict = {}
         for ci, g in enumerate(spec.components):
@@ -105,7 +100,7 @@ def semisimple_parameters(spec: GroupSpec, amb=None) -> list[TorusOrbit]:
     ``amb`` is the spec's acting group, built here when not given."""
     amb = amb or _Ambient(spec)
     mats = [m for _, m in amb.elements]
-    return stable_point_orbits(spec, amb.cox.elements, mats)
+    return stable_point_orbits(spec, amb.cox, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +155,11 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
 
 class _PointGeometry:
     """Stabilizer, cells, and Frobenius cosets of one semisimple type, built
-    from its type key (see ``_type_key``) alone."""
+    from its type key (see ``rootdata.stable_point_orbits``) alone."""
 
     def __init__(self, amb: _Ambient, key: tuple):
-        positions, stab_idx, w0 = key
-        if w0 is None:
+        positions, stab_idx, witness = key
+        if witness is None:
             raise InvariantError("point enumerated without a Frobenius witness")
         self.amb = amb
         dd = amb.dd
@@ -188,13 +183,13 @@ class _PointGeometry:
             raise InvariantError("based stabilizer complement is not closed") from None
         self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega_mats]
 
-        # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0,
-        # listed in reflection-group order and partitioned into left cosets
-        # of the integral reflection group
-        cox, start = amb.cox, amb.weyl_start
+        # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0 for
+        # w0 the witness's inverse, listed in reflection-group order and
+        # partitioned into left cosets of the integral reflection group
+        cox = amb.cox
+        w0 = cox.elements[cox.inverse[witness]]
         sprime = [cox.elements[j] for j in sorted(
-            cox.index[mat_mul(cox.elements[i - start], cox.elements[w0])]
-            for i in stab_idx if start <= i < start + cox.order)]
+            cox.index[mat_mul(m, w0)] for _, m in stab if m in cox.index)]
         sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
         self.coset_of: dict = {}
@@ -297,27 +292,6 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
 # ---------------------------------------------------------------------------
 # assembly
 
-def _type_key(amb: _Ambient, ss: TorusOrbit) -> tuple:
-    """The semisimple type of an orbit: the positions in ``amb.dd`` of the
-    roots integral at its point, the indices in ``amb.elements`` of the
-    point's stabilizer, and the index in ``amb.cox.elements`` of the first w
-    with w(F(s)) = s (None when there is none).
-
-    Stabilizer and witness are read off ``ss.images``, the images g(s) for g
-    in ``amb.elements``: g fixes s when its image is s, and w(F(s)) = s
-    exactly when w^-1(s) = F(s), the image at ``amb.weyl_start`` plus the
-    index of w^-1.  ``_PointGeometry`` takes this key and nothing else of
-    the orbit.
-    """
-    rep, modulus, images = ss.rep, ss.modulus, ss.images
-    stab = tuple(i for i, v in enumerate(images) if v == rep)
-    target = frobenius_point(amb.spec, rep, modulus)
-    start = amb.weyl_start
-    w0 = next((i for i, j in enumerate(amb.cox.inverse)
-               if images[start + j] == target), None)
-    return integral_root_positions(amb.dd, rep, modulus), stab, w0
-
-
 def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
     each orbit of the type gets relabelled copies."""
@@ -356,11 +330,10 @@ def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for ss in semisimple_parameters(spec, amb=amb):
-        key = _type_key(amb, ss)
-        if key not in by_type:
-            by_type[key] = _point_strata(amb, key, rng=rng)
+        if ss.key not in by_type:
+            by_type[ss.key] = _point_strata(amb, ss.key, rng=rng)
         label = ss.label()
-        strata += [st.relabelled(label) for st in by_type[key]]
+        strata += [st.relabelled(label) for st in by_type[ss.key]]
     return strata
 
 

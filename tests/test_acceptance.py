@@ -35,7 +35,6 @@ from lpackets.springer import abar_group, family_groups, special_classes
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
-    _type_key,
     semisimple_parameters,
     stratified_strata,
     stratified_total,
@@ -178,7 +177,7 @@ def test_criterion_6_structural_checks():
                  parse_group_spec(su3, q=2)]:
         amb = _Ambient(spec)
         for ss in semisimple_parameters(spec):
-            geo = _PointGeometry(amb, _type_key(amb, ss))
+            geo = _PointGeometry(amb, ss.key)
             int_set = set(geo.sub_cox.elements)
             for ci, wrep in enumerate(geo.coset_reps):
                 coset = {mat_mul(u, wrep) for u in int_set}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from lpackets.coxeter import (
@@ -27,6 +29,24 @@ def test_group_order_and_longest(t):
     assert cox.order == TYPE_ORDERS[t]
     assert cox.length[cox.longest] == LONGEST_LENGTH[t]
     assert cox.word_label(0) == "e"
+
+
+@pytest.mark.parametrize("t", sorted(TYPE_ORDERS))
+def test_words_are_lex_least_reduced_words(t):
+    # brute force over every word up to the longest length, shortest first
+    # and in lex order within a length: the first word reaching an element
+    # is its lex-least reduced word
+    cox = standalone(t)
+    first = {}
+    for k in range(max(cox.length) + 1):
+        for word in product(range(len(cox.generators)), repeat=k):
+            m = identity(cox.datum.rank)
+            for s in word:
+                m = mat_mul(m, cox.generators[s])
+            first.setdefault(m, word)
+    assert len(first) == cox.order
+    assert [first[m] for m in cox.elements] == list(cox.words)
+    assert list(cox.words) == sorted(cox.words, key=lambda w: (len(w), w))
 
 
 @pytest.mark.parametrize("t", sorted(TYPE_ORDERS))

@@ -82,6 +82,18 @@ def test_dataclasses_import_is_caught():
         "__future__", "dataclasses", "json", "dataclasses"]
 
 
+# ``rootdata.stable_point_orbits`` reads each torus orbit's semisimple type
+# and hands it over as ``TorusOrbit.key``; a pipeline that read a point's
+# integral roots or Frobenius image itself would be a second reading.
+TYPE_READERS = {"frobenius_point", "integral_root_positions"}
+
+
+@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
+def test_pipelines_take_the_type_key_from_rootdata(name):
+    imported = set(imported_names(ast.parse((SRC / name).read_text())))
+    assert sorted(TYPE_READERS & imported) == []
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys\n"
             "bare = set(sys.modules)\n"

@@ -53,7 +53,7 @@ FIELDS = {cls: tuple(names.split()) for cls, names in {
     GroupSpec: "datum twist components name",
     SubSystem: "ambient root_positions positive_positions simple_positions "
                "factors factor_types",
-    TorusOrbit: "rep orbit modulus images",
+    TorusOrbit: "rep orbit modulus key",
     SpecialPair: "class_tuple",
     ExtendedComponentGroup: "abar f_action description",
     FiniteLParameter: "ss_label class_label x_label packet_group_label "

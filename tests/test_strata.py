@@ -10,7 +10,6 @@ from lpackets.spectral import total_count as spectral_total
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
-    _type_key,
     semisimple_parameters,
     stratified_strata,
     stratified_total,
@@ -141,5 +140,5 @@ def test_beta_classes_cover_frobenius_cosets():
     amb = _Ambient(spec)
     [orbit] = [o for o in semisimple_parameters(spec, amb=amb)
                if o.label() == "(0)"]
-    geo = _PointGeometry(amb, _type_key(amb, orbit))
+    geo = _PointGeometry(amb, orbit.key)
     assert len(geo.coset_reps) == 1

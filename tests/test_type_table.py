@@ -1,10 +1,11 @@
 """Both pipelines build their geometry and strata once per semisimple type,
 from the type key alone, and hand copies to the other orbits of that type.
 These tests rebuild every orbit's strata on its own, from a key found by a
-scan of the acting group at the orbit's point, without the table, and
-compare.  They check the images each orbit carries, from which both keys
-are read, against the per-element action, the keys against that scan, and
-the key-built geometry against scans at every orbit's own point.
+scan of the roots, the acting group and the Weyl group at the orbit's
+point, without the table, and compare.  They check each orbit's points
+against the per-element action, the key ``stable_point_orbits`` hands over
+against that scan, also for a shuffled acting list, and the key-built
+geometry against scans at every orbit's own point.
 
 The specs are the benchmark's ``twisted-grid`` workload, read from
 ``perfbench/cases.py`` (which this test only reads), plus three larger ones.
@@ -21,7 +22,6 @@ from lpackets.errors import InvariantError
 from lpackets.lattice import mat_vec, mat_vec_mod
 from lpackets.rootdata import (
     dual_datum,
-    integral_root_positions,
     parse_group_spec,
     stable_point_orbits,
     x_preserves,
@@ -47,30 +47,33 @@ def _frobenius(spec, rep, modulus):
     return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, rep))
 
 
-def _stratified_key_by_scan(amb, ss):
-    rep, modulus = ss.rep, ss.modulus
-    stab = tuple(i for i, (_, m) in enumerate(amb.elements)
-                 if mat_vec_mod(m, rep, modulus) == rep)
-    target = _frobenius(amb.spec, rep, modulus)
-    w0 = next((i for i, w in enumerate(amb.cox.elements)
-               if mat_vec_mod(w, target, modulus) == rep), None)
-    return integral_root_positions(amb.dd, rep, modulus), stab, w0
-
-
-def _spectral_key_by_scan(spec, ssc, cox):
-    rep, modulus = ssc.rep, ssc.modulus
-    stab = tuple(i for i, w in enumerate(cox.elements)
-                 if mat_vec_mod(w, rep, modulus) == rep)
+def _key_by_scan(spec, cox, acting, orbit):
+    """The type key at the orbit's least point s: the roots integral at s,
+    the positions in ``acting`` that fix s, and the position in
+    ``cox.elements`` of the first w with w(s) = q sigma(s)."""
+    rep, modulus = orbit.rep, orbit.modulus
+    integral = tuple(i for i, r in enumerate(cox.datum.roots)
+                     if sum(a * b for a, b in zip(r, rep)) % modulus == 0)
+    stab = tuple(i for i, g in enumerate(acting)
+                 if mat_vec_mod(g, rep, modulus) == rep)
     target = _frobenius(spec, rep, modulus)
-    w0 = next((i for i, w in enumerate(cox.elements)
-               if mat_vec_mod(w, rep, modulus) == target), None)
-    return integral_root_positions(cox.datum, rep, modulus), stab, w0
+    witness = next((i for i, w in enumerate(cox.elements)
+                    if mat_vec_mod(w, rep, modulus) == target), None)
+    return integral, stab, witness
+
+
+def _stratified_key_by_scan(spec, amb, ss):
+    return _key_by_scan(spec, amb.cox, [m for _, m in amb.elements], ss)
+
+
+def _spectral_key_by_scan(spec, cox, ssc):
+    return _key_by_scan(spec, cox, cox.elements, ssc)
 
 
 def _stratified_by_orbit(spec):
     amb = strata._Ambient(spec)
     orbits = strata.semisimple_parameters(spec, amb=amb)
-    keys = [_stratified_key_by_scan(amb, ss) for ss in orbits]
+    keys = [_stratified_key_by_scan(spec, amb, ss) for ss in orbits]
     return [st.relabelled(ss.label()) for ss, key in zip(orbits, keys)
             for st in strata._point_strata(amb, key)], \
         len(set(keys)), len(orbits)
@@ -79,7 +82,7 @@ def _stratified_by_orbit(spec):
 def _spectral_by_orbit(spec):
     cox = enumerate_weyl(dual_datum(spec.datum))
     classes = spectral.enumerate_ss_classes(spec, cox=cox)
-    keys = [_spectral_key_by_scan(spec, ssc, cox) for ssc in classes]
+    keys = [_spectral_key_by_scan(spec, cox, ssc) for ssc in classes]
     return [st.relabelled(ssc.label()) for ssc, key in zip(classes, keys)
             for st in spectral._class_strata(spec, key, cox)], \
         len(set(keys)), len(classes)
@@ -116,10 +119,9 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
     amb = strata._Ambient(spec)
     geos = {}
     for ss in strata.semisimple_parameters(spec, amb=amb):
-        key = strata._type_key(amb, ss)
-        if key not in geos:
-            geos[key] = strata._PointGeometry(amb, key)
-        geo = geos[key]
+        if ss.key not in geos:
+            geos[ss.key] = strata._PointGeometry(amb, ss.key)
+        geo = geos[ss.key]
         rep, modulus = ss.rep, ss.modulus
         stab = [m for _, m in amb.elements if mat_vec_mod(m, rep, modulus) == rep]
         assert geo.omega_mats == [m for m in stab if geo._based(m)]
@@ -131,10 +133,9 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
     cox = enumerate_weyl(dual_datum(spec.datum))
     geos = {}
     for ssc in spectral.enumerate_ss_classes(spec, cox=cox):
-        key = spectral._type_key(spec, ssc, cox)
-        if key not in geos:
-            geos[key] = spectral._StratumGeometry(spec, key, cox)
-        geo = geos[key]
+        if ssc.key not in geos:
+            geos[ssc.key] = spectral._StratumGeometry(spec, ssc.key, cox)
+        geo = geos[ssc.key]
         rep, modulus = ssc.rep, ssc.modulus
         pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
         assert geo.pi0 == [w for w in cox.elements
@@ -142,9 +143,12 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
                            and x_preserves(w, pos_set)]
 
 
-def _assert_images(orbits, acting):
+def _assert_orbits(orbits, acting):
+    # each orbit is the image set of its least point
     for o in orbits:
-        assert o.images == tuple(mat_vec_mod(g, o.rep, o.modulus) for g in acting)
+        assert o.rep == min(o.orbit)
+        assert o.orbit == tuple(sorted({mat_vec_mod(g, o.rep, o.modulus)
+                                        for g in acting}))
 
 
 def _shuffled(items, seed):
@@ -154,14 +158,15 @@ def _shuffled(items, seed):
     return items
 
 
-def _assert_order_free(spec, orbits, weyl, acting, seed):
-    # the orbits depend on the two lists only as sets, and the images follow
-    # the acting list's order
+def _assert_order_free(spec, orbits, cox, acting, seed):
+    # the orbits depend on the acting list only as a set, and the key's
+    # stabilizer follows the list's order
     acting = _shuffled(acting, seed)
-    again = stable_point_orbits(spec, _shuffled(weyl, seed), acting)
+    again = stable_point_orbits(spec, cox, acting)
     assert [(o.rep, o.orbit, o.modulus) for o in again] == \
         [(o.rep, o.orbit, o.modulus) for o in orbits]
-    _assert_images(again, acting)
+    assert [o.key for o in again] == \
+        [_key_by_scan(spec, cox, acting, o) for o in again]
 
 
 @pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
@@ -171,24 +176,35 @@ def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
     amb = strata._Ambient(spec)
     acting = [m for _, m in amb.elements]
     orbits = strata.semisimple_parameters(spec, amb=amb)
-    _assert_images(orbits, acting)
-    for ss in orbits:
-        assert strata._type_key(amb, ss) == _stratified_key_by_scan(amb, ss)
-    _assert_order_free(spec, orbits, amb.cox.elements, acting, seed)
+    _assert_orbits(orbits, acting)
+    assert [ss.key for ss in orbits] == \
+        [_stratified_key_by_scan(spec, amb, ss) for ss in orbits]
+    _assert_order_free(spec, orbits, amb.cox, acting, seed)
     if spec.connected:
         cox = enumerate_weyl(dual_datum(spec.datum))
         classes = spectral.enumerate_ss_classes(spec, cox=cox)
-        _assert_images(classes, cox.elements)
-        for ssc in classes:
-            assert spectral._type_key(spec, ssc, cox) == \
-                _spectral_key_by_scan(spec, ssc, cox)
-        _assert_order_free(spec, classes, cox.elements, cox.elements, seed)
+        _assert_orbits(classes, cox.elements)
+        assert [ssc.key for ssc in classes] == \
+            [_spectral_key_by_scan(spec, cox, ssc) for ssc in classes]
+        _assert_order_free(spec, classes, cox, cox.elements, seed)
 
 
 def test_a_non_group_acting_list_is_refused():
-    # the dual Weyl group without its identity: the image set of a point
-    # off every reflection wall misses the point itself
+    # the dual Weyl group and minus the identity, which is not in it: the
+    # image set of a point off every reflection wall meets the image set of
+    # its negative
     spec = parse_group_spec("gl3", q=5)
     cox = enumerate_weyl(dual_datum(spec.datum))
-    with pytest.raises(InvariantError):
-        stable_point_orbits(spec, cox.elements, cox.elements[1:])
+    minus = tuple(tuple(-x for x in row) for row in cox.elements[0])
+    with pytest.raises(InvariantError, match="not a group"):
+        stable_point_orbits(spec, cox, list(cox.elements) + [minus])
+
+
+def test_an_acting_list_without_a_reflection_is_refused():
+    # the key's witness is found through the acting list, so the list must
+    # hold the whole Weyl group
+    spec = parse_group_spec("gl3", q=5)
+    cox = enumerate_weyl(dual_datum(spec.datum))
+    acting = [w for w in cox.elements if w != cox.generators[0]]
+    with pytest.raises(InvariantError, match="lacks an element"):
+        stable_point_orbits(spec, cox, acting)
