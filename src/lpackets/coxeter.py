@@ -157,7 +157,6 @@ def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
     index = {m: i for i, m in enumerate(elements)}
     length = tuple(len(w) for w in word_list)
 
-    left = tuple(tuple(index[mat_mul(g, m)] for m in elements) for g in gens)
     # the inverse of a word is the reversed word
     inverse = []
     for w in word_list:
@@ -168,6 +167,8 @@ def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
     inverse = tuple(inverse)
     if any(mat_mul(m, elements[j]) != ident for m, j in zip(elements, inverse)):
         raise InvariantError("reversed words do not invert the elements")
+    # s w = (w^-1 s)^-1, since every generator is an involution
+    left = tuple(tuple(inverse[r[j]] for j in inverse) for r in right)
 
     # length must equal the inversion count on the datum's positive roots
     pos = datum.positive_indices

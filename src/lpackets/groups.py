@@ -2,9 +2,13 @@
 
 Component groups, their extensions, and the twisted-conjugation bookkeeping
 all happen on groups of order at most a few dozen, so everything is stored as
-a full table.  Elements are indices into ``labels``; the label strings are the
-canonical element names used in reports, and ties are always broken by label
-so that output is deterministic.
+a full table.  Every group is built by ``table_group`` from the objects it
+is made of (matrices, permutations, tuples of factor indices) and carries
+them: element i is ``elements[i]``, ``index`` maps an object back to i, and
+``labels[i]`` is its canonical name in reports.  Ties are always broken by
+label so that output is deterministic.  So no caller computes the position
+of a product element by hand: a direct product's elements are the tuples of
+its factor indices, a semidirect product's the pairs (g, v).
 
 ``orbits`` (a finite group acting on a finite set), ``closure`` (the group
 some elements generate, with its right Cayley tables, or any set closed
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import compress, count, permutations, repeat
+from itertools import compress, count, permutations, product, repeat
 from operator import is_
 
 from .errors import InvariantError
@@ -160,27 +164,33 @@ def strong_components(edges) -> list[tuple[int, ...]]:
 
 def table_group(elements, mul, labels) -> "FiniteGroup":
     """The group on ``elements`` under ``mul``, with element i labelled
-    ``labels[i]``.
+    ``labels[i]``: the one constructor of ``FiniteGroup``.
 
     Raises ValueError when a product falls outside ``elements``; callers turn
     that into their own error type.
     """
+    elements = tuple(elements)
     index = {x: i for i, x in enumerate(elements)}
     try:
         table = [[index[mul(a, b)] for b in elements] for a in elements]
     except KeyError:
         raise ValueError("elements are not closed under multiplication") from None
-    return FiniteGroup(labels, table)
+    return FiniteGroup(elements, index, labels, table)
 
 
 class FiniteGroup:
-    """A group on the element indices of ``labels`` with multiplication
-    ``table``.  The table is checked for an identity, unique inverses and
-    distinct labels, and trusted to be associative: every table here is
-    built from products of matrices, permutations or groups."""
-    __slots__ = ("labels", "table", "identity", "inverse")
+    """A group on the indices of ``elements``, the objects it was built
+    from: element i is ``elements[i]``, labelled ``labels[i]``, and
+    ``index`` maps each object back to its index.  ``table`` holds the
+    products of indices.  The table is checked for an identity, unique
+    inverses and distinct labels, and trusted to be associative: every table
+    here is built from products of matrices, permutations or groups.  Only
+    ``table_group`` constructs one."""
+    __slots__ = ("elements", "index", "labels", "table", "identity", "inverse")
 
-    def __init__(self, labels, table):
+    def __init__(self, elements, index, labels, table):
+        self.elements = elements
+        self.index = index
         self.labels = tuple(labels)
         self.table = tuple(tuple(row) for row in table)
         n = len(self.labels)
@@ -269,14 +279,9 @@ class FiniteGroup:
 # ---- constructors ---------------------------------------------------------
 
 
-def trivial_group() -> FiniteGroup:
-    return FiniteGroup(("e",), ((0,),))
-
-
 def cyclic(n: int) -> FiniteGroup:
-    labels = [f"g{k}" if k else "e" for k in range(n)]
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(labels, table)
+    return table_group(range(n), lambda a, b: (a + b) % n,
+                       [f"g{k}" if k else "e" for k in range(n)])
 
 
 def _cycle_label(p: tuple[int, ...]) -> str:
@@ -308,23 +313,25 @@ def symmetric(n: int) -> FiniteGroup:
     return from_permutations(permutations(range(n)))
 
 
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    def label(i, j):
-        return f"{a.labels[i]}*{b.labels[j]}"
-
-    na, nb = a.order, b.order
-    labels = [label(i, j) for i in range(na) for j in range(nb)]
-    table = [[(a.table[i1][i2]) * nb + b.table[j1][j2]
-              for i2 in range(na) for j2 in range(nb)]
-             for i1 in range(na) for j1 in range(nb)]
-    return FiniteGroup(labels, table)
+def direct_product(factors) -> FiniteGroup:
+    """The direct product of the groups ``factors``: its elements are the
+    tuples of factor indices, in ``itertools.product`` order, multiplied
+    componentwise and labelled by their factor labels joined with "*" (the
+    empty product by "e")."""
+    tables = [f.table for f in factors]
+    elements = tuple(product(*(range(f.order) for f in factors)))
+    return table_group(
+        elements, lambda a, b: tuple(t[x][y] for t, x, y in zip(tables, a, b)),
+        ["*".join(f.labels[i] for f, i in zip(factors, x)) or "e"
+         for x in elements])
 
 
 def semidirect(n: FiniteGroup, h: FiniteGroup, acts) -> FiniteGroup:
     """N semidirect H where acts[v] is the index permutation of N for v in H.
 
-    Elements are pairs (g, v), multiplication
-    (g1, v1)(g2, v2) = (g1 * acts[v1](g2), v1 v2); labels are "g|v".
+    Elements are the pairs (g, v) of indices in N and H, g-major, with
+    multiplication (g1, v1)(g2, v2) = (g1 * acts[v1](g2), v1 v2); labels
+    are "g|v".
     """
     for a in acts:
         if not n.is_automorphism(a):
@@ -335,53 +342,8 @@ def semidirect(n: FiniteGroup, h: FiniteGroup, acts) -> FiniteGroup:
             comp = [acts[v1][acts[v2][g]] for g in range(n.order)]
             if list(a12) != comp:
                 raise ValueError("action is not a homomorphism")
-    nn, nh = n.order, h.order
-    labels = [f"{n.labels[g]}|{h.labels[v]}" for g in range(nn) for v in range(nh)]
-    table = []
-    for g1 in range(nn):
-        for v1 in range(nh):
-            row = []
-            a1 = acts[v1]
-            for g2 in range(nn):
-                for v2 in range(nh):
-                    row.append(n.table[g1][a1[g2]] * nh + h.table[v1][v2])
-            table.append(row)
-    return FiniteGroup(labels, table)
-
-
-def product_automorphism(groups, factor_perm):
-    """Index permutation of a direct product that permutes the factors.
-
-    ``groups`` are the factors in order, ``factor_perm[i] = j`` means factor i
-    is sent to slot j (the factors must be compatible: same order tables).
-    """
-    sizes = [g.order for g in groups]
-    k = len(groups)
-    for i in range(k):
-        if sizes[i] != sizes[factor_perm[i]]:
-            raise ValueError("factor permutation between incompatible factors")
-
-    def unrank(x):
-        coords = []
-        for s in reversed(sizes):
-            coords.append(x % s)
-            x //= s
-        return list(reversed(coords))
-
-    def rank(coords):
-        x = 0
-        for s, c in zip(sizes, coords):
-            x = x * s + c
-        return x
-
-    total = 1
-    for s in sizes:
-        total *= s
-    out = []
-    for x in range(total):
-        coords = unrank(x)
-        moved = [0] * k
-        for i in range(k):
-            moved[factor_perm[i]] = coords[i]
-        out.append(rank(moved))
-    return out
+    elements = tuple(product(range(n.order), range(h.order)))
+    return table_group(
+        elements,
+        lambda a, b: (n.table[a[0]][acts[a[1]][b[0]]], h.table[a[1]][b[1]]),
+        [f"{n.labels[g]}|{h.labels[v]}" for g, v in elements])

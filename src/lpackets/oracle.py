@@ -218,15 +218,8 @@ def _diag(entries) -> bytes:
 
 def _mat_mul(f: Field, a: bytes, b: bytes, n: int) -> bytes:
     """The product of two n x n byte matrices over f."""
-    q = f.q
-    out = bytearray(n * n)
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = f.add[acc * q + f.mul[a[i * n + k] * q + b[k * n + j]]]
-            out[i * n + j] = acc
-    return bytes(out)
+    return b"".join(_row_times(a[i * n:(i + 1) * n], b, n, f.q, f.add, f.mul)
+                    for i in range(n))
 
 
 # Two generators per group wherever the group needs two: every finite simple

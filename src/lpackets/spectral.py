@@ -201,7 +201,6 @@ def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponen
 
     stab = [g for g in geo.pi0
             if geo.act_on_tuple(g, pair.class_tuple) == pair.class_tuple]
-    stab_index = {m: i for i, m in enumerate(stab)}
     try:
         s_group = table_group(stab, mat_mul,
                               [cox.word_label(cox.index[a]) for a in stab])
@@ -215,27 +214,25 @@ def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponen
         abar_labels.append(rec.abar_label)
     g_group = assemble_product_group(abar_labels)
 
-    acts = [induced_automorphism(abar_labels, list(factor_permutation(geo.sub, v)))
+    acts = [induced_automorphism(g_group, abar_labels, factor_permutation(geo.sub, v))
             for v in stab]
     abar = semidirect(g_group, s_group, acts)
 
     # Frobenius on the connected part: factor permutation; on the stabilizer:
     # conjugation by the corrected automorphism
-    fg = induced_automorphism(abar_labels, list(factor_permutation(geo.sub, aut)))
+    fg = induced_automorphism(g_group, abar_labels, factor_permutation(geo.sub, aut))
     aut_inv = mat_inv_unimodular(aut)
     fs = []
     for v in stab:
         img = mat_mul(mat_mul(aut, v), aut_inv)
-        if img not in stab_index:
+        if img not in s_group.index:
             raise InvariantError("Frobenius does not normalize the class stabilizer")
-        fs.append(stab_index[img])
-    ns = s_group.order
-    f_action = tuple(fg[g] * ns + fs[v]
-                     for g in range(g_group.order) for v in range(ns))
+        fs.append(s_group.index[img])
+    f_action = tuple(abar.index[fg[g], fs[v]] for g, v in abar.elements)
     if not abar.is_automorphism(f_action):
         raise InvariantError("Frobenius is not an automorphism of the extended group")
     desc = group_structure_label(g_group)
-    if ns > 1:
+    if s_group.order > 1:
         desc = f"{desc}:{group_structure_label(s_group)}"
     return ExtendedComponentGroup(abar=abar, f_action=f_action, description=desc)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvariantError, UnsupportedTypeError
-from .groups import FiniteGroup, cyclic, direct_product, product_automorphism, symmetric, trivial_group
+from .groups import FiniteGroup, cyclic, direct_product, symmetric
 
 __all__ = [
     "SpecialClassRecord", "FamilyGroupRecord", "special_classes",
@@ -94,21 +94,16 @@ def family_groups(type_label: str) -> dict[str, FamilyGroupRecord]:
     return out
 
 
-_GROUP_CACHE: dict[str, FiniteGroup] = {}
+_ABAR_GROUPS = {"1": cyclic(1), "Z2": cyclic(2), "S3": symmetric(3)}
 
 
 def abar_group(label: str) -> FiniteGroup:
-    """Shared FiniteGroup instance for a component-group label."""
-    if label not in _GROUP_CACHE:
-        if label == "1":
-            _GROUP_CACHE[label] = trivial_group()
-        elif label == "Z2":
-            _GROUP_CACHE[label] = cyclic(2)
-        elif label == "S3":
-            _GROUP_CACHE[label] = symmetric(3)
-        else:
-            raise UnsupportedTypeError(f"unknown component group label {label!r}")
-    return _GROUP_CACHE[label]
+    """The component group named ``label``: one of three groups built at
+    import, so every caller shares one instance per label."""
+    try:
+        return _ABAR_GROUPS[label]
+    except KeyError:
+        raise UnsupportedTypeError(f"unknown component group label {label!r}") from None
 
 
 def group_structure_label(g: FiniteGroup) -> str:
@@ -137,18 +132,16 @@ def group_structure_label(g: FiniteGroup) -> str:
 
 
 def assemble_product_group(abar_labels) -> FiniteGroup:
-    """Direct product of the factor component groups ('1' factors included)."""
-    if not abar_labels:
-        return trivial_group()
-    acc = abar_group(abar_labels[0])
-    for lab in abar_labels[1:]:
-        acc = direct_product(acc, abar_group(lab))
-    return acc
+    """Direct product of the factor component groups ('1' factors included):
+    its elements are the tuples of factor indices."""
+    return direct_product([abar_group(l) for l in abar_labels])
 
 
-def induced_automorphism(abar_labels, factor_perm) -> list[int]:
-    """Index permutation of the product group that moves factor i to slot
-    factor_perm[i].
+def induced_automorphism(group: FiniteGroup, abar_labels, factor_perm) -> list[int]:
+    """Index permutation of ``group``, the product of the component groups
+    ``abar_labels`` (``assemble_product_group``), that moves factor i to slot
+    factor_perm[i]: each element tuple has its entries permuted, and the
+    result is looked up in ``group.index``.
 
     Diagram automorphisms inside a factor act trivially on every tabulated
     component group, so a factor permutation is the entire action.
@@ -159,6 +152,5 @@ def induced_automorphism(abar_labels, factor_perm) -> list[int]:
     for i in range(k):
         if abar_labels[i] != abar_labels[factor_perm[i]]:
             raise InvariantError("factor permutation between different component groups")
-    if not abar_labels:
-        return [0]
-    return product_automorphism([abar_group(l) for l in abar_labels], list(factor_perm))
+    source = sorted(range(k), key=factor_perm.__getitem__)
+    return [group.index[tuple(x[i] for i in source)] for x in group.elements]

@@ -73,7 +73,7 @@ class _Ambient:
         self.sigma_inv = mat_inv_unimodular(self.sigma)
         ident = identity(spec.datum.rank)
         self.elements: list[tuple[str, Matrix]] = []
-        self.label_of: dict = {}
+        seen = set()
         for ci, g in enumerate(spec.components):
             c = x_action(g)
             prefix = "" if g == ident else f"c{ci}"
@@ -84,10 +84,10 @@ class _Ambient:
                     label = word
                 else:
                     label = prefix if word == "e" else f"{prefix}.{word}"
-                if m in self.label_of:
+                if m in seen:
                     raise InvariantError(
                         "component coset collides with the reflection group")
-                self.label_of[m] = label
+                seen.add(m)
                 self.elements.append((label, m))
 
 
@@ -175,13 +175,12 @@ class _PointGeometry:
         if len(stab) != len(omega) * len(int_set):
             raise InvariantError(
                 "stabilizer does not split over the integral reflection group")
-        self.omega_mats = [m for _, m in omega]
         try:
-            self.omega = table_group(self.omega_mats, mat_mul,
+            self.omega = table_group([m for _, m in omega], mat_mul,
                                      [lab for lab, _ in omega])
         except ValueError:
             raise InvariantError("based stabilizer complement is not closed") from None
-        self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega_mats]
+        self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega.elements]
 
         # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0 for
         # w0 the witness's inverse, listed in reflection-group order and
@@ -211,7 +210,7 @@ class _PointGeometry:
 
         # twisted conjugation of the complement on the cosets
         self.ad = []
-        for g in self.omega_mats:
+        for g in self.omega.elements:
             sgs = mat_mul(mat_mul(amb.sigma, g), amb.sigma_inv)
             sgs_inv = mat_inv_unimodular(sgs)
             row = []
@@ -247,32 +246,30 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
     labels = tuple(family_groups(t)[geo.factor_cells[cell_pos][fi]].group_label
                    for fi, t in enumerate(geo.sub.factor_types))
     g_group = assemble_product_group(labels)
-    ng = g_group.order
 
     m_beta = mat_mul(geo.coset_reps[beta_idx], geo.amb.sigma)
     tau_fp = factor_permutation(geo.sub, m_beta)
     _check_factor_cells(geo, cell_pos, tau_fp)
-    tau = induced_automorphism(labels, list(tau_fp))
+    tau = induced_automorphism(g_group, labels, tau_fp)
 
     omega_sub = geo.omega.subgroup(omega_sub_idx)
     acts = []
-    for oi in omega_sub_idx:
-        fp = factor_permutation(geo.sub, geo.omega_mats[oi])
+    for oi in omega_sub.elements:
+        fp = factor_permutation(geo.sub, geo.omega.elements[oi])
         _check_factor_cells(geo, cell_pos, fp)
         if tuple(fp[tau_fp[i]] for i in range(len(fp))) != \
                 tuple(tau_fp[fp[i]] for i in range(len(fp))):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
-        acts.append(induced_automorphism(labels, list(fp)))
+        acts.append(induced_automorphism(g_group, labels, fp))
 
     ext = semidirect(g_group, omega_sub, acts)
-    no = omega_sub.order
 
     def act(p: int, g: int) -> int:
-        h, v = divmod(p, no)
+        h, v = ext.elements[p]
         return g_group.mul(h, g_group.mul(acts[v][g],
                                           g_group.inverse[tau[h]]))
 
-    order = list(range(ng))
+    order = list(range(g_group.order))
     if rng is not None:
         rng.shuffle(order)
     packets = []
@@ -284,7 +281,7 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
                               group_structure_label(cz)))
     packets.sort(key=lambda p: p.x_label)
     desc = group_structure_label(g_group)
-    if no > 1:
+    if omega_sub.order > 1:
         desc = f"{desc}:{group_structure_label(omega_sub)}"
     return packets, desc
 

@@ -5,24 +5,22 @@ from hypothesis import strategies as st
 from lpackets.errors import InvariantError
 from lpackets.groups import (
     CLOSURE_BLOCK,
-    FiniteGroup,
     closure,
     cyclic,
     direct_product,
     from_permutations,
     orbits,
-    product_automorphism,
     semidirect,
     strong_components,
     symmetric,
     table_group,
-    trivial_group,
 )
 
 
 def test_trivial_and_cyclic():
-    e = trivial_group()
+    e = cyclic(1)
     assert e.order == 1 and e.class_count() == 1
+    assert e.labels == ("e",) and e.elements == (0,)
     c4 = cyclic(4)
     assert c4.order == 4
     assert c4.is_abelian()
@@ -66,13 +64,32 @@ def test_from_permutations_rejects_non_closed():
 
 def test_duplicate_labels_are_rejected():
     with pytest.raises(ValueError, match="duplicate labels"):
-        FiniteGroup(("e", "e"), ((0, 1), (1, 0)))
+        table_group([0, 1], lambda a, b: (a + b) % 2, ["e", "e"])
+
+
+# the labels of the two-factor fold this product replaced, in its order
+FOLD_LABELS = ("e*e", "e*(12)", "e*(01)", "e*(012)", "e*(021)", "e*(02)",
+               "g1*e", "g1*(12)", "g1*(01)", "g1*(012)", "g1*(021)", "g1*(02)")
 
 
 def test_direct_product():
-    g = direct_product(cyclic(2), symmetric(3))
+    z2, s3 = cyclic(2), symmetric(3)
+    g = direct_product([z2, s3])
     assert g.order == 12
     assert g.class_count() == 6
+    assert g.labels == FOLD_LABELS
+    assert g.elements == tuple((i, j) for i in range(2) for j in range(6))
+    assert all(g.elements[g.mul(g.index[a, b], g.index[c, d])]
+               == (z2.mul(a, c), s3.mul(b, d))
+               for a, b in g.elements for c, d in g.elements)
+
+
+def test_direct_product_of_no_or_three_factors():
+    e = direct_product([])
+    assert e.elements == ((),) and e.labels == ("e",)
+    g = direct_product([cyclic(2), cyclic(3), cyclic(2)])
+    assert g.order == 12 and g.is_abelian()
+    assert g.labels[g.index[1, 2, 1]] == "g1*g2*g1"
 
 
 def test_semidirect_builds_dihedral():
@@ -81,6 +98,9 @@ def test_semidirect_builds_dihedral():
     inv_auto = [c3.inv(x) for x in range(3)]
 
     s3 = semidirect(c3, c2, [list(range(3)), inv_auto])
+    assert s3.elements == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
+    assert s3.labels[s3.index[2, 1]] == "g2|g1"
+    assert s3.elements[s3.mul(s3.index[0, 1], s3.index[1, 0])] == (2, 1)
     assert s3.order == 6
     assert s3.class_count() == 3
     assert not s3.is_abelian()
@@ -104,7 +124,7 @@ def test_twisted_orbits_identity_twist_is_conjugacy():
 def test_twisted_orbits_nontrivial_twist():
     # Z/2 x Z/2 twisted by the coordinate swap: (0,0) fuses with (1,1)
     # through b = (1,0), and (1,0) fuses with (0,1), so two orbits of two.
-    v4 = direct_product(cyclic(2), cyclic(2))
+    v4 = direct_product([cyclic(2), cyclic(2)])
     swap = [0, 2, 1, 3]
     assert v4.is_automorphism(swap)
     orbits = v4.twisted_orbits(swap)
@@ -112,18 +132,10 @@ def test_twisted_orbits_nontrivial_twist():
 
 
 def test_twisted_centralizer():
-    v4 = direct_product(cyclic(2), cyclic(2))
+    v4 = direct_product([cyclic(2), cyclic(2)])
     swap = [0, 2, 1, 3]
     fixed = v4.twisted_centralizer(0, swap)
     assert len(fixed) == 2
-
-
-def test_product_automorphism_roundtrip():
-    groups = [cyclic(2), cyclic(3), cyclic(2)]
-    perm = product_automorphism(groups, (2, 1, 0))
-    total = 2 * 3 * 2
-    assert sorted(perm) == list(range(total))
-    assert all(perm[perm[x]] == x for x in range(total))
 
 
 def test_is_automorphism_rejects_non_morphism():
@@ -263,6 +275,8 @@ def test_table_group_keeps_order_and_labels():
     elems = [0, 2, 4, 1, 3, 5]          # Z/6 listed out of order
     labels = ["a", "b", "c", "d", "e", "f"]
     g = table_group(elems, lambda a, b: (a + b) % 6, labels)
+    assert g.elements == tuple(elems)
+    assert all(g.index[x] == i for i, x in enumerate(elems))
     assert g.labels == tuple(labels)
     assert g.identity == 0
     assert all(elems[g.mul(i, j)] == (elems[i] + elems[j]) % 6

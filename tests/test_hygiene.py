@@ -344,3 +344,42 @@ def test_process_wide_state_is_caught():
     assert process_wide_state(source) == [
         "LIMIT:17", "SEEN:5", "TABLE:4", "cache:19", "f:12", "g:16",
         "memo:9"]
+
+
+def group_builders(sources):
+    """``module.definition`` for every ``FiniteGroup(...)`` call, named by
+    its enclosing definitions (``<module>`` outside any)."""
+    out = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) == "FiniteGroup":
+                out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
+            visit(child, path)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return sorted(out)
+
+
+# ``groups.table_group`` is the one constructor of a group, so every group
+# carries the objects it was built from and no module lays out an index
+def test_every_group_is_built_by_table_group():
+    found = group_builders({p.stem: p.read_text() for p in MODULES})
+    assert "groups.table_group" in found
+    assert [f for f in found if f != "groups.table_group"] == []
+
+
+def test_group_built_outside_table_group_is_caught():
+    source = ("from .groups import FiniteGroup\n"
+              "G = FiniteGroup((), ())\n"
+              "def table_group(e):\n"
+              "    return FiniteGroup(e)\n"
+              "class K:\n"
+              "    def make(self):\n"
+              "        return groups.FiniteGroup(f(FiniteGroup(1)))\n")
+    assert group_builders({"m": source}) == [
+        "m.<module>", "m.K.make", "m.K.make", "m.table_group"]

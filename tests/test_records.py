@@ -12,7 +12,7 @@ from lpackets.coxeter import (
     kl_table,
 )
 from lpackets.fq import Field, field
-from lpackets.groups import Closure, Packet, Stratum, closure, trivial_group
+from lpackets.groups import Closure, Packet, Stratum, closure, cyclic
 from lpackets.oracle import OracleResult, oracle_count
 from lpackets.report import CountReport, spectral_report
 from lpackets.rootdata import (
@@ -89,7 +89,7 @@ def samples():
         SubSystem: centralizer_subdatum(spec.datum, (0, 1)),
         TorusOrbit: enumerate_ss_classes(spec)[0],
         SpecialPair: SpecialPair(("reg",)),
-        ExtendedComponentGroup: ExtendedComponentGroup(trivial_group(), (0,), "1"),
+        ExtendedComponentGroup: ExtendedComponentGroup(cyclic(1), (0,), "1"),
         FiniteLParameter: parameters(spec)[0],
         SpecialClassRecord: special_classes("A1")[0],
         FamilyGroupRecord: family_groups("A1")["e"],

@@ -1,7 +1,7 @@
 import pytest
 
 from lpackets.coxeter import cells, enumerate_weyl, kl_table
-from lpackets.errors import UnsupportedTypeError
+from lpackets.errors import InvariantError, UnsupportedTypeError
 from lpackets.groups import cyclic, symmetric
 from lpackets.rootdata import _build_datum
 from lpackets.springer import (
@@ -84,16 +84,31 @@ def test_assemble_product_group():
 
 
 def test_induced_automorphism_swaps_factors():
-    perm = induced_automorphism(("Z2", "Z2"), (1, 0))
     g = assemble_product_group(("Z2", "Z2"))
+    perm = induced_automorphism(g, ("Z2", "Z2"), (1, 0))
     assert g.is_automorphism(perm)
     assert sorted(perm) == list(range(4))
     assert perm[1] == 2 and perm[2] == 1
+    assert induced_automorphism(assemble_product_group(()), (), ()) == [0]
+
+
+def test_induced_automorphism_roundtrip():
+    labels = ("Z2", "S3", "Z2")
+    g = assemble_product_group(labels)
+    perm = induced_automorphism(g, labels, (2, 1, 0))
+    assert g.is_automorphism(perm)
+    assert g.order == 24 and sorted(perm) == list(range(24))
+    assert all(perm[perm[x]] == x for x in range(24))
+    assert g.elements[perm[g.index[1, 4, 0]]] == (0, 4, 1)
 
 
 def test_induced_automorphism_rejects_mismatched_factors():
-    with pytest.raises(Exception):
-        induced_automorphism(("Z2", "S3"), (1, 0))
+    labels = ("Z2", "S3")
+    g = assemble_product_group(labels)
+    with pytest.raises(InvariantError, match="different component groups"):
+        induced_automorphism(g, labels, (1, 0))
+    with pytest.raises(InvariantError, match="not a permutation"):
+        induced_automorphism(g, labels, (0, 0))
 
 
 def test_b2_and_g2_family_content():

@@ -124,7 +124,7 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
         geo = geos[ss.key]
         rep, modulus = ss.rep, ss.modulus
         stab = [m for _, m in amb.elements if mat_vec_mod(m, rep, modulus) == rep]
-        assert geo.omega_mats == [m for m in stab if geo._based(m)]
+        assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
         target = _frobenius(spec, rep, modulus)
         assert set(geo.coset_of) == {w for w in amb.cox.elements
                                      if mat_vec_mod(w, target, modulus) == rep}
