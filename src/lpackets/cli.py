@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite fields, with a brute-force oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_group_args(p, q_help, pipelines=True):
+    def add_group_args(p, q_help):
         p.add_argument("--group", help="shortcut name, one of: "
                        + ", ".join(sorted(NAMED_SPECS)))
         p.add_argument("--config", help="JSON file with a group description")
@@ -186,9 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="shuffle internal exploration order")
         p.add_argument("--json", action="store_true")
-        if pipelines:
-            p.add_argument("--pipeline", default="auto",
-                           choices=["auto", "spectral", "stratified", "both"])
+        p.add_argument("--pipeline", default="auto",
+                       choices=["auto", "spectral", "stratified", "both"])
 
     p_count = sub.add_parser("count", help="enumerate parameters and packets")
     add_group_args(p_count, "field size (any prime power)")

@@ -187,11 +187,11 @@ def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
 # ---- Bruhat order ----------------------------------------------------------
 
 def bruhat_leq_table(cox: CoxeterGroup):
-    """Full x <= w table via the lifting property."""
+    """Full x <= w table via the lifting property, filled in index order,
+    which is (length, word) order."""
     n = cox.order
     leq = [[False] * n for _ in range(n)]
-    by_length = sorted(range(n), key=lambda i: cox.length[i])
-    for w in by_length:
+    for w in range(n):
         leq[w][w] = True
         if cox.length[w] == 0:
             continue
@@ -338,9 +338,8 @@ class CellPartition(namedtuple("CellPartition", "cox left_cells right_cells "
     __slots__ = ()
 
     def cell_id(self, cell_pos: int) -> str:
-        members = self.two_sided_cells[cell_pos]
-        best = min(members, key=lambda i: (self.cox.length[i], self.cox.words[i]))
-        return self.cox.word_label(best)
+        """The word label of the cell's least element, which is its first."""
+        return self.cox.word_label(self.two_sided_cells[cell_pos][0])
 
 
 def _left_edges(kl: KLTable):
@@ -369,17 +368,10 @@ def cells(kl: KLTable) -> CellPartition:
         for z in ledges[wi]:
             redges[w].add(cox.inverse[z])
     both = [ledges[w] | redges[w] for w in range(cox.order)]
-    left_cells = strong_components(ledges)
-    right_cells = strong_components(redges)
-    two_sided = strong_components(both)
-
-    def sort_key(cell):
-        best = min(cell, key=lambda i: (cox.length[i], cox.words[i]))
-        return (cox.length[best], cox.words[best])
-
-    left_cells = tuple(sorted(left_cells, key=sort_key))
-    right_cells = tuple(sorted(right_cells, key=sort_key))
-    two_sided = tuple(sorted(two_sided, key=sort_key))
+    # listed by least member, which is (length, word) order
+    left_cells = tuple(strong_components(ledges))
+    right_cells = tuple(strong_components(redges))
+    two_sided = tuple(strong_components(both))
     cell_of = [None] * cox.order
     for ci, cell in enumerate(two_sided):
         for i in cell:
@@ -390,7 +382,7 @@ def cells(kl: KLTable) -> CellPartition:
             if len({cell_of[i] for i in cell}) != 1:
                 raise InvariantError("one-sided cell crosses a two-sided cell")
     return CellPartition(cox=cox, left_cells=left_cells, right_cells=right_cells,
-                         two_sided_cells=tuple(two_sided), cell_of=tuple(cell_of))
+                         two_sided_cells=two_sided, cell_of=tuple(cell_of))
 
 
 def cell_action(part: CellPartition, m_y: Matrix):

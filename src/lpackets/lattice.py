@@ -5,15 +5,15 @@ works with integer matrices and integer vectors, so all counts are exact.
 Matrices are tuples of row tuples; vectors are tuples.  A torsion point s of
 (Q/Z)^n is an integer vector v with entries in [0, N) for a modulus N that
 the caller fixes, standing for s = v / N; with one N shared by all points,
-integer order on the vectors is the order of the points.  The one nontrivial
-algorithm here is Smith normal form with both unimodular transforms, which
-drives the torsion-point solver; square rational systems go through the
-integer adjugate instead.
+integer order on the vectors is the order of the points.  Both solvers go
+through the integer adjugate: square rational systems as rows @ adj(a) /
+det(a), and the torsion-point solver as the group that the columns of
+adj(a) / det(a) generate.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from .errors import InvariantError
 
@@ -129,90 +129,6 @@ def mat_inv_unimodular(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (d, u, v) with d = u @ a @ v, u and v unimodular, d diagonal
-    with nonnegative entries d[0] | d[1] | ... down the diagonal."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [list(r) for r in a]
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):  # row[dst] += c * row[src]
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for r in m:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    def diagonalize():
-        t = 0
-        while t < min(rows, cols):
-            piv = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if m[i][j] != 0 and (piv is None or abs(m[i][j]) < abs(m[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                break
-            swap_rows(t, piv[0])
-            swap_cols(t, piv[1])
-            while True:
-                dirty = False
-                for i in range(t + 1, rows):
-                    if m[i][t] != 0:
-                        add_row(t, i, -(m[i][t] // m[t][t]))
-                        if m[i][t] != 0:  # remainder became the smaller pivot
-                            swap_rows(t, i)
-                            dirty = True
-                for j in range(t + 1, cols):
-                    if m[t][j] != 0:
-                        add_col(t, j, -(m[t][j] // m[t][t]))
-                        if m[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-                if not dirty:
-                    break
-            if m[t][t] < 0:
-                negate_row(t)
-            t += 1
-        return t
-
-    # diagonalize, then repair divisibility violations by coupling the two
-    # diagonal entries and re-diagonalizing; each repair replaces (a, b) by
-    # (gcd, lcm) so the loop terminates
-    while True:
-        t = diagonalize()
-        violation = None
-        for i in range(t - 1):
-            if m[i + 1][i + 1] % m[i][i] != 0:
-                violation = i
-                break
-        if violation is None:
-            break
-        add_col(violation + 1, violation, 1)
-
-    d = tuple(tuple(m[i][j] for j in range(cols)) for i in range(rows))
-    return d, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v)
-
-
 def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     """All s in (Q/Z)^n with a @ s integral, for a nonsingular integer a.
 
@@ -221,25 +137,32 @@ def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     of it: a @ s integral means det(a) * s is integral.  The vectors come
     sorted, and there are exactly abs(det(a)) of them.
     """
-    n = len(a)
-    d, _, v = smith_normal_form(a)
-    diag = [d[i][i] for i in range(n)]
-    if any(x == 0 for x in diag):
+    d = det(a)
+    if d == 0:
         raise InvariantError("singular system has infinitely many torsion solutions")
-    expected = abs(det(a))
     if modulus is None:
-        modulus = expected
-    if modulus % expected:
+        modulus = abs(d)
+    if modulus % d:
         raise InvariantError("modulus is not a multiple of the determinant")
-    # s = v @ t with t_i in (1/diag[i]) Z / Z: the solutions are the sums of
-    # multiples of column i of v, scaled by modulus / diag[i]
-    sols = [(0,) * n]
-    for i in range(n):
-        if diag[i] > 1:
-            col = [(modulus // diag[i]) * v[r][i] for r in range(n)]
-            sols = [tuple((x + k * c) % modulus for x, c in zip(s, col))
-                    for s in sols for k in range(diag[i])]
+    # the solutions are a^-1 Z^n / Z^n, generated by the columns of
+    # adj(a) / det(a); each column c joins the group S found so far as the
+    # cosets S + k c, for k up to the first multiple of c already in S.
+    # ``members`` holds sols[:len(members)], brought up to date per column.
+    wrap = modulus.__rmod__  # x -> x % modulus
+    sols = [(0,) * len(a)]
+    members = set()
+    for col in zip(*adjugate(a)):
+        members.update(sols[len(members):])
+        c = tuple(modulus // d * x % modulus for x in col)
+        steps = []
+        kc = c
+        while kc not in members:
+            steps.append(kc)
+            kc = tuple(map(wrap, map(add, kc, c)))
+        if len(sols) > 1:
+            steps = [tuple(map(wrap, map(add, s, t))) for t in steps for s in sols]
+        sols += steps
+    if len(sols) != abs(d):
+        raise InvariantError("torsion solutions do not number abs(det(a))")
     sols.sort()
-    if len(set(sols)) != expected:
-        raise InvariantError("torsion solutions are not distinct")
     return sols

@@ -337,10 +337,13 @@ def _is_based(datum: RootDatum, m_y: Matrix) -> bool:
     return x_preserves(m_y, set(datum.simple_roots))
 
 
-def _matrix_order(m: Matrix, cap: int = 48) -> int:
+MAX_TWIST_ORDER = 48
+
+
+def _matrix_order(m: Matrix) -> int:
     n = len(m)
     acc = m
-    for k in range(1, cap + 1):
+    for k in range(1, MAX_TWIST_ORDER + 1):
         if acc == identity(n):
             return k
         acc = mat_mul(acc, m)

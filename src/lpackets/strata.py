@@ -129,9 +129,8 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
     k = len(sub.factors)
     out = []
     for cell in part.two_sided_cells:
-        least = min(cell, key=lambda i: (sub_cox.length[i], sub_cox.words[i]))
         local_words = [[] for _ in range(k)]
-        for letter in sub_cox.words[least]:
+        for letter in sub_cox.words[cell[0]]:
             fi, loc = where[letter]
             local_words[fi].append(loc)
         ids = []

@@ -99,6 +99,11 @@ def test_two_sided_cell_counts(t):
     covered = sorted(i for cell in part.two_sided_cells for i in cell)
     assert covered == list(range(cox.order))
     assert part.cell_of[0] != part.cell_of[cox.longest]
+    # cells are sorted tuples listed by least member; index order is
+    # (length, word) order, so each cell's first element is the one its id
+    # names
+    for cells_of_side in (part.left_cells, part.right_cells, part.two_sided_cells):
+        assert list(cells_of_side) == sorted(tuple(sorted(c)) for c in cells_of_side)
     for pos in range(len(part.two_sided_cells)):
         members = part.two_sided_cells[pos]
         assert all(part.cell_of[i] == pos for i in members)

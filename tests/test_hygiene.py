@@ -204,6 +204,79 @@ def test_unread_parameter_is_caught():
                                          "g.c", "m.y"]
 
 
+def defaults_never_passed(sources):
+    """``function.parameter`` for every defaulted parameter of a private or
+    nested function that no call in ``sources`` passes, by position or by
+    keyword.  Calls are matched by the called name (``f(...)`` or
+    ``m.f(...)``); a method's ``self`` or ``cls`` takes no call position,
+    and a ``*args`` or ``**kwargs`` argument passes everything."""
+    defaulted, calls = [], []
+
+    def visit(node, nested, method):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if nested or (child.name.startswith("_")
+                              and not child.name.startswith("__")):
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    defaults = [None] * (len(positional) - len(a.defaults))
+                    defaults += a.defaults + a.kw_defaults
+                    if method:
+                        positional, defaults = positional[1:], defaults[1:]
+                    names = [p.arg for p in positional + a.kwonlyargs]
+                    defaulted.extend((child.name, name,
+                                      pos if pos < len(positional) else None)
+                                     for pos, (name, default)
+                                     in enumerate(zip(names, defaults))
+                                     if default is not None)
+                visit(child, True, False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, nested, True)
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append(child)
+                visit(child, nested, False)
+
+    def passes(call, name, pos):
+        return (any(k.arg in (name, None) for k in call.keywords)
+                or any(isinstance(x, ast.Starred) for x in call.args)
+                or (pos is not None and pos < len(call.args)))
+
+    for source in sources:
+        visit(ast.parse(source), False, False)
+    return sorted(f"{f}.{name}" for f, name, pos in defaulted
+                  if not any(_called_name(c) == f and passes(c, name, pos)
+                             for c in calls))
+
+
+# a default that no caller overrides is a constant in disguise
+def test_every_default_of_a_private_function_is_passed():
+    assert defaults_never_passed([p.read_text() for p in MODULES]) == []
+
+
+def test_default_never_passed_is_caught():
+    a = ("def _f(x, y=1, *, z=2):\n"
+         "    return x\n"
+         "def _g(a, b=0):\n"
+         "    return a\n"
+         "def _h(k=1):\n"
+         "    return k\n"
+         "def public(p=1):\n"
+         "    def inner(q=None, r=3):\n"
+         "        return r\n"
+         "    inner(r=4)\n"
+         "    return _f(1, 2)\n"
+         "class K:\n"
+         "    def _m(self, u=0, v=1):\n"
+         "        return u\n"
+         "    def run(self, w=2):\n"
+         "        return self._m(5)\n")
+    b = ("from .a import _g, _h\n"
+         "_g(*args)\n"
+         "_h(**opts)\n")
+    assert defaults_never_passed([a, b]) == ["_f.z", "_m.v", "inner.q"]
+
+
 def referenced_names(node):
     """Every name a node reads, as a bare name, an attribute or an import."""
     for n in ast.walk(node):
