@@ -33,8 +33,6 @@ __all__ = ["OracleResult", "ORACLE_GROUPS", "MAX_ORACLE_WORK",
 
 BACKEND = "python"
 
-ORACLE_GROUPS = ("sl2", "gl2", "gl3", "pgl2", "sp4", "torus1", "o2")
-
 # The closure maps each row of each (element, generator) product through a
 # list, on top of a fixed cost per product, so the work is counted as
 # order * len(gens) * (n + 12) row steps.  Closure and class count together
@@ -55,22 +53,12 @@ OracleResult = namedtuple("OracleResult", "name q order class_count")
 
 
 def expected_order(name: str, q: int) -> int:
-    if name == "sl2":
-        return q * (q * q - 1)
-    if name == "gl2":
-        return (q * q - 1) * (q * q - q)
-    if name == "gl3":
-        return (q**3 - 1) * (q**3 - q) * (q**3 - q * q)
-    if name == "pgl2":
-        return q**3 - q
-    if name == "sp4":
-        return q**4 * (q * q - 1) * (q**4 - 1)
-    if name == "torus1":
-        return q - 1
-    if name == "o2":
-        return 2 * (q - 1)
-    raise UnsupportedTypeError(f"no oracle model for {name!r}; "
-                               f"known: {', '.join(ORACLE_GROUPS)}")
+    try:
+        order, _ = _MODELS[name]
+    except KeyError:
+        raise UnsupportedTypeError(f"no oracle model for {name!r}; "
+                                   f"known: {', '.join(ORACLE_GROUPS)}") from None
+    return order(q)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +305,20 @@ def _preserves_form(f: Field, m: bytes, jm: bytes, n: int) -> bool:
     return _mat_mul(f, mt, _mat_mul(f, jm, m, n), n) == jm
 
 
-_BUILDERS = {
-    "sl2": _gens_sl2,
-    "gl2": lambda f: _gens_gl(f, 2),
-    "gl3": lambda f: _gens_gl(f, 3),
-    "pgl2": _gens_pgl2,
-    "sp4": _gens_sp4,
-    "torus1": _gens_torus1,
-    "o2": _gens_o2,
+# Each named group's order over F_q, by the classical formula, and the
+# builder of its generators, in menu order.
+_MODELS = {
+    "sl2": (lambda q: q * (q * q - 1), _gens_sl2),
+    "gl2": (lambda q: (q * q - 1) * (q * q - q), lambda f: _gens_gl(f, 2)),
+    "gl3": (lambda q: (q**3 - 1) * (q**3 - q) * (q**3 - q * q),
+            lambda f: _gens_gl(f, 3)),
+    "pgl2": (lambda q: q**3 - q, _gens_pgl2),
+    "sp4": (lambda q: q**4 * (q * q - 1) * (q**4 - 1), _gens_sp4),
+    "torus1": (lambda q: q - 1, _gens_torus1),
+    "o2": (lambda q: 2 * (q - 1), _gens_o2),
 }
+
+ORACLE_GROUPS = tuple(_MODELS)
 
 
 def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
@@ -333,8 +326,7 @@ def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
     if expected > cap:
         raise ConfigError(
             f"{name} over F_{q} has order {expected}, beyond the cap of {cap}")
-    builder = _BUILDERS[name]
-    gens, n, tf = builder(field(q))
+    gens, n, tf = _MODELS[name][1](field(q))
     work = expected * len(gens) * (n + 12)
     if work > MAX_ORACLE_WORK:
         raise UnsupportedTypeError(

@@ -18,12 +18,16 @@ Semisimple classes fall into a few types.  Each class arrives from
 positions, its stabilizer in the dual Weyl group and its first Frobenius
 witness, the first w with w(s) = q sigma(s).  ``_StratumGeometry`` takes the
 key and no point: the centralizer subsystem comes from the integral
-positions, the component elements are the based part of the stabilizer, and
-the Frobenius is corrected from the witness.  So two classes with one key
-have the same strata up to their semisimple label.  Within one
-``spectral_strata`` call a local table builds the geometry and strata once
-per key, and every class of that key gets copies of them under its own
-semisimple label.
+positions, the component group pi0 is the group of the based part of the
+stabilizer, and the Frobenius is corrected from the witness.  The geometry
+also holds the factor permutation of every pi0 element and of every
+Frobenius candidate c F (c in pi0), so no pair recomputes them.  A special
+class of the centralizer is a tuple of row indices, one per factor, into
+``springer.special_classes`` of that factor's type; pi0 moves the entries
+between factors.  So two classes with one key have the same strata up to
+their semisimple label.  Within one ``spectral_strata`` call a local table
+builds the geometry and strata once per key, and every class of that key
+gets copies of them under its own semisimple label.
 
 Disconnected groups are refused here; the stratified route handles them.
 """
@@ -31,6 +35,7 @@ Disconnected groups are refused here; the stratified route handles them.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
@@ -54,21 +59,10 @@ from .springer import (
 )
 
 __all__ = [
-    "SpecialPair", "ExtendedComponentGroup", "FiniteLParameter",
+    "ExtendedComponentGroup", "FiniteLParameter",
     "enumerate_ss_classes", "special_pairs", "extended_group", "mbar",
     "parameters", "total_count", "spectral_strata", "sl2_wd_convert",
 ]
-
-
-class SpecialPair(namedtuple("SpecialPair", "class_tuple")):
-    """A special class by its canonical representative ``class_tuple``, one
-    label per factor."""
-    __slots__ = ()
-
-    def class_label(self) -> str:
-        if not self.class_tuple:
-            return "1"
-        return ",".join(self.class_tuple)
 
 
 ExtendedComponentGroup = namedtuple("ExtendedComponentGroup",
@@ -109,31 +103,35 @@ def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
 class _StratumGeometry:
     """Everything about the centralizer of one semisimple type, built from
     its type key (see ``rootdata.stable_point_orbits``) alone; ``cox`` is the
-    dual Weyl group."""
+    dual Weyl group.
+
+    ``pi0`` is the group of the based part of the stabilizer, in element
+    order (length, word), so element 0 is the identity; ``perms[i]`` is the
+    factor permutation of its element i.  ``frobenius`` lists the candidates
+    c F for c in pi0, in pi0's order, each with its own factor permutation;
+    the first is the positivity-corrected Frobenius F itself."""
 
     def __init__(self, spec: GroupSpec, key: tuple, cox: CoxeterGroup):
         positions, stab, witness = key
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
-        self.cox = cox
         self.sub = centralizer_subdatum(cox.datum, positions)
-        # the based part of the stabilizer, in element order (length, word)
         pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
-        self.pi0 = [cox.elements[i] for i in stab
-                    if x_preserves(cox.elements[i], pos_set)]
+        based = [i for i in stab if x_preserves(cox.elements[i], pos_set)]
+        try:
+            self.pi0 = table_group([cox.elements[i] for i in based], mat_mul,
+                                   [cox.word_label(i) for i in based])
+        except ValueError:
+            raise InvariantError("component group is not closed") from None
         self.factor_types = self.sub.factor_types
+        self.perms = [factor_permutation(self.sub, g) for g in self.pi0.elements]
         # Frobenius as a based automorphism of the subsystem:
         # v0 . witness^-1 . sigma with v0 the positivity correction
         witness_inv = cox.elements[cox.inverse[witness]]
-        self.aut_f = _positivity_correct(self.sub,
-                                         mat_mul(witness_inv, spec.twist.sigma_x))
-
-    def act_on_tuple(self, m_y: Matrix, labels: tuple[str, ...]) -> tuple[str, ...]:
-        perm = factor_permutation(self.sub, m_y)
-        out = [None] * len(labels)
-        for i, lab in enumerate(labels):
-            out[perm[i]] = lab
-        return tuple(out)
+        aut_f = _positivity_correct(self.sub,
+                                    mat_mul(witness_inv, spec.twist.sigma_x))
+        candidates = [mat_mul(g, aut_f) for g in self.pi0.elements]
+        self.frobenius = [(c, factor_permutation(self.sub, c)) for c in candidates]
 
 
 def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
@@ -153,78 +151,72 @@ def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # special pairs
 
-def special_pairs(geo: _StratumGeometry, rng=None) -> list[SpecialPair]:
+def _moved(rows: tuple[int, ...], perm) -> tuple[int, ...]:
+    """``rows`` with entry i moved to slot perm[i]."""
+    out = [None] * len(rows)
+    for target, r in zip(perm, rows):
+        out[target] = r
+    return tuple(out)
+
+
+def _class_label(geo: _StratumGeometry, rows: tuple[int, ...]) -> str:
+    """The special class's labels joined with ",", or "1" on a torus."""
+    return ",".join(special_classes(t)[r].class_label
+                    for t, r in zip(geo.factor_types, rows)) or "1"
+
+
+def special_pairs(geo: _StratumGeometry, rng=None) -> list[tuple[int, ...]]:
     """Component-stable Frobenius-stable orbits of special classes of the
-    centralizer at the canonical representative."""
-    per_factor = [tuple(r.class_label for r in special_classes(t))
-                  for t in geo.factor_types]
-    tuples = [()]
-    for labels in per_factor:
-        tuples = [t + (lab,) for t in tuples for lab in labels]
-
-    rank_key = {}
-    for t in set(geo.factor_types):
-        for pos, r in enumerate(special_classes(t)):
-            rank_key[(t, r.class_label)] = pos
-
-    def tuple_key(tup):
-        return tuple(rank_key[(geo.factor_types[i], lab)] for i, lab in enumerate(tup))
-
+    centralizer, each at its least row tuple, in increasing order."""
+    tuples = list(product(*(range(len(special_classes(t)))
+                            for t in geo.factor_types)))
     if rng is not None:
         rng.shuffle(tuples)
+    f_perm = geo.frobenius[0][1]
     pairs = []
-    for _, imgs in orbits(tuples, lambda t: [geo.act_on_tuple(g, t) for g in geo.pi0]):
-        # Frobenius stability of the orbit
-        rep = min(imgs, key=tuple_key)
-        if geo.act_on_tuple(geo.aut_f, rep) not in imgs:
-            continue
-        pairs.append(SpecialPair(class_tuple=rep))
-    pairs.sort(key=lambda p: tuple_key(p.class_tuple))
-    return pairs
+    for _, imgs in orbits(tuples, lambda t: [_moved(t, p) for p in geo.perms]):
+        rep = min(imgs)
+        if _moved(rep, f_perm) in imgs:
+            pairs.append(rep)
+    return sorted(pairs)
 
 
 # ---------------------------------------------------------------------------
 # the extended component group and its Frobenius
 
-def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponentGroup:
-    cox = geo.cox
+def extended_group(geo: _StratumGeometry,
+                   pair: tuple[int, ...]) -> ExtendedComponentGroup:
+    """The extended component group of a special pair and its Frobenius."""
+    def fixes(perm):
+        return _moved(pair, perm) == pair
 
     # correct the Frobenius so it fixes the canonical class tuple
-    aut = None
-    for g in geo.pi0:  # deterministic order
-        cand = mat_mul(g, geo.aut_f)
-        if geo.act_on_tuple(cand, pair.class_tuple) == pair.class_tuple:
-            aut = cand
-            break
+    aut, aut_perm = next(((c, p) for c, p in geo.frobenius if fixes(p)),
+                         (None, None))
     if aut is None:
         raise InvariantError("stable orbit without a class-fixing Frobenius")
 
-    stab = [g for g in geo.pi0
-            if geo.act_on_tuple(g, pair.class_tuple) == pair.class_tuple]
+    pi0 = geo.pi0
     try:
-        s_group = table_group(stab, mat_mul,
-                              [cox.word_label(cox.index[a]) for a in stab])
+        s_group = pi0.subgroup(i for i, p in enumerate(geo.perms) if fixes(p))
     except ValueError:
         raise InvariantError("class stabilizer is not closed") from None
 
-    abar_labels = []
-    for i, t in enumerate(geo.factor_types):
-        rec = next(r for r in special_classes(t)
-                   if r.class_label == pair.class_tuple[i])
-        abar_labels.append(rec.abar_label)
+    abar_labels = [special_classes(t)[r].abar_label
+                   for t, r in zip(geo.factor_types, pair)]
     g_group = assemble_product_group(abar_labels)
 
-    acts = [induced_automorphism(g_group, abar_labels, factor_permutation(geo.sub, v))
-            for v in stab]
+    acts = [induced_automorphism(g_group, abar_labels, geo.perms[v])
+            for v in s_group.elements]
     abar = semidirect(g_group, s_group, acts)
 
     # Frobenius on the connected part: factor permutation; on the stabilizer:
     # conjugation by the corrected automorphism
-    fg = induced_automorphism(g_group, abar_labels, factor_permutation(geo.sub, aut))
+    fg = induced_automorphism(g_group, abar_labels, aut_perm)
     aut_inv = mat_inv_unimodular(aut)
     fs = []
-    for v in stab:
-        img = mat_mul(mat_mul(aut, v), aut_inv)
+    for v in s_group.elements:
+        img = pi0.index.get(mat_mul(mat_mul(aut, pi0.elements[v]), aut_inv))
         if img not in s_group.index:
             raise InvariantError("Frobenius does not normalize the class stabilizer")
         fs.append(s_group.index[img])
@@ -240,33 +232,14 @@ def extended_group(geo: _StratumGeometry, pair: SpecialPair) -> ExtendedComponen
 # ---------------------------------------------------------------------------
 # twisted classes of the extended group
 
-def mbar(ext: ExtendedComponentGroup, rng=None) -> list[Packet]:
-    """Twisted-conjugation classes of the extended group, with packet sizes.
-
-    With an rng, the orbits are computed around a random translation point
-    and mapped back; the result is identical by the translation equivariance
-    of twisted conjugation, which this exercises.
-    """
+def mbar(ext: ExtendedComponentGroup) -> list[Packet]:
+    """Twisted-conjugation classes of the extended group, with packet sizes."""
     abar = ext.abar
     f = ext.f_action
-    if rng is None or abar.order == 1:
-        orbits = abar.twisted_orbits(f)
-        centralizer_of = lambda x: abar.twisted_centralizer(x, f)
-    else:
-        a = rng.randrange(abar.order)
-        a_inv = abar.inverse[a]
-        f2 = [abar.mul(abar.mul(a, f[b]), a_inv) for b in range(abar.order)]
-        shifted = abar.twisted_orbits(f2)
-        orbits = []
-        for orb in shifted:
-            orbits.append(tuple(sorted(abar.mul(x, a) for x in orb)))
-        orbits.sort(key=lambda c: c[0])
-        centralizer_of = lambda x: abar.twisted_centralizer(abar.mul(x, a_inv), f2)
-
     out = []
-    for orb in orbits:
+    for orb in abar.twisted_orbits(f):
         x = min(orb, key=lambda i: abar.labels[i])
-        cz = abar.subgroup(centralizer_of(x))
+        cz = abar.subgroup(abar.twisted_centralizer(x, f))
         out.append(Packet(abar.labels[x], cz.class_count(),
                           group_structure_label(cz)))
     out.sort(key=lambda p: p.x_label)
@@ -285,9 +258,9 @@ def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
     for pair in special_pairs(geo, rng=rng):
         ext = extended_group(geo, pair)
         strata.append(Stratum(ss_label="",
-                              labels={"class": pair.class_label()},
+                              labels={"class": _class_label(geo, pair)},
                               group_desc=ext.description,
-                              packets=mbar(ext, rng=rng)))
+                              packets=mbar(ext)))
     return strata
 
 

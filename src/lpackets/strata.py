@@ -168,10 +168,9 @@ class _PointGeometry:
         self.factor_cells = _factor_cell_ids(self.sub, self.sub_cox, self.part)
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
 
-        int_set = set(self.sub_cox.elements)
         stab = [amb.elements[i] for i in stab_idx]
         omega = [(lab, m) for lab, m in stab if self._based(m)]
-        if len(stab) != len(omega) * len(int_set):
+        if len(stab) != len(omega) * self.sub_cox.order:
             raise InvariantError(
                 "stabilizer does not split over the integral reflection group")
         try:
@@ -191,21 +190,15 @@ class _PointGeometry:
         sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
         self.coset_of: dict = {}
-        for w in sprime:
-            if w in self.coset_of:
-                continue
-            coset = {mat_mul(u, w) for u in int_set}
-            if not coset <= sset:
+        for _, coset in orbits(sprime, lambda w: [mat_mul(u, w)
+                                                  for u in self.sub_cox.elements]):
+            if not sset.issuperset(coset):
                 raise InvariantError("Frobenius coset leaves the solution set")
             dist = [v for v in coset if self._based(mat_mul(v, amb.sigma))]
             if len(dist) != 1:
                 raise InvariantError("distinguished representative is not unique")
-            ci = len(self.coset_reps)
+            self.coset_of.update(dict.fromkeys(coset, len(self.coset_reps)))
             self.coset_reps.append(dist[0])
-            for v in coset:
-                self.coset_of[v] = ci
-        if len(self.coset_of) != len(sset):
-            raise InvariantError("Frobenius cosets do not cover the solutions")
 
         # twisted conjugation of the complement on the cosets
         self.ad = []

@@ -2,7 +2,7 @@ import pytest
 
 from lpackets import oracle
 from lpackets.fq import field
-from lpackets.oracle import (_BUILDERS, matrix_class_count, matrix_closure,
+from lpackets.oracle import (_MODELS, matrix_class_count, matrix_closure,
                              row_numbering)
 
 # gl2/F7 and gl3/F3 take more than one closure block; sl2/F17 has 288 rows,
@@ -93,7 +93,7 @@ def to_bytes(elements, gens, n, q, add, mul):
 
 
 def build(name, q):
-    gens, n, tf = _BUILDERS[name](field(q))
+    gens, n, tf = _MODELS[name][1](field(q))
     return gens, n, tf.q, tf.add, tf.mul
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from lpackets.errors import ConfigError
 from lpackets.fq import field
-from lpackets.oracle import (_BUILDERS, ORACLE_GROUPS, expected_order,
+from lpackets.oracle import (_MODELS, ORACLE_GROUPS, expected_order,
                              oracle_count)
 
 
@@ -65,7 +65,7 @@ def test_two_generators_close_to_the_order(name):
         order = expected_order(name, q)
         if order > 3 * 10 ** 4:
             continue
-        gens, _, _ = _BUILDERS[name](field(q))
+        gens, _, _ = _MODELS[name][1](field(q))
         assert len(gens) <= 2, (name, q)
         assert oracle_count(name, q).order == order
 

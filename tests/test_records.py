@@ -27,7 +27,6 @@ from lpackets.rootdata import (
 from lpackets.spectral import (
     ExtendedComponentGroup,
     FiniteLParameter,
-    SpecialPair,
     enumerate_ss_classes,
     parameters,
 )
@@ -54,7 +53,6 @@ FIELDS = {cls: tuple(names.split()) for cls, names in {
     SubSystem: "ambient root_positions positive_positions simple_positions "
                "factors factor_types",
     TorusOrbit: "rep orbit modulus key",
-    SpecialPair: "class_tuple",
     ExtendedComponentGroup: "abar f_action description",
     FiniteLParameter: "ss_label class_label x_label packet_group_label "
                       "packet_size normal_form monodromy_label",
@@ -88,7 +86,6 @@ def samples():
         GroupSpec: spec,
         SubSystem: centralizer_subdatum(spec.datum, (0, 1)),
         TorusOrbit: enumerate_ss_classes(spec)[0],
-        SpecialPair: SpecialPair(("reg",)),
         ExtendedComponentGroup: ExtendedComponentGroup(cyclic(1), (0,), "1"),
         FiniteLParameter: parameters(spec)[0],
         SpecialClassRecord: special_classes("A1")[0],

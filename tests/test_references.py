@@ -6,6 +6,7 @@ this test only reads.
 """
 
 import importlib.util
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from lpackets.errors import ConfigError, LPacketsError
 from lpackets.fq import prime_power
 from lpackets.rootdata import NAMED_SPECS, parse_group_spec
 from lpackets.spectral import total_count as spectral_total
-from lpackets.strata import stratified_total
+from lpackets.strata import stratified_strata, stratified_total
 
 CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
@@ -82,3 +83,78 @@ def test_weil_restriction_identities(q):
         assert totals(twisted) == [expected, expected], (isogeny, q)
     torus = parse_group_spec({"type": "T2", "twist": SWAP}, q=q)
     assert totals(torus) == [q * q - 1, q * q - 1]
+
+
+def brute_force_class_count(rank, m, component_gens):
+    """Conjugacy classes of (Z/m)^rank extended by the matrix group C that
+    ``component_gens`` generate, acting on vectors: the group of pairs (t, c)
+    with (t, c)(u, d) = (t + c u, c d), whose classes are the orbits of
+    conjugation by the unit vectors and the generators of C."""
+    def mat_mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(rank))
+                           for j in range(rank)) for i in range(rank))
+
+    def act(c, t):
+        return tuple(sum(c[i][j] * t[j] for j in range(rank)) % m
+                     for i in range(rank))
+
+    def mul(x, y):
+        return (tuple((a + b) % m for a, b in zip(x[0], act(x[1], y[0]))),
+                mat_mul(x[1], y[1]))
+
+    one = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    gens = [tuple(map(tuple, g)) for g in component_gens]
+    comps = [one]
+    for c in comps:
+        comps += [p for p in (mat_mul(c, g) for g in gens) if p not in comps]
+    zero = (0,) * rank
+    conj = [((tuple(int(i == j) for j in range(rank)), one),
+             (tuple(-int(i == j) % m for j in range(rank)), one))
+            for i in range(rank)]
+    conj += [((zero, g), (zero, next(c for c in comps if mat_mul(g, c) == one)))
+             for g in gens]
+    seen = set()
+    count = 0
+    for x in product(product(range(m), repeat=rank), comps):
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g, g_inv in conj:
+                z = mul(mul(g, y), g_inv)
+                if z not in seen:
+                    seen.add(z)
+                    stack.append(z)
+    return count
+
+
+SIGN_FLIPS = [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]
+ROTATION = [[0, -1], [1, 0]]
+EXTENDED_TORI = [
+    ({"type": "T3", "component_group": SIGN_FLIPS}, {3: 64, 4: 27, 5: 125}),
+    ({"type": "T2", "component_group": [ROTATION]},
+     {3: 10, 4: 6, 5: 13, 7: 18, 8: 16, 9: 25}),
+]
+
+
+@pytest.mark.parametrize("config,expected", EXTENDED_TORI,
+                         ids=["T3-sign-flips", "T2-rotation"])
+def test_tori_extended_by_components_match_brute_force(config, expected):
+    # a split torus T extended by a component group C that acts on it:
+    # G(F_q) = T(F_q) x| C with T(F_q) = (Z/(q - 1))^rank
+    rank = int(config["type"][1:])
+    for q, total in expected.items():
+        assert brute_force_class_count(rank, q - 1,
+                                       config["component_group"]) == total
+        assert totals(parse_group_spec(config, q=q)) == [total], q
+
+
+def test_sign_flips_act_trivially_at_q3():
+    # (Z/2)^3: every point is fixed by all of C = Z2^3
+    spec = parse_group_spec({"type": "T3", "component_group": SIGN_FLIPS}, q=3)
+    assert {st.group_desc for st in stratified_strata(spec)} == {"1:Z2^3"}

@@ -2,7 +2,7 @@ import pytest
 
 from lpackets.coxeter import cells, enumerate_weyl, kl_table
 from lpackets.errors import InvariantError, UnsupportedTypeError
-from lpackets.groups import cyclic, symmetric
+from lpackets.groups import cyclic, direct_product, symmetric
 from lpackets.rootdata import _build_datum
 from lpackets.springer import (
     TABLE_VERSION,
@@ -74,6 +74,14 @@ def test_group_structure_labels():
     assert group_structure_label(cyclic(2)) == "Z2"
     assert group_structure_label(cyclic(3)) == "Z3"
     assert group_structure_label(symmetric(3)) == "S3"
+
+
+def test_order_8_and_12_structure_labels():
+    z2, z4 = cyclic(2), cyclic(4)
+    assert group_structure_label(cyclic(8)) == "Z8"
+    assert group_structure_label(direct_product([z2, z2, z2])) == "Z2^3"
+    assert group_structure_label(direct_product([z4, z2])) == "Z4xZ2"
+    assert group_structure_label(direct_product([symmetric(3), z2])) == "G12"
 
 
 def test_assemble_product_group():

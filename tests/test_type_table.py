@@ -138,9 +138,9 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
         geo = geos[ssc.key]
         rep, modulus = ssc.rep, ssc.modulus
         pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
-        assert geo.pi0 == [w for w in cox.elements
-                           if mat_vec_mod(w, rep, modulus) == rep
-                           and x_preserves(w, pos_set)]
+        assert geo.pi0.elements == tuple(w for w in cox.elements
+                                         if mat_vec_mod(w, rep, modulus) == rep
+                                         and x_preserves(w, pos_set))
 
 
 def _assert_orbits(orbits, acting):
