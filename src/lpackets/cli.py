@@ -96,12 +96,13 @@ def cmd_compare(args) -> int:
 
 def cmd_cells(args) -> int:
     from .strata import _standalone
-    if args.type not in _TABLES and args.type != "A1xA1":
+    cell_type = "B2" if args.type == "C2" else args.type   # B2's Weyl group
+    if cell_type not in _TABLES and cell_type != "A1xA1":
         known = sorted(set(_TABLES) | {"A1xA1"})
         raise ConfigError(f"no cell data for type {args.type!r}; known: "
                           f"{', '.join(known)}")
-    cox, part = _standalone(args.type)
-    families = family_groups(args.type) if args.type in _TABLES else None
+    cox, part = _standalone(cell_type)
+    families = family_groups(cell_type) if cell_type in _TABLES else None
     rows = []
     for ci, cell in enumerate(part.two_sided_cells):
         cid = part.cell_id(ci)

@@ -386,10 +386,9 @@ def cells(kl: KLTable) -> CellPartition:
 
 
 def cell_action(part: CellPartition, m_y: Matrix):
-    """Permutations induced by conjugation with a normalizing lattice map.
-
-    Returns (element_perm, cell_perm); raises if the map does not normalize
-    the group or shuffles elements across cell boundaries.
+    """The permutation of two-sided cells induced by conjugation with a
+    normalizing lattice map; raises if the map does not normalize the group
+    or shuffles elements across cell boundaries.
     """
     cox = part.cox
     m_inv = mat_inv_unimodular(m_y)
@@ -399,11 +398,10 @@ def cell_action(part: CellPartition, m_y: Matrix):
         if img not in cox.index:
             raise InvariantError("matrix does not normalize the reflection group")
         elem_perm.append(cox.index[img])
-    k = len(part.two_sided_cells)
-    cell_perm = [None] * k
-    for ci, cell in enumerate(part.two_sided_cells):
+    cell_perm = []
+    for cell in part.two_sided_cells:
         images = {part.cell_of[elem_perm[i]] for i in cell}
         if len(images) != 1:
             raise InvariantError("conjugation does not permute the cells")
-        cell_perm[ci] = images.pop()
-    return tuple(elem_perm), tuple(cell_perm)
+        cell_perm.append(images.pop())
+    return tuple(cell_perm)

@@ -15,7 +15,10 @@ some elements generate, with its right Cayley tables, or any set closed
 under right multiplication), ``strong_components``
 (of a small digraph) and ``table_group`` (the multiplication table of a
 closed set) are the package's one orbit loop, closure loop, component loop
-and table loop.
+and table loop.  ``FiniteGroup.twisted_images`` (the images b x f(b)^-1 of
+x over every b) is the one formula of twisted conjugation: twisted classes
+and twisted centralizers both read it, and a pipeline that acts by twisted
+conjugation on part of a group walks ``orbits`` of it.
 
 ``Packet`` and ``Stratum`` are the one record both counting pipelines emit
 and the reports render: each pipeline counts its packets on its own groups,
@@ -265,15 +268,18 @@ class FiniteGroup:
         """
         if not self.is_automorphism(f):
             raise ValueError("twist is not an automorphism")
-        t, inv = self.table, self.inverse
-        everything = range(self.order)
         return [tuple(sorted(set(imgs))) for _, imgs in orbits(
-            everything, lambda x: [t[t[b][x]][inv[f[b]]] for b in everything])]
+            range(self.order), lambda x: self.twisted_images(x, f))]
+
+    def twisted_images(self, x: int, f) -> list[int]:
+        """b x f(b)^-1 for every b, in index order: the one formula of
+        twisted conjugation."""
+        t, inv = self.table, self.inverse
+        return [t[t[b][x]][inv[f[b]]] for b in range(self.order)]
 
     def twisted_centralizer(self, x: int, f) -> list[int]:
         """Subgroup of b with b x f(b)^-1 = x."""
-        return [b for b in range(self.order)
-                if self.table[self.table[b][x]][self.inverse[f[b]]] == x]
+        return [b for b, y in enumerate(self.twisted_images(x, f)) if y == x]
 
 
 # ---- constructors ---------------------------------------------------------

@@ -3,18 +3,18 @@
 The torsion points of the dual torus are grouped into orbits of the full
 acting group (dual reflections extended by the component group).  At a
 canonical point the stabilizer splits into the reflection group of the
-integral subsystem and a based complement; the strata at that point are
-indexed by orbits of two-sided cells of the integral reflection group
-together with twisted classes of distinguished Frobenius cosets.  Packets
-come from the family group of the cell extended by the stabilizer of the
-cell and coset, through the same twisted-conjugation bookkeeping the dual
-route uses.
+integral subsystem and a based complement Omega.  A stratum at that point
+is one orbit of Omega on the pairs (two-sided cell c of the integral
+reflection group, Frobenius coset b whose distinguished map fixes c), found
+in one ``groups.orbits`` pass.  Its packets are twisted classes of the
+family group of c extended by the pair's stabilizer, walked with
+``groups.FiniteGroup.twisted_images`` as the dual route's are.
 
 This route covers disconnected groups: component matrices act on the torus
 alongside the reflections and enter every stabilizer.
 
 ``stratified_strata`` returns one shared ``groups.Stratum`` per (point,
-cell orbit, coset class), labelled ``{"cell": ..., "beta": ...}``, with one
+orbit of pairs), labelled ``{"cell": ..., "beta": ...}``, with one
 ``groups.Packet`` per twisted class.
 
 Points fall into a few semisimple types.  Each orbit arrives from
@@ -37,7 +37,7 @@ from functools import lru_cache
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
 from .groups import Packet, Stratum, orbits, semidirect, table_group
-from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul
+from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
     SubSystem,
@@ -64,31 +64,21 @@ __all__ = ["semisimple_parameters", "stratified_strata", "stratified_total"]
 # the full acting group on the dual torus
 
 class _Ambient:
-    """Dual reflection group extended by the component matrices."""
+    """Dual reflection group extended by the component matrices: ``elements``
+    lists the acting matrices component-major, each component's coset in
+    reflection-group order."""
 
     def __init__(self, spec: GroupSpec):
         self.dd = dual_datum(spec.datum)
         self.cox = enumerate_weyl(self.dd)
         self.sigma = spec.twist.sigma_x
         self.sigma_inv = mat_inv_unimodular(self.sigma)
-        ident = identity(spec.datum.rank)
-        self.elements: list[tuple[str, Matrix]] = []
-        seen = set()
-        for ci, g in enumerate(spec.components):
-            c = x_action(g)
-            prefix = "" if g == ident else f"c{ci}"
-            for wi, w in enumerate(self.cox.elements):
-                m = mat_mul(c, w)
-                word = self.cox.word_label(wi)
-                if not prefix:
-                    label = word
-                else:
-                    label = prefix if word == "e" else f"{prefix}.{word}"
-                if m in seen:
-                    raise InvariantError(
-                        "component coset collides with the reflection group")
-                seen.add(m)
-                self.elements.append((label, m))
+        self.elements: list[Matrix] = [mat_mul(x_action(g), w)
+                                       for g in spec.components
+                                       for w in self.cox.elements]
+        if len(set(self.elements)) != len(self.elements):
+            raise InvariantError(
+                "component coset collides with the reflection group")
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +89,7 @@ def semisimple_parameters(spec: GroupSpec, amb=None) -> list[TorusOrbit]:
 
     ``amb`` is the spec's acting group, built here when not given."""
     amb = amb or _Ambient(spec)
-    mats = [m for _, m in amb.elements]
-    return stable_point_orbits(spec, amb.cox, mats)
+    return stable_point_orbits(spec, amb.cox, amb.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +143,16 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
 
 class _PointGeometry:
     """Stabilizer, cells, and Frobenius cosets of one semisimple type, built
-    from its type key (see ``rootdata.stable_point_orbits``) alone."""
+    from its type key (see ``rootdata.stable_point_orbits``) alone.
+    Element i of ``omega``, labelled by its acting index, moves cells by
+    ``cell_perm[i]``, cosets by ``ad[i]`` and factors by ``omega_perms[i]``;
+    coset b's Frobenius map moves cells by ``beta_cell_perm[b]`` and factors
+    by ``beta_perms[b]``."""
 
     def __init__(self, amb: _Ambient, key: tuple):
         positions, stab_idx, witness = key
         if witness is None:
             raise InvariantError("point enumerated without a Frobenius witness")
-        self.amb = amb
         dd = amb.dd
         self.sub = centralizer_subdatum(dd, positions)
         self.sub_cox = enumerate_weyl(self.sub.as_datum())
@@ -169,16 +161,18 @@ class _PointGeometry:
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
 
         stab = [amb.elements[i] for i in stab_idx]
-        omega = [(lab, m) for lab, m in stab if self._based(m)]
-        if len(stab) != len(omega) * self.sub_cox.order:
+        omega_idx = [i for i in stab_idx if self._based(amb.elements[i])]
+        if len(stab) != len(omega_idx) * self.sub_cox.order:
             raise InvariantError(
                 "stabilizer does not split over the integral reflection group")
         try:
-            self.omega = table_group([m for _, m in omega], mat_mul,
-                                     [lab for lab, _ in omega])
+            self.omega = table_group([amb.elements[i] for i in omega_idx],
+                                     mat_mul, omega_idx)
         except ValueError:
             raise InvariantError("based stabilizer complement is not closed") from None
-        self.cell_perm = [cell_action(self.part, m)[1] for m in self.omega.elements]
+        self.cell_perm = [cell_action(self.part, m) for m in self.omega.elements]
+        self.omega_perms = [factor_permutation(self.sub, m)
+                            for m in self.omega.elements]
 
         # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0 for
         # w0 the witness's inverse, listed in reflection-group order and
@@ -186,7 +180,7 @@ class _PointGeometry:
         cox = amb.cox
         w0 = cox.elements[cox.inverse[witness]]
         sprime = [cox.elements[j] for j in sorted(
-            cox.index[mat_mul(m, w0)] for _, m in stab if m in cox.index)]
+            cox.index[mat_mul(m, w0)] for m in stab if m in cox.index)]
         sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
         self.coset_of: dict = {}
@@ -213,9 +207,10 @@ class _PointGeometry:
                 row.append(self.coset_of[img])
             self.ad.append(row)
 
-        # cell permutation of each distinguished Frobenius map
-        self.beta_cell_perm = [cell_action(self.part, mat_mul(w, amb.sigma))[1]
-                               for w in self.coset_reps]
+        # cell and factor permutations of each distinguished Frobenius map
+        betas = [mat_mul(w, amb.sigma) for w in self.coset_reps]
+        self.beta_cell_perm = [cell_action(self.part, m) for m in betas]
+        self.beta_perms = [factor_permutation(self.sub, m) for m in betas]
 
     def _based(self, m: Matrix) -> bool:
         return x_preserves(m, self.pos_set)
@@ -231,45 +226,44 @@ def _check_factor_cells(geo: _PointGeometry, cell_pos: int, perm) -> None:
             raise InvariantError("cell-preserving map moves a factor cell")
 
 
-def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
-                     omega_sub_idx: list[int], rng=None):
-    """Packets of one stratum: twisted classes of the family group extended
-    by the stabilizer of the cell and coset."""
-    labels = tuple(family_groups(t)[geo.factor_cells[cell_pos][fi]].group_label
+def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
+                     rng=None):
+    """Packets of one stratum.  With G the cell's family group, Omega_b the
+    pair's stabilizer ``stab``, tau the coset's Frobenius action and
+    f = (tau, id) on E = G x| Omega_b: (h, v)(g, 1)f(h, v)^-1 =
+    (h v(g) tau(h)^-1, 1), so they are the f-twisted classes of E inside G.
+    f is an automorphism as tau commutes with Omega_b, which is checked."""
+    labels = tuple(family_groups(t)[geo.factor_cells[cell][fi]].group_label
                    for fi, t in enumerate(geo.sub.factor_types))
     g_group = assemble_product_group(labels)
 
-    m_beta = mat_mul(geo.coset_reps[beta_idx], geo.amb.sigma)
-    tau_fp = factor_permutation(geo.sub, m_beta)
-    _check_factor_cells(geo, cell_pos, tau_fp)
+    tau_fp = geo.beta_perms[beta]
+    _check_factor_cells(geo, cell, tau_fp)
     tau = induced_automorphism(g_group, labels, tau_fp)
 
-    omega_sub = geo.omega.subgroup(omega_sub_idx)
+    omega_sub = geo.omega.subgroup(stab)
     acts = []
     for oi in omega_sub.elements:
-        fp = factor_permutation(geo.sub, geo.omega.elements[oi])
-        _check_factor_cells(geo, cell_pos, fp)
-        if tuple(fp[tau_fp[i]] for i in range(len(fp))) != \
-                tuple(tau_fp[fp[i]] for i in range(len(fp))):
+        fp = geo.omega_perms[oi]
+        _check_factor_cells(geo, cell, fp)
+        if tuple(fp[i] for i in tau_fp) != tuple(tau_fp[i] for i in fp):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
         acts.append(induced_automorphism(g_group, labels, fp))
 
     ext = semidirect(g_group, omega_sub, acts)
-
-    def act(p: int, g: int) -> int:
-        h, v = ext.elements[p]
-        return g_group.mul(h, g_group.mul(acts[v][g],
-                                          g_group.inverse[tau[h]]))
-
-    order = list(range(g_group.order))
+    f = [ext.index[(tau[h], v)] for h, v in ext.elements]
+    inside = [ext.index[(g, omega_sub.identity)] for g in range(g_group.order)]
     if rng is not None:
-        rng.shuffle(order)
+        rng.shuffle(inside)
+
+    def g_label(x: int) -> str:
+        return g_group.labels[ext.elements[x][0]]
+
     packets = []
-    for _, imgs in orbits(order, lambda g: [act(p, g) for p in range(ext.order)]):
-        x = min(imgs, key=lambda i: g_group.labels[i])
-        stab = [p for p in range(ext.order) if act(p, x) == x]
-        cz = ext.subgroup(stab)
-        packets.append(Packet(g_group.labels[x], cz.class_count(),
+    for _, imgs in orbits(inside, lambda x: ext.twisted_images(x, f)):
+        x = min(imgs, key=g_label)
+        cz = ext.subgroup(ext.twisted_centralizer(x, f))
+        packets.append(Packet(g_label(x), cz.class_count(),
                               group_structure_label(cz)))
     packets.sort(key=lambda p: p.x_label)
     desc = group_structure_label(g_group)
@@ -283,34 +277,27 @@ def _stratum_packets(geo: _PointGeometry, cell_pos: int, beta_idx: int,
 
 def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
-    each orbit of the type gets relabelled copies."""
+    each orbit of the type gets relabelled copies.  Pairs are listed
+    c-major, so each orbit's first-seen pair is its least."""
     geo = _PointGeometry(amb, key)
-    k = len(geo.part.two_sided_cells)
+    pairs = [(c, b) for c in range(len(geo.part.two_sided_cells))
+             for b, perm in enumerate(geo.beta_cell_perm) if perm[c] == c]
+    pair_set = set(pairs)
+    moves = list(zip(geo.cell_perm, geo.ad))
     strata = []
-
-    # orbits of cells under the based complement
-    for _, imgs in orbits(range(k), lambda c: [perm[c] for perm in geo.cell_perm]):
-        members = sorted(set(imgs))
-        rep_cell = members[0]
-        cell_label = "+".join(geo.part.cell_id(c) for c in members)
-
-        omega_stab = [oi for oi in range(geo.omega.order)
-                      if geo.cell_perm[oi][rep_cell] == rep_cell]
-        stable = [bi for bi in range(len(geo.coset_reps))
-                  if geo.beta_cell_perm[bi][rep_cell] == rep_cell]
-
-        for _, imgs in orbits(stable, lambda b: [geo.ad[oi][b] for oi in omega_stab]):
-            if not set(stable).issuperset(imgs):
-                raise InvariantError(
-                    "twisted conjugation leaves the stable cosets")
-            bi = min(imgs)
-            stab_idx = [oi for oi in omega_stab if geo.ad[oi][bi] == bi]
-            packets, desc = _stratum_packets(geo, rep_cell, bi, stab_idx,
-                                             rng=rng)
-            beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[bi]])
-            strata.append(Stratum(ss_label="",
-                                  labels={"cell": cell_label, "beta": beta_label},
-                                  group_desc=desc, packets=packets))
+    for pair, imgs in orbits(pairs, lambda p: [(cp[p[0]], ad[p[1]])
+                                               for cp, ad in moves]):
+        if not pair_set.issuperset(imgs):
+            raise InvariantError("twisted conjugation leaves the stable cosets")
+        cell, beta = pair
+        stab = [oi for oi, img in enumerate(imgs) if img == pair]
+        packets, desc = _stratum_packets(geo, cell, beta, stab, rng=rng)
+        cell_label = "+".join(geo.part.cell_id(c)
+                              for c in sorted({c for c, _ in imgs}))
+        beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[beta]])
+        strata.append(Stratum(ss_label="",
+                              labels={"cell": cell_label, "beta": beta_label},
+                              group_desc=desc, packets=packets))
     return strata
 
 

@@ -101,6 +101,18 @@ def test_cells_subcommand(capsys):
     assert fams == ["1", "1", "S3"]
 
 
+def test_cells_reads_c2_as_b2(capsys):
+    # C2 is B2's alias everywhere, the cells subcommand included
+    code, out, _ = run(capsys, ["cells", "--type", "C2", "--json"])
+    assert code == 0
+    c2 = json.loads(out)
+    code, out, _ = run(capsys, ["cells", "--type", "B2", "--json"])
+    b2 = json.loads(out)
+    assert c2["type"] == "C2"
+    assert {**c2, "type": "B2"} == b2
+    assert sorted(c["family"] for c in c2["cells"]) == ["1", "1", "Z2"]
+
+
 def test_tables_subcommand(capsys):
     code, out, _ = run(capsys, ["tables", "--json"])
     assert code == 0

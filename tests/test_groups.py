@@ -138,6 +138,52 @@ def test_twisted_centralizer():
     assert len(fixed) == 2
 
 
+def test_twisted_images_follow_the_definition():
+    s3 = symmetric(3)
+    t = next(x for x in range(6) if s3.element_order(x) == 2)
+    f = [s3.mul(s3.mul(t, x), t) for x in range(6)]
+    assert s3.is_automorphism(f) and f != list(range(6))
+    for x in range(6):
+        images = s3.twisted_images(x, f)
+        assert images == [s3.mul(s3.mul(b, x), s3.inv(f[b])) for b in range(6)]
+        assert s3.twisted_centralizer(x, f) == [b for b in range(6)
+                                                if images[b] == x]
+        assert tuple(sorted(set(images))) in s3.twisted_orbits(f)
+
+
+@pytest.mark.parametrize("factor", ["S3", "Z2"])
+@pytest.mark.parametrize("omega_order", [1, 2])
+@pytest.mark.parametrize("tau_swaps", [False, True])
+def test_twisted_classes_inside_a_semidirect_product(factor, omega_order,
+                                                     tau_swaps):
+    # On E = G x| Omega with f = (tau, id), twisted conjugation of (g, 1)
+    # by (h, v) gives (h v(g) tau(h)^-1, 1): the f-twisted classes of E
+    # inside G are the orbits of that action, with the same stabilizers.
+    s = symmetric(3) if factor == "S3" else cyclic(2)
+    g = direct_product([s, s])
+    ident = list(range(g.order))
+    swap = [g.index[b, a] for a, b in g.elements]
+    acts = [ident, swap][:omega_order]
+    tau = swap if tau_swaps else ident
+    e = semidirect(g, cyclic(omega_order), acts)
+    f = [e.index[tau[h], v] for h, v in e.elements]
+    assert e.is_automorphism(f)
+
+    def moved(h, v, x):
+        return g.table[g.table[h][acts[v][x]]][g.inverse[tau[h]]]
+
+    brute = {x: {(h, v): moved(h, v, x) for h in range(g.order)
+                 for v in range(omega_order)} for x in range(g.order)}
+    inside = [e.index[x, 0] for x in range(g.order)]
+    found = orbits(inside, lambda x: e.twisted_images(x, f))
+    assert {frozenset(e.elements[y][0] for y in imgs) for _, imgs in found} \
+        == {frozenset(brute[x].values()) for x in range(g.order)}
+    for x in range(g.order):
+        centralizer = e.twisted_centralizer(e.index[x, 0], f)
+        assert sorted(e.elements[b] for b in centralizer) == \
+            sorted(b for b, y in brute[x].items() if y == x)
+
+
 def test_is_automorphism_rejects_non_morphism():
     c4 = cyclic(4)
     assert not c4.is_automorphism([0, 2, 1, 3])

@@ -456,3 +456,28 @@ def test_group_built_outside_table_group_is_caught():
               "        return groups.FiniteGroup(f(FiniteGroup(1)))\n")
     assert group_builders({"m": source}) == [
         "m.<module>", "m.K.make", "m.K.make", "m.table_group"]
+
+
+def table_reads(source):
+    """``(line, attribute)`` for every read of a ``.table`` or ``.mul``."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ("table", "mul"))
+
+
+# the pipelines multiply group elements only through ``groups`` (its
+# twisted images, classes, subgroups and products), never by table lookups
+@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
+def test_pipelines_multiply_only_through_groups(name):
+    assert table_reads((SRC / name).read_text()) == []
+
+
+def test_table_read_is_caught():
+    source = ("def act(g, h, x):\n"
+              "    y = g.mul(h, x)\n"
+              "    t = g.table\n"
+              "    mul = table = None\n"
+              "    return t[y][x], mul, table, g.inverse, g.tables\n"
+              "z = groups.FiniteGroup.mul\n")
+    assert table_reads(source) == [(2, "mul"), (3, "table"), (6, "mul")]

@@ -63,7 +63,7 @@ def _key_by_scan(spec, cox, acting, orbit):
 
 
 def _stratified_key_by_scan(spec, amb, ss):
-    return _key_by_scan(spec, amb.cox, [m for _, m in amb.elements], ss)
+    return _key_by_scan(spec, amb.cox, amb.elements, ss)
 
 
 def _spectral_key_by_scan(spec, cox, ssc):
@@ -123,7 +123,7 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
             geos[ss.key] = strata._PointGeometry(amb, ss.key)
         geo = geos[ss.key]
         rep, modulus = ss.rep, ss.modulus
-        stab = [m for _, m in amb.elements if mat_vec_mod(m, rep, modulus) == rep]
+        stab = [m for m in amb.elements if mat_vec_mod(m, rep, modulus) == rep]
         assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
         target = _frobenius(spec, rep, modulus)
         assert set(geo.coset_of) == {w for w in amb.cox.elements
@@ -174,7 +174,7 @@ def _assert_order_free(spec, orbits, cox, acting, seed):
 def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
     spec = parse_group_spec(_CASES.group_config(label), q=q)
     amb = strata._Ambient(spec)
-    acting = [m for _, m in amb.elements]
+    acting = amb.elements
     orbits = strata.semisimple_parameters(spec, amb=amb)
     _assert_orbits(orbits, acting)
     assert [ss.key for ss in orbits] == \
