@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CoxeterGroup", "KLTable", "CellPartition", "enumerate_weyl", "kl_table",
-    "cells", "cell_action", "poly_eval", "verify_kl_by_inversion",
+    "cells", "cell_action", "verify_kl_by_inversion",
     "reflection_on_y",
 ]
 
@@ -75,10 +75,6 @@ def poly_mul(a, b):
     return poly_trim(out)
 
 
-def poly_eval(a, q):
-    return sum(c * q ** i for i, c in enumerate(a))
-
-
 ONE = (1,)
 
 
@@ -107,14 +103,6 @@ class CoxeterGroup(namedtuple("CoxeterGroup", "datum generators elements words "
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def longest(self) -> int:
-        m = max(self.length)
-        idx = [i for i, l in enumerate(self.length) if l == m]
-        if len(idx) != 1:
-            raise InvariantError("longest element is not unique")
-        return idx[0]
 
     def word_label(self, i: int) -> str:
         w = self.words[i]

@@ -25,6 +25,12 @@ and the reports render: each pipeline counts its packets on its own groups,
 then hands over only labels and sizes.  Like every record in the package,
 they are immutable named tuples: equal fields make equal records, and no
 field can be reassigned.
+
+Two pieces of plumbing both pipelines share live here too, and no counting:
+``strata_by_type`` is the per-type strata table (each semisimple type's
+strata are built once, and every torus orbit of that type gets relabelled
+copies), and ``permuted`` is the factor-permutation move (entry i of a
+per-factor tuple goes to slot perm[i]).
 """
 
 from __future__ import annotations
@@ -60,6 +66,31 @@ class Stratum(namedtuple("Stratum", "ss_label labels group_desc packets")):
         with this one."""
         return Stratum(ss_label, dict(self.labels), self.group_desc,
                        list(self.packets))
+
+
+def strata_by_type(torus_orbits, build) -> list[Stratum]:
+    """The strata over every orbit of ``torus_orbits`` (``TorusOrbit``s), in
+    orbit order.  ``build(key)`` gives the strata of one semisimple type with
+    an empty semisimple label and runs once per ``TorusOrbit.key``; each orbit
+    of that type gets copies under ``orbit.label()``."""
+    by_type: dict[tuple, list[Stratum]] = {}
+    strata = []
+    for orbit in torus_orbits:
+        if orbit.key not in by_type:
+            by_type[orbit.key] = build(orbit.key)
+        label = orbit.label()
+        strata += [st.relabelled(label) for st in by_type[orbit.key]]
+    return strata
+
+
+def permuted(entries, perm) -> tuple:
+    """``entries`` with entry i moved to slot perm[i]: how the factor
+    permutations of ``rootdata.factor_permutation`` move a tuple of
+    per-factor entries, stated once."""
+    out = [None] * len(entries)
+    for target, x in zip(perm, entries):
+        out[target] = x
+    return tuple(out)
 
 
 def orbits(items, images) -> list[tuple]:
@@ -222,9 +253,6 @@ class FiniteGroup:
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
 
-    def inv(self, x: int) -> int:
-        return self.inverse[x]
-
     def element_order(self, x: int) -> int:
         k, y = 1, x
         while y != self.identity:
@@ -248,9 +276,6 @@ class FiniteGroup:
 
     def class_count(self) -> int:
         return len(self.conjugacy_classes())
-
-    def centralizer(self, x: int) -> list[int]:
-        return [g for g in range(self.order) if self.table[g][x] == self.table[x][g]]
 
     # ---- automorphisms and twisted conjugation ---------------------------
 

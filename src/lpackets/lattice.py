@@ -38,12 +38,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def mat_vec_mod(a: Matrix, v: Vector, n: int) -> Vector:
-    """Matrix times vector, entries reduced to [0, n): the action of an
-    integer matrix on a torsion point v / n."""
-    return tuple(sum(map(mul, row, v)) % n for row in a)
-
-
 def det(a: Matrix) -> int:
     """Integer determinant by fraction-free (Bareiss) elimination."""
     n = len(a)

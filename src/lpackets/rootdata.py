@@ -575,7 +575,9 @@ class SubSystem(namedtuple("SubSystem", "ambient root_positions positive_positio
 
 
 def factor_permutation(sub: SubSystem, m_y: Matrix) -> tuple[int, ...]:
-    """Permutation of the subsystem factors induced by a based automorphism."""
+    """Permutation of the subsystem factors induced by a based automorphism:
+    factor i goes to factor out[i], so ``groups.permuted`` moves a tuple of
+    per-factor entries by it."""
     sp = sub.simple_permutation(m_y)
     k = len(sub.factors)
     out = [None] * k
@@ -668,10 +670,6 @@ class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key")):
     strata from the key and reads nothing else of the orbit but its
     label."""
     __slots__ = ()
-
-    @property
-    def orbit_size(self) -> int:
-        return len(self.orbit)
 
     def label(self) -> str:
         return point_label(self.rep, self.modulus)

@@ -24,10 +24,9 @@ also holds the factor permutation of every pi0 element and of every
 Frobenius candidate c F (c in pi0), so no pair recomputes them.  A special
 class of the centralizer is a tuple of row indices, one per factor, into
 ``springer.special_classes`` of that factor's type; pi0 moves the entries
-between factors.  So two classes with one key have the same strata up to
-their semisimple label.  Within one ``spectral_strata`` call a local table
-builds the geometry and strata once per key, and every class of that key
-gets copies of them under its own semisimple label.
+between factors (``groups.permuted``).  So two classes with one key have
+the same strata up to their semisimple label: ``spectral_strata`` builds
+them once per key through ``groups.strata_by_type``.
 
 Disconnected groups are refused here; the stratified route handles them.
 """
@@ -39,7 +38,7 @@ from itertools import product
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import Packet, Stratum, orbits, semidirect, table_group
+from .groups import Packet, Stratum, orbits, permuted, semidirect, strata_by_type, table_group
 from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
@@ -61,7 +60,7 @@ from .springer import (
 __all__ = [
     "ExtendedComponentGroup", "FiniteLParameter",
     "enumerate_ss_classes", "special_pairs", "extended_group", "mbar",
-    "parameters", "total_count", "spectral_strata", "sl2_wd_convert",
+    "parameters", "spectral_strata", "sl2_wd_convert",
 ]
 
 
@@ -151,14 +150,6 @@ def _positivity_correct(sub: SubSystem, m: Matrix) -> Matrix:
 # ---------------------------------------------------------------------------
 # special pairs
 
-def _moved(rows: tuple[int, ...], perm) -> tuple[int, ...]:
-    """``rows`` with entry i moved to slot perm[i]."""
-    out = [None] * len(rows)
-    for target, r in zip(perm, rows):
-        out[target] = r
-    return tuple(out)
-
-
 def _class_label(geo: _StratumGeometry, rows: tuple[int, ...]) -> str:
     """The special class's labels joined with ",", or "1" on a torus."""
     return ",".join(special_classes(t)[r].class_label
@@ -174,9 +165,9 @@ def special_pairs(geo: _StratumGeometry, rng=None) -> list[tuple[int, ...]]:
         rng.shuffle(tuples)
     f_perm = geo.frobenius[0][1]
     pairs = []
-    for _, imgs in orbits(tuples, lambda t: [_moved(t, p) for p in geo.perms]):
+    for _, imgs in orbits(tuples, lambda t: [permuted(t, p) for p in geo.perms]):
         rep = min(imgs)
-        if _moved(rep, f_perm) in imgs:
+        if permuted(rep, f_perm) in imgs:
             pairs.append(rep)
     return sorted(pairs)
 
@@ -188,7 +179,7 @@ def extended_group(geo: _StratumGeometry,
                    pair: tuple[int, ...]) -> ExtendedComponentGroup:
     """The extended component group of a special pair and its Frobenius."""
     def fixes(perm):
-        return _moved(pair, perm) == pair
+        return permuted(pair, perm) == pair
 
     # correct the Frobenius so it fixes the canonical class tuple
     aut, aut_perm = next(((c, p) for c, p in geo.frobenius if fixes(p)),
@@ -267,14 +258,8 @@ def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
 def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     _require_connected(spec)
     cox = enumerate_weyl(dual_datum(spec.datum))
-    by_type: dict[tuple, list[Stratum]] = {}
-    strata = []
-    for ssc in enumerate_ss_classes(spec, cox=cox):
-        if ssc.key not in by_type:
-            by_type[ssc.key] = _class_strata(spec, ssc.key, cox, rng=rng)
-        label = ssc.label()
-        strata += [st.relabelled(label) for st in by_type[ssc.key]]
-    return strata
+    return strata_by_type(enumerate_ss_classes(spec, cox=cox),
+                          lambda key: _class_strata(spec, key, cox, rng=rng))
 
 
 def parameters(spec: GroupSpec, rng=None) -> list[FiniteLParameter]:
@@ -291,10 +276,6 @@ def parameters(spec: GroupSpec, rng=None) -> list[FiniteLParameter]:
                 monodromy_label=st.labels["class"],
             ))
     return out
-
-
-def total_count(spec: GroupSpec, rng=None) -> int:
-    return sum(st.total for st in spectral_strata(spec, rng=rng))
 
 
 def sl2_wd_convert(param: FiniteLParameter) -> FiniteLParameter:

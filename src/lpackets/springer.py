@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvariantError, UnsupportedTypeError
-from .groups import FiniteGroup, cyclic, direct_product, symmetric
+from .groups import FiniteGroup, cyclic, direct_product, permuted, symmetric
 
 __all__ = [
     "SpecialClassRecord", "FamilyGroupRecord", "special_classes",
@@ -140,8 +140,8 @@ def assemble_product_group(abar_labels) -> FiniteGroup:
 def induced_automorphism(group: FiniteGroup, abar_labels, factor_perm) -> list[int]:
     """Index permutation of ``group``, the product of the component groups
     ``abar_labels`` (``assemble_product_group``), that moves factor i to slot
-    factor_perm[i]: each element tuple has its entries permuted, and the
-    result is looked up in ``group.index``.
+    factor_perm[i]: each element tuple is moved by ``groups.permuted``, and
+    the result is looked up in ``group.index``.
 
     Diagram automorphisms inside a factor act trivially on every tabulated
     component group, so a factor permutation is the entire action.
@@ -152,5 +152,4 @@ def induced_automorphism(group: FiniteGroup, abar_labels, factor_perm) -> list[i
     for i in range(k):
         if abar_labels[i] != abar_labels[factor_perm[i]]:
             raise InvariantError("factor permutation between different component groups")
-    source = sorted(range(k), key=factor_perm.__getitem__)
-    return [group.index[tuple(x[i] for i in source)] for x in group.elements]
+    return [group.index[permuted(x, factor_perm)] for x in group.elements]

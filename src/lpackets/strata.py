@@ -24,10 +24,9 @@ witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the key
 and no point: the centralizer subsystem comes from the integral positions,
 the based complement from the stabilizer, and the Frobenius solutions, the
 w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's inverse.  So two
-orbits with one key have the same strata up to their semisimple label.
-Within one ``stratified_strata`` call a local table builds the geometry and
-strata once per key, and every orbit of that key gets copies of them under
-its own semisimple label.
+orbits with one key have the same strata up to their semisimple label:
+``stratified_strata`` builds them once per key through
+``groups.strata_by_type``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
-from .groups import Packet, Stratum, orbits, semidirect, table_group
+from .groups import Packet, Stratum, orbits, permuted, semidirect, strata_by_type, table_group
 from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
@@ -57,7 +56,7 @@ from .springer import (
     induced_automorphism,
 )
 
-__all__ = ["semisimple_parameters", "stratified_strata", "stratified_total"]
+__all__ = ["semisimple_parameters", "stratified_strata"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +220,8 @@ class _PointGeometry:
 
 def _check_factor_cells(geo: _PointGeometry, cell_pos: int, perm) -> None:
     ids = geo.factor_cells[cell_pos]
-    for fi, target in enumerate(perm):
-        if ids[target] != ids[fi]:
-            raise InvariantError("cell-preserving map moves a factor cell")
+    if permuted(ids, perm) != ids:
+        raise InvariantError("cell-preserving map moves a factor cell")
 
 
 def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
@@ -303,15 +301,5 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
 
 def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     amb = _Ambient(spec)
-    by_type: dict[tuple, list[Stratum]] = {}
-    strata = []
-    for ss in semisimple_parameters(spec, amb=amb):
-        if ss.key not in by_type:
-            by_type[ss.key] = _point_strata(amb, ss.key, rng=rng)
-        label = ss.label()
-        strata += [st.relabelled(label) for st in by_type[ss.key]]
-    return strata
-
-
-def stratified_total(spec: GroupSpec, rng=None) -> int:
-    return sum(st.total for st in stratified_strata(spec, rng=rng))
+    return strata_by_type(semisimple_parameters(spec, amb=amb),
+                          lambda key: _point_strata(amb, key, rng=rng))

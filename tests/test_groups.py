@@ -5,16 +5,21 @@ from hypothesis import strategies as st
 from lpackets.errors import InvariantError
 from lpackets.groups import (
     CLOSURE_BLOCK,
+    Packet,
+    Stratum,
     closure,
     cyclic,
     direct_product,
     from_permutations,
     orbits,
+    permuted,
     semidirect,
+    strata_by_type,
     strong_components,
     symmetric,
     table_group,
 )
+from lpackets.rootdata import TorusOrbit
 
 
 def test_trivial_and_cyclic():
@@ -26,7 +31,7 @@ def test_trivial_and_cyclic():
     assert c4.is_abelian()
     assert c4.class_count() == 4
     assert c4.element_order(1) == 4
-    assert c4.inv(1) == 3
+    assert c4.inverse[1] == 3
 
 
 def test_symmetric_group_classes():
@@ -95,7 +100,7 @@ def test_direct_product_of_no_or_three_factors():
 def test_semidirect_builds_dihedral():
     c3 = cyclic(3)
     c2 = cyclic(2)
-    inv_auto = [c3.inv(x) for x in range(3)]
+    inv_auto = [c3.inverse[x] for x in range(3)]
 
     s3 = semidirect(c3, c2, [list(range(3)), inv_auto])
     assert s3.elements == ((0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1))
@@ -109,7 +114,7 @@ def test_semidirect_builds_dihedral():
 def test_subgroup_and_centralizer():
     s3 = symmetric(3)
     transposition = next(x for x in range(6) if s3.element_order(x) == 2)
-    cz = s3.subgroup(s3.centralizer(transposition))
+    cz = s3.subgroup(s3.twisted_centralizer(transposition, range(6)))
     assert cz.order == 2
     assert cz.class_count() == 2
 
@@ -145,7 +150,7 @@ def test_twisted_images_follow_the_definition():
     assert s3.is_automorphism(f) and f != list(range(6))
     for x in range(6):
         images = s3.twisted_images(x, f)
-        assert images == [s3.mul(s3.mul(b, x), s3.inv(f[b])) for b in range(6)]
+        assert images == [s3.mul(s3.mul(b, x), s3.inverse[f[b]]) for b in range(6)]
         assert s3.twisted_centralizer(x, f) == [b for b in range(6)
                                                 if images[b] == x]
         assert tuple(sorted(set(images))) in s3.twisted_orbits(f)
@@ -191,7 +196,7 @@ def test_is_automorphism_rejects_non_morphism():
 
 def test_orbits_of_conjugation_on_s3():
     s3 = symmetric(3)
-    got = orbits(range(6), lambda y: [s3.mul(s3.mul(x, y), s3.inv(x))
+    got = orbits(range(6), lambda y: [s3.mul(s3.mul(x, y), s3.inverse[x])
                                       for x in range(6)])
     assert [first for first, _ in got] == [0, 1, 3]
     sets = [set(imgs) for _, imgs in got]
@@ -332,3 +337,27 @@ def test_table_group_keeps_order_and_labels():
 def test_table_group_rejects_a_set_that_is_not_closed():
     with pytest.raises(ValueError, match="not closed"):
         table_group([0, 1, 2], lambda a, b: (a + b) % 4, ["e", "x", "y"])
+
+
+def test_permuted_moves_entry_i_to_slot_perm_i():
+    assert permuted(("a", "b", "c"), (2, 0, 1)) == ("b", "c", "a")
+    assert permuted((), ()) == ()
+
+
+def test_strata_by_type_builds_each_type_once():
+    # three orbits of two types: the first type is built once and its strata
+    # are copied, under each orbit's label, in orbit order
+    torus_orbits = [TorusOrbit((0,), ((0,),), 2, "k1"),
+                    TorusOrbit((1,), ((1,),), 2, "k2"),
+                    TorusOrbit((1,), ((1,), (3,)), 4, "k1")]
+    built = []
+
+    def build(key):
+        built.append(key)
+        return [Stratum("", {"key": key}, "1", [Packet("e", 1, "1")])]
+
+    strata = strata_by_type(torus_orbits, build)
+    assert built == ["k1", "k2"]
+    assert [(st.ss_label, st.labels["key"]) for st in strata] == [
+        ("(0)", "k1"), ("(1/2)", "k2"), ("(1/4)", "k1")]
+    assert strata[0].packets is not strata[2].packets

@@ -278,11 +278,12 @@ def test_default_never_passed_is_caught():
 
 
 def referenced_names(node):
-    """Every name a node reads, as a bare name, an attribute or an import."""
+    """Every name a node reads, as a bare name, an attribute or an import;
+    an assignment target is not a read."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             yield n.id
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             yield n.attr
         elif isinstance(n, ast.ImportFrom):
             yield from (alias.name for alias in n.names)
@@ -327,6 +328,89 @@ def test_unreferenced_private_helper_is_caught():
          "from . import a\n"
          "f = a._by_attribute\n")
     assert unreferenced_private({"a": a, "b": b}) == ["a._Unused", "a._recursive"]
+
+
+def defined_names(node):
+    """The names a ``def``, ``class`` or plain assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return {node.target.id}
+    return set()
+
+
+def unread_public(sources):
+    """``module.name`` for every public module-level function, class or
+    constant (``__version__`` too, not ``__all__``), and
+    ``module.Class.name`` for every public method or property, that no
+    module reads outside its own definition.  Reads are matched by name, as
+    ``referenced_names`` yields them, so the strings of ``__all__`` are not
+    reads."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = defined_names(node)
+            defined += [(module, name) for name in own if name != "__all__"
+                        and (not name.startswith("_") or name.endswith("__"))]
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = node.body + node.bases + node.keywords + node.decorator_list
+                defined += [(f"{module}.{node.name}", m.name) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not m.name.startswith("_")]
+            for part in parts:
+                used |= set(referenced_names(part)) - own - defined_names(part)
+    return sorted(f"{where}.{name}" for where, name in defined if name not in used)
+
+
+# the API the package promises beyond what its own modules read
+PUBLIC_API = {
+    "__init__.__version__": "the installed version, for users and packaging",
+    "spectral.parameters": "acceptance criterion 8 lists parameters in both "
+                           "normal forms",
+    "spectral.sl2_wd_convert": "acceptance criterion 8: the normal-form "
+                               "involution",
+    "coxeter.verify_kl_by_inversion": "the independent reference the KL tests "
+                                      "compare the recursion against",
+}
+
+
+def test_every_public_name_has_a_reader():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unread_public(sources) == sorted(PUBLIC_API)
+
+
+def test_unread_public_name_is_caught():
+    a = ("__version__ = '1'\n"
+         "__all__ = ['unread', 'LIMIT']\n"
+         "LIMIT = 3\n"
+         "UNUSED: int = 2\n"
+         "def unread():\n"
+         "    return LIMIT\n"
+         "def recursive(n):\n"
+         "    return recursive(n - 1)\n"
+         "def stored():\n"
+         "    pass\n"
+         "def _private():\n"
+         "    pass\n"
+         "class K:\n"
+         "    def __len__(self):\n"
+         "        return 0\n"
+         "    def used(self):\n"
+         "        return self.helper()\n"
+         "    def helper(self):\n"
+         "        return K()\n"
+         "    @property\n"
+         "    def size(self):\n"
+         "        return self.size\n")
+    b = ("from .a import K\n"
+         "stored = 1\n"
+         "print(K().used)\n")
+    assert unread_public({"a": a, "b": b}) == [
+        "a.K.size", "a.UNUSED", "a.__version__", "a.recursive", "a.stored",
+        "a.unread", "b.stored"]
 
 
 CACHE_NAMES = {"lru_cache", "cache"}

@@ -11,11 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from lpackets.coxeter import enumerate_weyl
 from lpackets.errors import ConfigError, LPacketsError
 from lpackets.fq import prime_power
-from lpackets.rootdata import NAMED_SPECS, parse_group_spec
-from lpackets.spectral import total_count as spectral_total
-from lpackets.strata import stratified_strata, stratified_total
+from lpackets.lattice import det, mat_mul
+from lpackets.report import spectral_report, stratified_report
+from lpackets.rootdata import NAMED_SPECS, dual_datum, parse_group_spec
+from lpackets.spectral import enumerate_ss_classes
+from lpackets.strata import stratified_strata
 
 CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
 
@@ -43,9 +46,9 @@ PRIME_POWERS = [q for q in range(2, 33) if is_prime_power(q)]
 
 def totals(spec):
     """The total of every pipeline that takes the spec."""
-    out = [stratified_total(spec)]
+    out = [stratified_report(spec).total]
     if spec.connected:
-        out.append(spectral_total(spec))
+        out.append(spectral_report(spec).total)
     return out
 
 
@@ -64,6 +67,46 @@ def test_totals_match_reference_class_numbers(name):
             continue
         got = totals(spec)
         assert got == [ref] * len(got), (name, q)
+        checked += 1
+    assert checked
+
+
+# Identity A: each point s of an F-stable orbit solves (q sigma w - 1) s = 0
+# for exactly |Stab_W(s)| elements w of the dual Weyl group W (its witnesses
+# form one coset of its stabilizer), so the solution counts
+# |det(q sigma w - 1)| sum to |W| times the number of semisimple classes.
+CONNECTED_CONFIGS = {
+    **{name: name for name in ("sl2", "gl2", "pgl2", "gl3", "sp4", "g2",
+                               "torus1")},
+    "su3": {"type": "A2", "isogeny": "sc", "twist": [1, 0]},
+    "pu3": {"type": "A2", "isogeny": "ad", "twist": [1, 0]},
+    "a1xa1-twisted": {"type": "A1xA1", "twist": [1, 0]},
+    "a1+t1": {"type": "A1+T1"},
+}
+IDENTITY_A_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+
+
+@pytest.mark.parametrize("label", sorted(CONNECTED_CONFIGS))
+def test_semisimple_class_count_closed_form(label):
+    # gl3 past q = 9 lists too many points for every test run
+    qmax = 9 if label == "gl3" else 16
+    checked = 0
+    for q in IDENTITY_A_Q:
+        if q > qmax:
+            continue
+        try:
+            spec = parse_group_spec(CONNECTED_CONFIGS[label], q=q)
+        except LPacketsError:
+            continue
+        cox = enumerate_weyl(dual_datum(spec.datum))
+        n = len(spec.twist.sigma_x)
+        solutions = 0
+        for w in cox.elements:
+            m = mat_mul(spec.twist.sigma_x, w)
+            solutions += abs(det([[q * m[i][j] - (i == j) for j in range(n)]
+                                  for i in range(n)]))
+        classes = enumerate_ss_classes(spec, cox=cox)
+        assert len(classes) * cox.order == solutions, (label, q)
         checked += 1
     assert checked
 

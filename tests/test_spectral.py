@@ -3,13 +3,13 @@ import random
 import pytest
 
 from lpackets.errors import PipelineUnavailableError
+from lpackets.report import spectral_report
 from lpackets.rootdata import parse_group_spec
 from lpackets.spectral import (
     enumerate_ss_classes,
     parameters,
     sl2_wd_convert,
     spectral_strata,
-    total_count,
 )
 
 KNOWN_TOTALS = [
@@ -36,12 +36,12 @@ def spec_of(name, q):
 
 @pytest.mark.parametrize("name,q,expected", KNOWN_TOTALS)
 def test_total_counts(name, q, expected):
-    assert total_count(spec_of(name, q)) == expected
+    assert spectral_report(spec_of(name, q)).total == expected
 
 
 def test_disconnected_group_is_rejected():
     with pytest.raises(PipelineUnavailableError):
-        total_count(spec_of("o2", 3))
+        spectral_report(spec_of("o2", 3))
 
 
 def test_sl2_f3_ss_classes():
@@ -49,9 +49,9 @@ def test_sl2_f3_ss_classes():
     labels = [c.label() for c in classes]
     assert labels == ["(0)", "(1/4)", "(1/2)"]
     by_label = {c.label(): c for c in classes}
-    assert by_label["(0)"].orbit_size == 1
-    assert by_label["(1/2)"].orbit_size == 1
-    assert by_label["(1/4)"].orbit_size == 2
+    assert len(by_label["(0)"].orbit) == 1
+    assert len(by_label["(1/2)"].orbit) == 1
+    assert len(by_label["(1/4)"].orbit) == 2
 
 
 def test_sl2_f3_stratum_breakdown():
@@ -97,8 +97,8 @@ def test_g2_f5_unipotent_block():
 
 def test_twisted_a2_totals():
     su3 = {"type": "A2", "isogeny": "sc", "twist": [1, 0]}
-    assert total_count(parse_group_spec(su3, q=2)) == 16
-    assert total_count(parse_group_spec(su3, q=3)) == 14
+    assert spectral_report(parse_group_spec(su3, q=2)).total == 16
+    assert spectral_report(parse_group_spec(su3, q=3)).total == 14
 
 
 @pytest.mark.parametrize("name,q", [("sl2", 3), ("gl2", 3), ("sp4", 3)])
@@ -135,7 +135,7 @@ def test_ss_orbit_sizes_sum_to_solution_points():
     spec = spec_of("gl2", 4)
     q = spec.q
     classes = enumerate_ss_classes(spec)
-    assert sum(c.orbit_size for c in classes) == \
+    assert sum(len(c.orbit) for c in classes) == \
         (q - 1) ** 2 + (q ** 2 - 1) - (q - 1)
     central = (q - 1)
     split_regular = (q - 1) * (q - 2) // 2

@@ -1,18 +1,20 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+from lpackets.groups import Packet, table_group
 from lpackets.oracle import oracle_count
+from lpackets.report import spectral_report, stratified_report
 from lpackets.rootdata import parse_group_spec
 from lpackets.spectral import parameters as spectral_parameters
-from lpackets.spectral import total_count as spectral_total
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
+    _stratum_packets,
     semisimple_parameters,
     stratified_strata,
-    stratified_total,
 )
 
 CONNECTED = [
@@ -38,7 +40,7 @@ def stratified_packets(spec):
 @pytest.mark.parametrize("name,q", CONNECTED)
 def test_agrees_with_spectral_total(name, q):
     spec = spec_of(name, q)
-    assert stratified_total(spec) == spectral_total(spec)
+    assert stratified_report(spec).total == spectral_report(spec).total
 
 
 @pytest.mark.parametrize("name,q", CONNECTED)
@@ -64,7 +66,7 @@ def test_agrees_with_spectral_packet_multiset(name, q):
 @pytest.mark.parametrize("q,expected", [(3, 4), (5, 5), (7, 6), (9, 7)])
 def test_disconnected_orthogonal_total(q, expected):
     spec = spec_of("o2", q)
-    assert stratified_total(spec) == expected
+    assert stratified_report(spec).total == expected
     assert oracle_count("o2", q).class_count == expected
 
 
@@ -99,8 +101,8 @@ def test_twisted_a2_cross_pipeline():
     su3 = {"type": "A2", "isogeny": "sc", "twist": [1, 0]}
     for q, expected in [(2, 16), (3, 14)]:
         spec = parse_group_spec(su3, q=q)
-        assert stratified_total(spec) == expected
-        assert spectral_total(spec) == expected
+        assert stratified_report(spec).total == expected
+        assert spectral_report(spec).total == expected
 
 
 def test_semisimple_parameters_match_spectral_labels():
@@ -142,3 +144,23 @@ def test_beta_classes_cover_frobenius_cosets():
                if o.label() == "(0)"]
     geo = _PointGeometry(amb, orbit.key)
     assert len(geo.coset_reps) == 1
+
+
+def test_frobenius_swap_of_two_b2_factors():
+    # No supported spec has a Frobenius map that moves a factor with a
+    # nontrivial family group (that needs two B2 or G2 factors), so the
+    # geometry is built by hand: two B2 factors in the Z2 family, a trivial
+    # Omega, and a coset whose Frobenius map swaps the factors.  The packets
+    # are then the tau-twisted classes of Z2 x Z2, which are the classes of
+    # Z2 over F_q^2: M(Z2) = 4, criterion 4's B2 block.
+    geo = SimpleNamespace(sub=SimpleNamespace(factor_types=("B2", "B2")),
+                          factor_cells=[("0", "0")],
+                          omega=table_group([0], lambda a, b: 0, ["e"]),
+                          omega_perms=[(0, 1)], beta_perms=[(1, 0)])
+    packets, desc = _stratum_packets(geo, 0, 0, [0])
+    assert packets == [Packet("e*e", 2, "Z2"), Packet("e*g1", 2, "Z2")]
+    assert desc == "Z2xZ2"
+    # a Frobenius map that fixes both factors gives the product block 4^2
+    geo.beta_perms = [(0, 1)]
+    packets, _ = _stratum_packets(geo, 0, 0, [0])
+    assert [(p.size, p.group_label) for p in packets] == [(4, "Z2xZ2")] * 4

@@ -19,7 +19,7 @@ import pytest
 
 from lpackets.coxeter import enumerate_weyl
 from lpackets.errors import InvariantError
-from lpackets.lattice import mat_vec, mat_vec_mod
+from lpackets.lattice import mat_vec
 from lpackets.rootdata import (
     dual_datum,
     parse_group_spec,
@@ -43,6 +43,12 @@ SPECS = sorted({(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]}
                | {("gl3", 5), ("sp4", 5), ("g2", 7)})
 
 
+def _mat_vec_mod(a, v, n):
+    """a v with entries reduced to [0, n): the action of an integer matrix
+    on the torsion point v / n."""
+    return tuple(x % n for x in mat_vec(a, v))
+
+
 def _frobenius(spec, rep, modulus):
     return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, rep))
 
@@ -55,10 +61,10 @@ def _key_by_scan(spec, cox, acting, orbit):
     integral = tuple(i for i, r in enumerate(cox.datum.roots)
                      if sum(a * b for a, b in zip(r, rep)) % modulus == 0)
     stab = tuple(i for i, g in enumerate(acting)
-                 if mat_vec_mod(g, rep, modulus) == rep)
+                 if _mat_vec_mod(g, rep, modulus) == rep)
     target = _frobenius(spec, rep, modulus)
     witness = next((i for i, w in enumerate(cox.elements)
-                    if mat_vec_mod(w, rep, modulus) == target), None)
+                    if _mat_vec_mod(w, rep, modulus) == target), None)
     return integral, stab, witness
 
 
@@ -123,11 +129,11 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
             geos[ss.key] = strata._PointGeometry(amb, ss.key)
         geo = geos[ss.key]
         rep, modulus = ss.rep, ss.modulus
-        stab = [m for m in amb.elements if mat_vec_mod(m, rep, modulus) == rep]
+        stab = [m for m in amb.elements if _mat_vec_mod(m, rep, modulus) == rep]
         assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
         target = _frobenius(spec, rep, modulus)
         assert set(geo.coset_of) == {w for w in amb.cox.elements
-                                     if mat_vec_mod(w, target, modulus) == rep}
+                                     if _mat_vec_mod(w, target, modulus) == rep}
     if not spec.connected:
         return
     cox = enumerate_weyl(dual_datum(spec.datum))
@@ -139,7 +145,7 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
         rep, modulus = ssc.rep, ssc.modulus
         pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
         assert geo.pi0.elements == tuple(w for w in cox.elements
-                                         if mat_vec_mod(w, rep, modulus) == rep
+                                         if _mat_vec_mod(w, rep, modulus) == rep
                                          and x_preserves(w, pos_set))
 
 
@@ -147,7 +153,7 @@ def _assert_orbits(orbits, acting):
     # each orbit is the image set of its least point
     for o in orbits:
         assert o.rep == min(o.orbit)
-        assert o.orbit == tuple(sorted({mat_vec_mod(g, o.rep, o.modulus)
+        assert o.orbit == tuple(sorted({_mat_vec_mod(g, o.rep, o.modulus)
                                         for g in acting}))
 
 
