@@ -6,7 +6,9 @@ downstream (cell ids, coset representatives, report labels) is derived from
 those words, which is what makes the output deterministic.
 
 ``enumerate_weyl`` is the package's only builder of a reflection group;
-every other module takes its elements from there.
+every other module takes its elements from there.  It is a ``groups.memo``
+function keyed on the datum, so inside one pipeline call each reflection
+group is built once.
 
 Polynomials live in one variable as integer coefficient tuples.  The cells
 are the strongly connected components (``groups.strong_components``) of the
@@ -20,7 +22,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import InvariantError
-from .groups import closure, strong_components
+from .groups import closure, memo, strong_components
 from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec, transpose
 
 if TYPE_CHECKING:
@@ -117,6 +119,7 @@ class CoxeterGroup(namedtuple("CoxeterGroup", "datum generators elements words "
                 if self.length[self.right[s][i]] < self.length[i]]
 
 
+@memo
 def enumerate_weyl(datum: RootDatum) -> CoxeterGroup:
     """Enumerate the reflection group of the datum with canonical words.
 

@@ -26,17 +26,27 @@ then hands over only labels and sizes.  Like every record in the package,
 they are immutable named tuples: equal fields make equal records, and no
 field can be reassigned.
 
-Two pieces of plumbing both pipelines share live here too, and no counting:
-``strata_by_type`` is the per-type strata table (each semisimple type's
-strata are built once, and every torus orbit of that type gets relabelled
-copies), and ``permuted`` is the factor-permutation move (entry i of a
-per-factor tuple goes to slot perm[i]).
+Three pieces of plumbing both pipelines share live here too, and no
+counting: ``strata_by_type`` is the per-type strata table (each semisimple
+type's strata are built once, and every torus orbit of that type gets
+relabelled copies), ``permuted`` is the factor-permutation move (entry i of
+a per-factor tuple goes to slot perm[i]), and ``call_scope`` with ``memo``
+is the per-call memo.  Each pipeline runs its whole body in one
+``call_scope``; inside it a ``memo`` function (lattice products and
+inverses, reflection groups, integral subsystems, product component groups,
+stratum packets) computes each distinct input once.  The table is dropped
+when the call ends, so no result crosses from one pipeline call to another,
+or to the oracle.  Outside a scope a ``memo`` function runs on every call.
+A ``FiniteGroup`` compares and hashes by value, so a group can be part of a
+memo key.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
+from contextlib import contextmanager
+from functools import wraps
 from itertools import compress, count, permutations, product, repeat
 from operator import is_
 
@@ -66,6 +76,53 @@ class Stratum(namedtuple("Stratum", "ss_label labels group_desc packets")):
         with this one."""
         return Stratum(ss_label, dict(self.labels), self.group_desc,
                        list(self.packets))
+
+
+# The memo table of the pipeline call in progress: None between calls.
+_scope = None
+
+
+@contextmanager
+def call_scope():
+    """One pipeline call's memo table, for ``memo`` functions to fill.  A
+    scope opened inside another shares its table; the outermost scope drops
+    the table on exit, whether the call returned or raised."""
+    global _scope
+    if _scope is not None:
+        yield
+        return
+    _scope = {}
+    try:
+        yield
+    finally:
+        _scope = None
+
+
+def memo(fn):
+    """``fn`` computed once per distinct positional arguments inside a
+    ``call_scope``, and on every call outside one.
+
+    The key is ``(fn, args)``, so every positional argument must be hashable
+    and equal arguments must give equal results.  Keyword arguments (an
+    ``rng`` that only orders a walk) pass through and are not part of the
+    key.  A call that raises stores nothing.  The result is shared by every
+    caller in the scope, so no caller may mutate it.  Each computing call
+    looks the undecorated function up as ``__wrapped__``, where a test can
+    put a spy.
+    """
+    @wraps(fn)
+    def memoized(*args, **kwargs):
+        table = _scope
+        if table is None:
+            return memoized.__wrapped__(*args, **kwargs)
+        key = (fn, args)
+        try:
+            return table[key]
+        except KeyError:
+            pass
+        value = table[key] = memoized.__wrapped__(*args, **kwargs)
+        return value
+    return memoized
 
 
 def strata_by_type(torus_orbits, build) -> list[Stratum]:
@@ -219,7 +276,8 @@ class FiniteGroup:
     products of indices.  The table is checked for an identity, unique
     inverses and distinct labels, and trusted to be associative: every table
     here is built from products of matrices, permutations or groups.  Only
-    ``table_group`` constructs one."""
+    ``table_group`` constructs one.  Two groups with equal elements, labels
+    and table are equal and hash alike, so a group can key a ``memo``."""
     __slots__ = ("elements", "index", "labels", "table", "identity", "inverse")
 
     def __init__(self, elements, index, labels, table):
@@ -245,6 +303,13 @@ class FiniteGroup:
         self.inverse = tuple(inv)
         if len(set(self.labels)) != n:
             raise ValueError("duplicate labels")
+
+    def __eq__(self, other):
+        return (isinstance(other, FiniteGroup) and self.labels == other.labels
+                and self.elements == other.elements and self.table == other.table)
+
+    def __hash__(self):
+        return hash((self.elements, self.labels))
 
     @property
     def order(self) -> int:

@@ -9,6 +9,11 @@ integer order on the vectors is the order of the points.  Both solvers go
 through the integer adjugate: square rational systems as rows @ adj(a) /
 det(a), and the torsion-point solver as the group that the columns of
 adj(a) / det(a) generate.
+
+``mat_mul`` and ``mat_inv_unimodular`` are ``groups.memo`` functions: inside
+one pipeline call each distinct product and inverse is computed once, as
+the reflection groups, stabilizers and Frobenius cosets of one spec repeat
+them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 from operator import add, mul
 
 from .errors import InvariantError
+from .groups import memo
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -29,6 +35,7 @@ def transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a)) if a else ()
 
 
+@memo
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
@@ -87,6 +94,7 @@ def solve_integral(a: Matrix, rows) -> Matrix | None:
     return tuple(tuple(x // d for x in row) for row in scaled)
 
 
+@memo
 def mat_inv_unimodular(a: Matrix) -> Matrix:
     """Inverse of an integer matrix with determinant +-1.
 

@@ -28,7 +28,7 @@ from operator import mul
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import ConfigError, InvariantError, UnsupportedTypeError
 from .fq import prime_power
-from .groups import closure, orbits, strong_components
+from .groups import closure, memo, orbits, strong_components
 from .lattice import (
     Matrix,
     Vector,
@@ -620,10 +620,13 @@ def integral_root_positions(datum: RootDatum, point: Vector,
                  if datum.pairing(r, point) % modulus == 0)
 
 
+@memo
 def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSystem:
     """Subsystem of the roots at ``positions``: the roots integral at a torsion
     point, as ``integral_root_positions`` lists them.  The point itself is not
-    an input, so the subsystem depends on it only through these positions."""
+    an input, so the subsystem depends on it only through these positions,
+    and as a ``groups.memo`` function it is built once per positions in a
+    pipeline call."""
     pos_all = set(datum.positive_indices)
     positive = tuple(i for i in positions if i in pos_all)
     pos_vectors = {datum.roots[i] for i in positive}

@@ -28,6 +28,14 @@ between factors (``groups.permuted``).  So two classes with one key have
 the same strata up to their semisimple label: ``spectral_strata`` builds
 them once per key through ``groups.strata_by_type``.
 
+Types share more than their keys show: many have one integral subsystem,
+and many pairs one extended group.  ``spectral_strata`` runs in one
+``groups.call_scope``, so each reflection group and subsystem, and each
+extended group with its twisted classes (``_extension`` and ``mbar``, keyed
+on the abar labels, the class stabilizer with its factor permutations, and
+the Frobenius's factor permutation and action on the stabilizer), is built
+once per call.
+
 Disconnected groups are refused here; the stratified route handles them.
 """
 
@@ -38,7 +46,17 @@ from itertools import product
 
 from .coxeter import CoxeterGroup, enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
-from .groups import Packet, Stratum, orbits, permuted, semidirect, strata_by_type, table_group
+from .groups import (
+    Packet,
+    Stratum,
+    call_scope,
+    memo,
+    orbits,
+    permuted,
+    semidirect,
+    strata_by_type,
+    table_group,
+)
 from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
@@ -193,17 +211,7 @@ def extended_group(geo: _StratumGeometry,
     except ValueError:
         raise InvariantError("class stabilizer is not closed") from None
 
-    abar_labels = [special_classes(t)[r].abar_label
-                   for t, r in zip(geo.factor_types, pair)]
-    g_group = assemble_product_group(abar_labels)
-
-    acts = [induced_automorphism(g_group, abar_labels, geo.perms[v])
-            for v in s_group.elements]
-    abar = semidirect(g_group, s_group, acts)
-
-    # Frobenius on the connected part: factor permutation; on the stabilizer:
-    # conjugation by the corrected automorphism
-    fg = induced_automorphism(g_group, abar_labels, aut_perm)
+    # Frobenius on the stabilizer: conjugation by the corrected automorphism
     aut_inv = mat_inv_unimodular(aut)
     fs = []
     for v in s_group.elements:
@@ -211,6 +219,25 @@ def extended_group(geo: _StratumGeometry,
         if img not in s_group.index:
             raise InvariantError("Frobenius does not normalize the class stabilizer")
         fs.append(s_group.index[img])
+
+    abar_labels = tuple(special_classes(t)[r].abar_label
+                        for t, r in zip(geo.factor_types, pair))
+    return _extension(abar_labels, s_group,
+                      tuple(geo.perms[v] for v in s_group.elements),
+                      aut_perm, tuple(fs))
+
+
+@memo
+def _extension(abar_labels: tuple[str, ...], s_group, perms, aut_perm,
+               fs) -> ExtendedComponentGroup:
+    """The extended group of ``extended_group``, from the abar labels, the
+    class stabilizer with the factor permutation of each element, and the
+    Frobenius: its factor permutation on the connected part and its action
+    ``fs`` on the stabilizer's indices."""
+    g_group = assemble_product_group(abar_labels)
+    acts = [induced_automorphism(g_group, abar_labels, p) for p in perms]
+    abar = semidirect(g_group, s_group, acts)
+    fg = induced_automorphism(g_group, abar_labels, aut_perm)
     f_action = tuple(abar.index[fg[g], fs[v]] for g, v in abar.elements)
     if not abar.is_automorphism(f_action):
         raise InvariantError("Frobenius is not an automorphism of the extended group")
@@ -223,8 +250,10 @@ def extended_group(geo: _StratumGeometry,
 # ---------------------------------------------------------------------------
 # twisted classes of the extended group
 
-def mbar(ext: ExtendedComponentGroup) -> list[Packet]:
-    """Twisted-conjugation classes of the extended group, with packet sizes."""
+@memo
+def mbar(ext: ExtendedComponentGroup) -> tuple[Packet, ...]:
+    """Twisted-conjugation classes of the extended group, with packet sizes,
+    sorted by label."""
     abar = ext.abar
     f = ext.f_action
     out = []
@@ -234,7 +263,7 @@ def mbar(ext: ExtendedComponentGroup) -> list[Packet]:
         out.append(Packet(abar.labels[x], cz.class_count(),
                           group_structure_label(cz)))
     out.sort(key=lambda p: p.x_label)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +280,16 @@ def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
         strata.append(Stratum(ss_label="",
                               labels={"class": _class_label(geo, pair)},
                               group_desc=ext.description,
-                              packets=mbar(ext)))
+                              packets=list(mbar(ext))))
     return strata
 
 
 def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
-    _require_connected(spec)
-    cox = enumerate_weyl(dual_datum(spec.datum))
-    return strata_by_type(enumerate_ss_classes(spec, cox=cox),
-                          lambda key: _class_strata(spec, key, cox, rng=rng))
+    with call_scope():
+        _require_connected(spec)
+        cox = enumerate_weyl(dual_datum(spec.datum))
+        return strata_by_type(enumerate_ss_classes(spec, cox=cox),
+                              lambda key: _class_strata(spec, key, cox, rng=rng))
 
 
 def parameters(spec: GroupSpec, rng=None) -> list[FiniteLParameter]:

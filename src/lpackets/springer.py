@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import InvariantError, UnsupportedTypeError
-from .groups import FiniteGroup, cyclic, direct_product, permuted, symmetric
+from .groups import FiniteGroup, cyclic, direct_product, memo, permuted, symmetric
 
 __all__ = [
     "SpecialClassRecord", "FamilyGroupRecord", "special_classes",
@@ -131,13 +131,17 @@ def group_structure_label(g: FiniteGroup) -> str:
     return f"{'ab' if g.is_abelian() else 'nonab'}{n}"
 
 
-def assemble_product_group(abar_labels) -> FiniteGroup:
+@memo
+def assemble_product_group(abar_labels: tuple[str, ...]) -> FiniteGroup:
     """Direct product of the factor component groups ('1' factors included):
-    its elements are the tuples of factor indices."""
+    its elements are the tuples of factor indices.  A ``groups.memo``
+    function, so ``abar_labels`` is a tuple."""
     return direct_product([abar_group(l) for l in abar_labels])
 
 
-def induced_automorphism(group: FiniteGroup, abar_labels, factor_perm) -> list[int]:
+@memo
+def induced_automorphism(group: FiniteGroup, abar_labels: tuple[str, ...],
+                         factor_perm: tuple[int, ...]) -> tuple[int, ...]:
     """Index permutation of ``group``, the product of the component groups
     ``abar_labels`` (``assemble_product_group``), that moves factor i to slot
     factor_perm[i]: each element tuple is moved by ``groups.permuted``, and
@@ -152,4 +156,4 @@ def induced_automorphism(group: FiniteGroup, abar_labels, factor_perm) -> list[i
     for i in range(k):
         if abar_labels[i] != abar_labels[factor_perm[i]]:
             raise InvariantError("factor permutation between different component groups")
-    return [group.index[permuted(x, factor_perm)] for x in group.elements]
+    return tuple(group.index[permuted(x, factor_perm)] for x in group.elements)

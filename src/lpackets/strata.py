@@ -27,6 +27,13 @@ w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's inverse.  So two
 orbits with one key have the same strata up to their semisimple label:
 ``stratified_strata`` builds them once per key through
 ``groups.strata_by_type``.
+
+Types share more than their keys show: many have one integral subsystem,
+and many strata one packet walk.  ``stratified_strata`` runs in one
+``groups.call_scope``, so a subsystem's reflection group, cells and factor
+cell ids (``_subsystem_cells``) and a stratum's packets (``_packets``, keyed
+on the family labels, the Frobenius factor permutation, Omega_b and its
+factor permutations) are each built once per call.
 """
 
 from __future__ import annotations
@@ -35,7 +42,17 @@ from functools import lru_cache
 
 from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
 from .errors import InvariantError
-from .groups import Packet, Stratum, orbits, permuted, semidirect, strata_by_type, table_group
+from .groups import (
+    Packet,
+    Stratum,
+    call_scope,
+    memo,
+    orbits,
+    permuted,
+    semidirect,
+    strata_by_type,
+    table_group,
+)
 from .lattice import Matrix, mat_inv_unimodular, mat_mul
 from .rootdata import (
     GroupSpec,
@@ -137,6 +154,15 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
     return tuple(out)
 
 
+@memo
+def _subsystem_cells(sub: SubSystem):
+    """The reflection group of ``sub``, its cell partition, and the factor
+    cell ids of each two-sided cell: a function of the subsystem alone."""
+    sub_cox = enumerate_weyl(sub.as_datum())
+    part = cells(kl_table(sub_cox))
+    return sub_cox, part, _factor_cell_ids(sub, sub_cox, part)
+
+
 # ---------------------------------------------------------------------------
 # geometry of one semisimple type
 
@@ -154,9 +180,7 @@ class _PointGeometry:
             raise InvariantError("point enumerated without a Frobenius witness")
         dd = amb.dd
         self.sub = centralizer_subdatum(dd, positions)
-        self.sub_cox = enumerate_weyl(self.sub.as_datum())
-        self.part = cells(kl_table(self.sub_cox))
-        self.factor_cells = _factor_cell_ids(self.sub, self.sub_cox, self.part)
+        self.sub_cox, self.part, self.factor_cells = _subsystem_cells(self.sub)
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
 
         stab = [amb.elements[i] for i in stab_idx]
@@ -233,21 +257,28 @@ def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
     f is an automorphism as tau commutes with Omega_b, which is checked."""
     labels = tuple(family_groups(t)[geo.factor_cells[cell][fi]].group_label
                    for fi, t in enumerate(geo.sub.factor_types))
-    g_group = assemble_product_group(labels)
-
     tau_fp = geo.beta_perms[beta]
     _check_factor_cells(geo, cell, tau_fp)
-    tau = induced_automorphism(g_group, labels, tau_fp)
-
     omega_sub = geo.omega.subgroup(stab)
-    acts = []
-    for oi in omega_sub.elements:
-        fp = geo.omega_perms[oi]
+    perms = tuple(geo.omega_perms[oi] for oi in omega_sub.elements)
+    for fp in perms:
         _check_factor_cells(geo, cell, fp)
         if tuple(fp[i] for i in tau_fp) != tuple(tau_fp[i] for i in fp):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
-        acts.append(induced_automorphism(g_group, labels, fp))
+    packets, desc = _packets(labels, tau_fp, omega_sub, perms, rng=rng)
+    return list(packets), desc
 
+
+@memo
+def _packets(labels: tuple[str, ...], tau_fp: tuple[int, ...], omega_sub,
+             perms, rng=None):
+    """The packets and group description of ``_stratum_packets``, from the
+    family group's factor labels, tau's factor permutation, Omega_b and the
+    factor permutation of each of its elements; ``rng`` only orders the
+    walk."""
+    g_group = assemble_product_group(labels)
+    tau = induced_automorphism(g_group, labels, tau_fp)
+    acts = [induced_automorphism(g_group, labels, fp) for fp in perms]
     ext = semidirect(g_group, omega_sub, acts)
     f = [ext.index[(tau[h], v)] for h, v in ext.elements]
     inside = [ext.index[(g, omega_sub.identity)] for g in range(g_group.order)]
@@ -267,7 +298,7 @@ def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
     desc = group_structure_label(g_group)
     if omega_sub.order > 1:
         desc = f"{desc}:{group_structure_label(omega_sub)}"
-    return packets, desc
+    return tuple(packets), desc
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +331,7 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
 
 
 def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
-    amb = _Ambient(spec)
-    return strata_by_type(semisimple_parameters(spec, amb=amb),
-                          lambda key: _point_strata(amb, key, rng=rng))
+    with call_scope():
+        amb = _Ambient(spec)
+        return strata_by_type(semisimple_parameters(spec, amb=amb),
+                              lambda key: _point_strata(amb, key, rng=rng))

@@ -2,15 +2,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpackets import groups
 from lpackets.errors import InvariantError
 from lpackets.groups import (
     CLOSURE_BLOCK,
     Packet,
     Stratum,
+    call_scope,
     closure,
     cyclic,
     direct_product,
     from_permutations,
+    memo,
     orbits,
     permuted,
     semidirect,
@@ -361,3 +364,90 @@ def test_strata_by_type_builds_each_type_once():
     assert [(st.ss_label, st.labels["key"]) for st in strata] == [
         ("(0)", "k1"), ("(1/2)", "k2"), ("(1/4)", "k1")]
     assert strata[0].packets is not strata[2].packets
+
+
+def test_groups_compare_and_hash_by_value():
+    assert cyclic(3) == cyclic(3) and hash(cyclic(3)) == hash(cyclic(3))
+    assert cyclic(3) != cyclic(2)
+    # same elements and labels, another multiplication: Z/4 against Z2 x Z2
+    labels = ["e", "a", "b", "c"]
+    z4 = table_group(range(4), lambda a, b: (a + b) % 4, labels)
+    klein = table_group(range(4), lambda a, b: a ^ b, labels)
+    assert z4 != klein and z4 == table_group(range(4), lambda a, b: (a + b) % 4,
+                                             labels)
+    assert cyclic(1) != (0,)
+
+
+def recording(fn):
+    """``fn`` under ``memo``, with the list of arguments it was run on."""
+    runs = []
+
+    @memo
+    def wrapped(*args, **kwargs):
+        runs.append(args)
+        return fn(*args, **kwargs)
+    return wrapped, runs
+
+
+def test_memo_keys_on_every_positional_argument():
+    sub, runs = recording(lambda a, b: a - b)
+    with call_scope():
+        assert [sub(5, 1), sub(5, 2), sub(5, 1), sub(1, 5)] == [4, 3, 4, -4]
+    assert runs == [(5, 1), (5, 2), (1, 5)]
+
+
+def test_memo_stores_nothing_for_a_call_that_raises():
+    def refuse(x):
+        raise InvariantError(f"refused {x}")
+
+    fails, runs = recording(refuse)
+    with call_scope():
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="refused 1"):
+                fails(1)
+    assert runs == [(1,), (1,)]
+
+
+def test_memo_leaves_keyword_arguments_out_of_the_key():
+    seen = []
+
+    def first(x, rng=None):
+        seen.append(rng)
+        return x
+
+    f, runs = recording(first)
+    with call_scope():
+        assert f(1, rng="a") == 1 and f(1, rng="b") == 1 and f(1) == 1
+    assert runs == [(1,)] and seen == ["a"]
+
+
+def test_nested_scope_shares_the_outer_table():
+    f, runs = recording(lambda x: [x])
+    with call_scope():
+        outer = f(1)
+        with call_scope():
+            assert f(1) is outer
+        assert f(1) is outer and groups._scope is not None
+    assert runs == [(1,)]
+
+
+def test_outermost_scope_drops_its_table_on_exit():
+    f, runs = recording(lambda x: x)
+    assert groups._scope is None
+    with call_scope():
+        f(1)
+    assert groups._scope is None
+    with pytest.raises(ValueError, match="stop"):
+        with call_scope():
+            f(1)
+            raise ValueError("stop")
+    assert groups._scope is None
+    with call_scope():
+        f(1)
+    assert runs == [(1,)] * 3
+
+
+def test_memo_outside_a_scope_runs_every_call():
+    f, runs = recording(lambda x: [x])
+    assert f(1) == [1] and f(1) is not f(1)
+    assert runs == [(1,)] * 3

@@ -4,6 +4,9 @@ import random
 
 import pytest
 
+from lpackets import groups
+from lpackets.coxeter import enumerate_weyl
+from lpackets.errors import UnsupportedTypeError
 from lpackets.report import (
     render_json,
     render_text,
@@ -11,7 +14,7 @@ from lpackets.report import (
     spectral_report,
     stratified_report,
 )
-from lpackets.rootdata import parse_group_spec
+from lpackets.rootdata import dual_datum, parse_group_spec
 
 
 def spec_of(name, q):
@@ -59,6 +62,43 @@ def test_both_reports_agree():
     assert a.pipeline == "spectral"
     assert b.pipeline == "stratified"
     assert a.total == b.total == 9
+
+
+def spy_on_weyl_builds(monkeypatch):
+    """The data ``enumerate_weyl`` builds a group for, each with whether a
+    memo table was open at the time."""
+    builds = []
+    build = enumerate_weyl.__wrapped__
+
+    def spy(datum):
+        builds.append((datum, groups._scope is not None))
+        return build(datum)
+    monkeypatch.setattr(enumerate_weyl, "__wrapped__", spy)
+    return builds
+
+
+@pytest.mark.parametrize("order", [(spectral_report, stratified_report),
+                                   (stratified_report, spectral_report)])
+def test_each_pipeline_call_builds_its_own_weyl_group(monkeypatch, order):
+    # the memo table lives for one pipeline call: the second pipeline builds
+    # the dual Weyl group again instead of reading the first one's
+    spec = spec_of("sp4", 3)
+    dual = dual_datum(spec.datum)
+    builds = spy_on_weyl_builds(monkeypatch)
+    totals = [report(spec).total for report in order]
+    assert totals == [34, 34]
+    assert [scoped for datum, scoped in builds if datum == dual] == [True, True]
+    assert groups._scope is None
+
+
+def test_a_refused_pipeline_call_leaves_no_memo_table(monkeypatch):
+    spec = spec_of("gl3", 64)
+    builds = spy_on_weyl_builds(monkeypatch)
+    for report in (spectral_report, stratified_report):
+        with pytest.raises(UnsupportedTypeError, match="torsion points"):
+            report(spec)
+        assert groups._scope is None
+    assert [scoped for _, scoped in builds] == [True, True]
 
 
 def test_renders_are_seed_independent():

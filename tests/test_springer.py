@@ -97,7 +97,7 @@ def test_induced_automorphism_swaps_factors():
     assert g.is_automorphism(perm)
     assert sorted(perm) == list(range(4))
     assert perm[1] == 2 and perm[2] == 1
-    assert induced_automorphism(assemble_product_group(()), (), ()) == [0]
+    assert induced_automorphism(assemble_product_group(()), (), ()) == (0,)
 
 
 def test_induced_automorphism_roundtrip():

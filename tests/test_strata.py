@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from lpackets.groups import Packet, table_group
+from lpackets.groups import Packet, call_scope, table_group
 from lpackets.oracle import oracle_count
 from lpackets.report import spectral_report, stratified_report
 from lpackets.rootdata import parse_group_spec
@@ -164,3 +164,10 @@ def test_frobenius_swap_of_two_b2_factors():
     geo.beta_perms = [(0, 1)]
     packets, _ = _stratum_packets(geo, 0, 0, [0])
     assert [(p.size, p.group_label) for p in packets] == [(4, "Z2xZ2")] * 4
+
+
+def test_packet_memo_tells_the_frobenius_maps_apart():
+    # the two strata above differ only in tau's factor permutation; inside
+    # one memo scope the second must not read the first one's packets
+    with call_scope():
+        test_frobenius_swap_of_two_b2_factors()
