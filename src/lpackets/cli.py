@@ -25,7 +25,7 @@ from .report import (
     spectral_report,
     stratified_report,
 )
-from .rootdata import NAMED_SPECS, parse_group_spec
+from .rootdata import NAMED_SPECS, TYPE_ALIASES, parse_group_spec
 from .springer import _TABLES, family_groups
 
 _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}
@@ -96,7 +96,7 @@ def cmd_compare(args) -> int:
 
 def cmd_cells(args) -> int:
     from .strata import _standalone
-    cell_type = "B2" if args.type == "C2" else args.type   # B2's Weyl group
+    cell_type = TYPE_ALIASES.get(args.type, args.type)
     if cell_type not in _TABLES and cell_type != "A1xA1":
         known = sorted(set(_TABLES) | {"A1xA1"})
         raise ConfigError(f"no cell data for type {args.type!r}; known: "
@@ -112,7 +112,7 @@ def cmd_cells(args) -> int:
             "members": [cox.word_label(i) for i in cell],
         }
         if families is not None:
-            row["family"] = families[cid].group_label
+            row["family"] = families[cid]
         rows.append(row)
     if args.json:
         print(json.dumps({"type": args.type, "order": cox.order,

@@ -22,14 +22,14 @@ conjugation on part of a group walks ``orbits`` of it.
 
 ``Packet`` and ``Stratum`` are the one record both counting pipelines emit
 and the reports render: each pipeline counts its packets on its own groups,
-then hands over only labels and sizes.  Like every record in the package,
-they are immutable named tuples: equal fields make equal records, and no
-field can be reassigned.
+then hands over only labels and sizes.  Both are values: immutable named
+tuples whose fields are strings, numbers and tuples, so equal fields make
+equal records, a record hashes, and a memo result can be shared as it is.
 
 Three pieces of plumbing both pipelines share live here too, and no
 counting: ``strata_by_type`` is the per-type strata table (each semisimple
-type's strata are built once, and every torus orbit of that type gets
-relabelled copies), ``permuted`` is the factor-permutation move (entry i of
+type's strata are built once, and every torus orbit of that type gets them
+under its own label), ``permuted`` is the factor-permutation move (entry i of
 a per-factor tuple goes to slot perm[i]), and ``call_scope`` with ``memo``
 is the per-call memo.  Each pipeline runs its whole body in one
 ``call_scope``; inside it a ``memo`` function (lattice products and
@@ -61,21 +61,15 @@ class Packet(namedtuple("Packet", "x_label size group_label")):
 
 
 class Stratum(namedtuple("Stratum", "ss_label labels group_desc packets")):
-    """The parameters over one semisimple label; ``labels`` (a dict) names
-    the stratum in the pipeline's own terms, ``group_desc`` the group whose
-    twisted classes are the packets, and ``packets`` is a list of
-    ``Packet``."""
+    """The parameters over one semisimple label; ``labels`` names the
+    stratum in the pipeline's own terms, as (name, value) pairs in render
+    order, ``group_desc`` the group whose twisted classes are the packets,
+    and ``packets`` is a tuple of ``Packet``."""
     __slots__ = ()
 
     @property
     def total(self) -> int:
         return sum(p.size for p in self.packets)
-
-    def relabelled(self, ss_label: str) -> Stratum:
-        """A copy under another semisimple label, sharing no mutable field
-        with this one."""
-        return Stratum(ss_label, dict(self.labels), self.group_desc,
-                       list(self.packets))
 
 
 # The memo table of the pipeline call in progress: None between calls.
@@ -129,14 +123,14 @@ def strata_by_type(torus_orbits, build) -> list[Stratum]:
     """The strata over every orbit of ``torus_orbits`` (``TorusOrbit``s), in
     orbit order.  ``build(key)`` gives the strata of one semisimple type with
     an empty semisimple label and runs once per ``TorusOrbit.key``; each orbit
-    of that type gets copies under ``orbit.label()``."""
+    of that type gets them under ``orbit.label()``."""
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for orbit in torus_orbits:
         if orbit.key not in by_type:
             by_type[orbit.key] = build(orbit.key)
         label = orbit.label()
-        strata += [st.relabelled(label) for st in by_type[orbit.key]]
+        strata += [st._replace(ss_label=label) for st in by_type[orbit.key]]
     return strata
 
 

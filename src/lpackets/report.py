@@ -70,7 +70,7 @@ def stratified_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountRepo
 def _row_dict(row: Stratum) -> dict:
     return {
         "ss": row.ss_label,
-        "labels": row.labels,
+        "labels": dict(row.labels),
         "group": row.group_desc,
         "packets": [{"x": p.x_label, "size": p.size, "group": p.group_label}
                     for p in row.packets],
@@ -101,7 +101,7 @@ def render_text(rep: CountReport) -> str:
     lines = [f"group {rep.group} ({rep.cartan}), q = {rep.q}, "
              f"pipeline = {rep.pipeline}"]
     for row in rep.strata:
-        labels = " ".join(f"{k}={v}" for k, v in row.labels.items())
+        labels = " ".join(f"{k}={v}" for k, v in row.labels)
         lines.append(f"  s={row.ss_label} {labels} group={row.group_desc}: "
                      f"total {row.total}")
         for p in row.packets:

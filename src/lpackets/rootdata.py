@@ -48,7 +48,7 @@ __all__ = [
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
     "integral_root_positions", "TorusOrbit", "stable_point_orbits",
     "whittaker_torsor_size", "MAX_TORSION_POINTS", "x_action", "x_preserves",
-    "NAMED_SPECS",
+    "NAMED_SPECS", "TYPE_ALIASES",
 ]
 
 
@@ -202,6 +202,9 @@ def _torus(rank: int) -> RootDatum:
     return RootDatum(rank, (), (), (), f"T{rank}")
 
 
+# other names of a supported type: C2 and B2 are one root system
+TYPE_ALIASES = {"C2": "B2"}
+
 _SC_SIMPLES = {
     # type -> (simple roots in X, simple coroots in Y, rank)
     "A1": (((2,),), ((1,),), 1),
@@ -292,7 +295,7 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
         if isogeny not in (None, "sc", "ad"):
             raise ConfigError("tori take no isogeny")
         return _torus(r)
-    key = "B2" if base_type == "C2" else base_type
+    key = TYPE_ALIASES.get(base_type, base_type)
     if key not in _SC_SIMPLES:
         raise UnsupportedTypeError(
             f"type {base_type!r} is outside the supported menu "
@@ -320,7 +323,7 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
 def _bad_primes(label: str) -> set[int]:
     bad = set()
     for factor in label.replace("+", "x").split("x"):
-        if factor in ("B2", "C2"):
+        if factor == "B2":
             bad.add(2)
         elif factor == "G2":
             bad.update((2, 3))

@@ -10,8 +10,8 @@ parameters in the pair's stratum are the twisted-conjugation classes of that
 extended group and each one's packet size is the number of irreducible
 characters of its twisted centralizer.
 
-``spectral_strata`` returns one shared ``groups.Stratum`` per pair, labelled
-``{"class": C}``, with one ``groups.Packet`` per twisted class.
+``spectral_strata`` returns one ``groups.Stratum`` per pair, labelled by
+its class C, with one ``groups.Packet`` per twisted class.
 
 Semisimple classes fall into a few types.  Each class arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
@@ -76,22 +76,13 @@ from .springer import (
 )
 
 __all__ = [
-    "ExtendedComponentGroup", "FiniteLParameter",
-    "enumerate_ss_classes", "special_pairs", "extended_group", "mbar",
-    "parameters", "spectral_strata", "sl2_wd_convert",
+    "ExtendedComponentGroup", "enumerate_ss_classes", "special_pairs",
+    "extended_group", "mbar", "spectral_strata",
 ]
 
 
 ExtendedComponentGroup = namedtuple("ExtendedComponentGroup",
                                     "abar f_action description")
-
-
-class FiniteLParameter(namedtuple("FiniteLParameter", "ss_label class_label x_label "
-                                  "packet_group_label packet_size normal_form "
-                                  "monodromy_label")):
-    """One parameter in ``normal_form`` "sl2" or "wd"; ``monodromy_label``
-    is the class label in sl2 form and the nilpotent label in wd form."""
-    __slots__ = ()
 
 
 def _require_connected(spec: GroupSpec):
@@ -272,15 +263,15 @@ def mbar(ext: ExtendedComponentGroup) -> tuple[Packet, ...]:
 def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
                   rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
-    each class of the type gets relabelled copies."""
+    each class of the type gets them under its own label."""
     geo = _StratumGeometry(spec, key, cox)
     strata = []
     for pair in special_pairs(geo, rng=rng):
         ext = extended_group(geo, pair)
         strata.append(Stratum(ss_label="",
-                              labels={"class": _class_label(geo, pair)},
+                              labels=(("class", _class_label(geo, pair)),),
                               group_desc=ext.description,
-                              packets=list(mbar(ext))))
+                              packets=mbar(ext)))
     return strata
 
 
@@ -290,43 +281,3 @@ def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
         cox = enumerate_weyl(dual_datum(spec.datum))
         return strata_by_type(enumerate_ss_classes(spec, cox=cox),
                               lambda key: _class_strata(spec, key, cox, rng=rng))
-
-
-def parameters(spec: GroupSpec, rng=None) -> list[FiniteLParameter]:
-    out = []
-    for st in spectral_strata(spec, rng=rng):
-        for p in st.packets:
-            out.append(FiniteLParameter(
-                ss_label=st.ss_label,
-                class_label=st.labels["class"],
-                x_label=p.x_label,
-                packet_group_label=p.group_label,
-                packet_size=p.size,
-                normal_form="sl2",
-                monodromy_label=st.labels["class"],
-            ))
-    return out
-
-
-def sl2_wd_convert(param: FiniteLParameter) -> FiniteLParameter:
-    """Swap between the two normal forms of a parameter.
-
-    In the sl2 form the monodromy is carried by the class label; in the
-    grouped form the unipotent part is recorded as a nilpotent label ("0"
-    when the class is trivial) and the square root of q is the positive one
-    by convention.  The conversion is an involution and touches nothing that
-    packet data depend on.
-    """
-    if param.normal_form == "sl2":
-        trivial = all(part == "1" for part in param.monodromy_label.split(","))
-        nil = "0" if trivial else param.monodromy_label
-        return FiniteLParameter(
-            ss_label=param.ss_label, class_label=param.class_label,
-            x_label=param.x_label, packet_group_label=param.packet_group_label,
-            packet_size=param.packet_size, normal_form="wd",
-            monodromy_label=nil)
-    return FiniteLParameter(
-        ss_label=param.ss_label, class_label=param.class_label,
-        x_label=param.x_label, packet_group_label=param.packet_group_label,
-        packet_size=param.packet_size, normal_form="sl2",
-        monodromy_label=param.class_label)

@@ -11,6 +11,9 @@ labels do.
 
 ``dim + 2 * a_of_u = number of roots`` holds in every row (a_of_u is the
 fiber dimension attached to the class, not to the matched cell).
+
+A ``SpecialClassRecord`` row is the one record here; ``family_groups``
+reads a type's rows as a map from cell id to its family group's label.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import InvariantError, UnsupportedTypeError
 from .groups import FiniteGroup, cyclic, direct_product, memo, permuted, symmetric
 
 __all__ = [
-    "SpecialClassRecord", "FamilyGroupRecord", "special_classes",
-    "family_groups", "abar_group", "group_structure_label",
+    "SpecialClassRecord", "special_classes", "family_groups", "abar_group",
+    "group_structure_label",
     "assemble_product_group", "induced_automorphism", "TABLE_VERSION",
 ]
 
@@ -35,9 +38,6 @@ class SpecialClassRecord(namedtuple("SpecialClassRecord", "type_label class_labe
     group ("1", "Z2", "S3") and ``cell_id`` the id of the matched two-sided
     cell (the canonical word of its least element)."""
     __slots__ = ()
-
-
-FamilyGroupRecord = namedtuple("FamilyGroupRecord", "cell_id group_label")
 
 
 _TABLES: dict[str, tuple[SpecialClassRecord, ...]] = {
@@ -80,18 +80,15 @@ def special_classes(type_label: str) -> tuple[SpecialClassRecord, ...]:
         raise UnsupportedTypeError(f"no class table for type {type_label!r}")
 
 
-def family_groups(type_label: str) -> dict[str, FamilyGroupRecord]:
-    """Family group of each two-sided cell, keyed by cell id.
+def family_groups(type_label: str) -> dict[str, str]:
+    """The label of the family group of each two-sided cell, keyed by cell
+    id.
 
     The family group of a cell equals the component group of the special
     class of the dual type matched to the same cell; all supported types are
     Weyl self-dual, so the table can be read off directly.
     """
-    out = {}
-    for rec in special_classes(type_label):
-        out[rec.cell_id] = FamilyGroupRecord(cell_id=rec.cell_id,
-                                             group_label=rec.abar_label)
-    return out
+    return {rec.cell_id: rec.abar_label for rec in special_classes(type_label)}
 
 
 _ABAR_GROUPS = {"1": cyclic(1), "Z2": cyclic(2), "S3": symmetric(3)}

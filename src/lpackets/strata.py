@@ -13,9 +13,9 @@ family group of c extended by the pair's stabilizer, walked with
 This route covers disconnected groups: component matrices act on the torus
 alongside the reflections and enter every stabilizer.
 
-``stratified_strata`` returns one shared ``groups.Stratum`` per (point,
-orbit of pairs), labelled ``{"cell": ..., "beta": ...}``, with one
-``groups.Packet`` per twisted class.
+``stratified_strata`` returns one ``groups.Stratum`` per (point, orbit of
+pairs), labelled by its cell and beta, with one ``groups.Packet`` per
+twisted class.
 
 Points fall into a few semisimple types.  Each orbit arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
@@ -250,12 +250,13 @@ def _check_factor_cells(geo: _PointGeometry, cell_pos: int, perm) -> None:
 
 def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
                      rng=None):
-    """Packets of one stratum.  With G the cell's family group, Omega_b the
+    """Packets of one stratum, as a tuple, and the description of the group
+    they are twisted classes of.  With G the cell's family group, Omega_b the
     pair's stabilizer ``stab``, tau the coset's Frobenius action and
     f = (tau, id) on E = G x| Omega_b: (h, v)(g, 1)f(h, v)^-1 =
     (h v(g) tau(h)^-1, 1), so they are the f-twisted classes of E inside G.
     f is an automorphism as tau commutes with Omega_b, which is checked."""
-    labels = tuple(family_groups(t)[geo.factor_cells[cell][fi]].group_label
+    labels = tuple(family_groups(t)[geo.factor_cells[cell][fi]]
                    for fi, t in enumerate(geo.sub.factor_types))
     tau_fp = geo.beta_perms[beta]
     _check_factor_cells(geo, cell, tau_fp)
@@ -265,8 +266,7 @@ def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
         _check_factor_cells(geo, cell, fp)
         if tuple(fp[i] for i in tau_fp) != tuple(tau_fp[i] for i in fp):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
-    packets, desc = _packets(labels, tau_fp, omega_sub, perms, rng=rng)
-    return list(packets), desc
+    return _packets(labels, tau_fp, omega_sub, perms, rng=rng)
 
 
 @memo
@@ -306,7 +306,7 @@ def _packets(labels: tuple[str, ...], tau_fp: tuple[int, ...], omega_sub,
 
 def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
-    each orbit of the type gets relabelled copies.  Pairs are listed
+    each orbit of the type gets them under its own label.  Pairs are listed
     c-major, so each orbit's first-seen pair is its least."""
     geo = _PointGeometry(amb, key)
     pairs = [(c, b) for c in range(len(geo.part.two_sided_cells))
@@ -324,8 +324,8 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
         cell_label = "+".join(geo.part.cell_id(c)
                               for c in sorted({c for c, _ in imgs}))
         beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[beta]])
-        strata.append(Stratum(ss_label="",
-                              labels={"cell": cell_label, "beta": beta_label},
+        strata.append(Stratum(ss_label="", labels=(("cell", cell_label),
+                                                   ("beta", beta_label)),
                               group_desc=desc, packets=packets))
     return strata
 

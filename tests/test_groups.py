@@ -349,7 +349,7 @@ def test_permuted_moves_entry_i_to_slot_perm_i():
 
 def test_strata_by_type_builds_each_type_once():
     # three orbits of two types: the first type is built once and its strata
-    # are copied, under each orbit's label, in orbit order
+    # are handed to each orbit under that orbit's label, in orbit order
     torus_orbits = [TorusOrbit((0,), ((0,),), 2, "k1"),
                     TorusOrbit((1,), ((1,),), 2, "k2"),
                     TorusOrbit((1,), ((1,), (3,)), 4, "k1")]
@@ -357,13 +357,13 @@ def test_strata_by_type_builds_each_type_once():
 
     def build(key):
         built.append(key)
-        return [Stratum("", {"key": key}, "1", [Packet("e", 1, "1")])]
+        return [Stratum("", (("key", key),), "1", (Packet("e", 1, "1"),))]
 
     strata = strata_by_type(torus_orbits, build)
     assert built == ["k1", "k2"]
-    assert [(st.ss_label, st.labels["key"]) for st in strata] == [
-        ("(0)", "k1"), ("(1/2)", "k2"), ("(1/4)", "k1")]
-    assert strata[0].packets is not strata[2].packets
+    assert [(st.ss_label, st.labels) for st in strata] == [
+        ("(0)", (("key", "k1"),)), ("(1/2)", (("key", "k2"),)),
+        ("(1/4)", (("key", "k1"),))]
 
 
 def test_groups_compare_and_hash_by_value():

@@ -368,10 +368,6 @@ def unread_public(sources):
 # the API the package promises beyond what its own modules read
 PUBLIC_API = {
     "__init__.__version__": "the installed version, for users and packaging",
-    "spectral.parameters": "acceptance criterion 8 lists parameters in both "
-                           "normal forms",
-    "spectral.sl2_wd_convert": "acceptance criterion 8: the normal-form "
-                               "involution",
     "coxeter.verify_kl_by_inversion": "the independent reference the KL tests "
                                       "compare the recursion against",
 }

@@ -24,18 +24,8 @@ from lpackets.rootdata import (
     centralizer_subdatum,
     parse_group_spec,
 )
-from lpackets.spectral import (
-    ExtendedComponentGroup,
-    FiniteLParameter,
-    enumerate_ss_classes,
-    parameters,
-)
-from lpackets.springer import (
-    FamilyGroupRecord,
-    SpecialClassRecord,
-    family_groups,
-    special_classes,
-)
+from lpackets.spectral import ExtendedComponentGroup, enumerate_ss_classes
+from lpackets.springer import SpecialClassRecord, special_classes
 
 # every record but ``Closure``, with its field names in order
 FIELDS = {cls: tuple(names.split()) for cls, names in {
@@ -54,15 +44,12 @@ FIELDS = {cls: tuple(names.split()) for cls, names in {
                "factors factor_types",
     TorusOrbit: "rep orbit modulus key",
     ExtendedComponentGroup: "abar f_action description",
-    FiniteLParameter: "ss_label class_label x_label packet_group_label "
-                      "packet_size normal_form monodromy_label",
     SpecialClassRecord: "type_label class_label dim a_of_u abar_label "
                         "dual_class cell_id",
-    FamilyGroupRecord: "cell_id group_label",
 }.items()}
 
 # records holding a dict or a list: hashing them raises TypeError
-UNHASHABLE = {CoxeterGroup, KLTable, CellPartition, Stratum, CountReport}
+UNHASHABLE = {CoxeterGroup, KLTable, CellPartition, CountReport}
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +74,7 @@ def samples():
         SubSystem: centralizer_subdatum(spec.datum, (0, 1)),
         TorusOrbit: enumerate_ss_classes(spec)[0],
         ExtendedComponentGroup: ExtendedComponentGroup(cyclic(1), (0,), "1"),
-        FiniteLParameter: parameters(spec)[0],
         SpecialClassRecord: special_classes("A1")[0],
-        FamilyGroupRecord: family_groups("A1")["e"],
     }
 
 
@@ -138,17 +123,6 @@ def test_count_report_defaults_to_no_oracle_total(samples):
     report = samples[CountReport]
     fields = {f: getattr(report, f) for f in FIELDS[CountReport] if f != "oracle_total"}
     assert CountReport(**fields).oracle_total is None
-
-
-def test_relabelled_shares_no_mutable_field():
-    source = Stratum("(0)", {"class": "1"}, "Z2", [Packet("e", 1, "1")])
-    copy = source.relabelled("(1/2)")
-    assert copy == Stratum("(1/2)", {"class": "1"}, "Z2", [Packet("e", 1, "1")])
-    assert copy.labels is not source.labels
-    assert copy.packets is not source.packets
-    copy.labels["class"] = "reg"
-    copy.packets.append(Packet("g", 2, "Z2"))
-    assert source == Stratum("(0)", {"class": "1"}, "Z2", [Packet("e", 1, "1")])
 
 
 def test_len_of_a_closure_is_its_element_count():

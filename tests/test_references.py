@@ -111,6 +111,36 @@ def test_semisimple_class_count_closed_form(label):
     assert checked
 
 
+# Identity B (Steinberg, "Endomorphisms of linear algebraic groups", Mem.
+# AMS 80, 1968, section 14): when the derived group of the dual G* is simply
+# connected, G* has |Z(G*)°^F| q^l semisimple classes, l the semisimple rank.
+# The count is read off the points, with no determinant.
+STEINBERG_CONFIGS = {
+    "pgl2": ("pgl2", lambda q: q),
+    "gl2": ("gl2", lambda q: (q - 1) * q),
+    "gl3": ("gl3", lambda q: (q - 1) * q * q),
+    "g2": ("g2", lambda q: q * q),
+    "b2-ad": ({"type": "B2", "isogeny": "ad"}, lambda q: q * q),
+    "pu3": ({"type": "A2", "isogeny": "ad", "twist": [1, 0]}, lambda q: q * q),
+    "res-pgl2": ({"type": "A1xA1", "isogeny": "ad", "twist": [1, 0]},
+                 lambda q: q * q),
+}
+
+
+@pytest.mark.parametrize("label", sorted(STEINBERG_CONFIGS))
+def test_semisimple_class_count_steinberg(label):
+    config, expected = STEINBERG_CONFIGS[label]
+    checked = 0
+    for q in IDENTITY_A_Q:
+        try:
+            spec = parse_group_spec(config, q=q)
+        except LPacketsError:
+            continue
+        assert len(enumerate_ss_classes(spec)) == expected(q), (label, q)
+        checked += 1
+    assert checked
+
+
 WEIL_Q = [2, 3, 4, 5, 7, 8]
 SWAP = [[0, 1], [1, 0]]
 

@@ -5,12 +5,7 @@ import pytest
 from lpackets.errors import PipelineUnavailableError
 from lpackets.report import spectral_report
 from lpackets.rootdata import parse_group_spec
-from lpackets.spectral import (
-    enumerate_ss_classes,
-    parameters,
-    sl2_wd_convert,
-    spectral_strata,
-)
+from lpackets.spectral import enumerate_ss_classes, spectral_strata
 
 KNOWN_TOTALS = [
     ("sl2", 2, 3),
@@ -32,6 +27,11 @@ KNOWN_TOTALS = [
 
 def spec_of(name, q):
     return parse_group_spec(name, q=q)
+
+
+def spectral_packets(spec):
+    """Every spectral parameter as (semisimple label, packet)."""
+    return [(s.ss_label, p) for s in spectral_strata(spec) for p in s.packets]
 
 
 @pytest.mark.parametrize("name,q,expected", KNOWN_TOTALS)
@@ -56,7 +56,7 @@ def test_sl2_f3_ss_classes():
 
 def test_sl2_f3_stratum_breakdown():
     strata = spectral_strata(spec_of("sl2", 3))
-    table = {(s.ss_label, s.labels["class"]): s.total for s in strata}
+    table = {(s.ss_label, dict(s.labels)["class"]): s.total for s in strata}
     assert table == {
         ("(0)", "1"): 1,
         ("(0)", "reg"): 1,
@@ -66,18 +66,18 @@ def test_sl2_f3_stratum_breakdown():
 
 
 def test_sl2_f3_packet_structure():
-    params = parameters(spec_of("sl2", 3))
+    params = spectral_packets(spec_of("sl2", 3))
     assert len(params) == 5
-    assert sorted(p.packet_size for p in params) == [1, 1, 1, 2, 2]
-    halves = [p for p in params if p.ss_label == "(1/2)"]
-    assert all(p.packet_group_label == "Z2" for p in halves)
-    assert all(p.normal_form == "sl2" for p in params)
+    assert sorted(p.size for _, p in params) == [1, 1, 1, 2, 2]
+    halves = [p for ss_label, p in params if ss_label == "(1/2)"]
+    assert halves
+    assert all(p.group_label == "Z2" for p in halves)
 
 
 def test_gl2_packets_are_all_singletons():
-    params = parameters(spec_of("gl2", 3))
+    params = spectral_packets(spec_of("gl2", 3))
     assert len(params) == 8
-    assert all(p.packet_size == 1 for p in params)
+    assert all(p.size == 1 for _, p in params)
 
 
 def test_sp4_f3_middle_block():
@@ -103,30 +103,10 @@ def test_twisted_a2_totals():
 
 @pytest.mark.parametrize("name,q", [("sl2", 3), ("gl2", 3), ("sp4", 3)])
 def test_rng_does_not_change_parameters(name, q):
-    base = parameters(spec_of(name, q))
+    base = spectral_strata(spec_of(name, q))
     for seed in (0, 1, 42):
-        shuffled = parameters(spec_of(name, q), rng=random.Random(seed))
+        shuffled = spectral_strata(spec_of(name, q), rng=random.Random(seed))
         assert shuffled == base
-
-
-def test_wd_convert_is_involution():
-    for name, q in [("sl2", 3), ("gl2", 3), ("sp4", 3)]:
-        for p in parameters(spec_of(name, q)):
-            w = sl2_wd_convert(p)
-            assert w.normal_form == "wd"
-            assert sl2_wd_convert(w) == p
-            assert w.packet_group_label == p.packet_group_label
-            assert w.packet_size == p.packet_size
-
-
-def test_wd_convert_trivial_class_gets_zero_label():
-    params = parameters(spec_of("sl2", 3))
-    trivial = [p for p in params if p.class_label == "1"]
-    assert trivial
-    for p in trivial:
-        assert sl2_wd_convert(p).monodromy_label == "0"
-    regular = [p for p in params if p.class_label == "reg"]
-    assert sl2_wd_convert(regular[0]).monodromy_label == "reg"
 
 
 def test_ss_orbit_sizes_sum_to_solution_points():

@@ -52,7 +52,7 @@ def test_family_group_is_component_group_of_dual(t):
     rows = {r.class_label: r for r in special_classes(t)}
     fams = family_groups(t)
     for r in rows.values():
-        assert fams[r.cell_id].group_label == rows[r.dual_class].abar_label
+        assert fams[r.cell_id] == rows[r.dual_class].abar_label
 
 
 def test_unknown_type_rejected():
@@ -120,7 +120,7 @@ def test_induced_automorphism_rejects_mismatched_factors():
 
 
 def test_b2_and_g2_family_content():
-    b2 = sorted(r.group_label for r in family_groups("B2").values())
+    b2 = sorted(family_groups("B2").values())
     assert b2 == ["1", "1", "Z2"]
-    g2 = sorted(r.group_label for r in family_groups("G2").values())
+    g2 = sorted(family_groups("G2").values())
     assert g2 == ["1", "1", "S3"]

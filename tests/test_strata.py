@@ -8,7 +8,7 @@ from lpackets.groups import Packet, call_scope, table_group
 from lpackets.oracle import oracle_count
 from lpackets.report import spectral_report, stratified_report
 from lpackets.rootdata import parse_group_spec
-from lpackets.spectral import parameters as spectral_parameters
+from lpackets.spectral import spectral_strata
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
@@ -37,6 +37,11 @@ def stratified_packets(spec):
     return [(s.ss_label, p) for s in stratified_strata(spec) for p in s.packets]
 
 
+def spectral_packets(spec):
+    """Every spectral parameter as (semisimple label, packet)."""
+    return [(s.ss_label, p) for s in spectral_strata(spec) for p in s.packets]
+
+
 @pytest.mark.parametrize("name,q", CONNECTED)
 def test_agrees_with_spectral_total(name, q):
     spec = spec_of(name, q)
@@ -47,8 +52,8 @@ def test_agrees_with_spectral_total(name, q):
 def test_agrees_with_spectral_per_orbit(name, q):
     spec = spec_of(name, q)
     spectral_sub = Counter()
-    for p in spectral_parameters(spec):
-        spectral_sub[p.ss_label] += p.packet_size
+    for ss_label, p in spectral_packets(spec):
+        spectral_sub[ss_label] += p.size
     strat_sub = Counter()
     for ss_label, p in stratified_packets(spec):
         strat_sub[ss_label] += p.size
@@ -58,7 +63,7 @@ def test_agrees_with_spectral_per_orbit(name, q):
 @pytest.mark.parametrize("name,q", CONNECTED)
 def test_agrees_with_spectral_packet_multiset(name, q):
     spec = spec_of(name, q)
-    a = Counter(p.packet_size for p in spectral_parameters(spec))
+    a = Counter(p.size for _, p in spectral_packets(spec))
     b = Counter(p.size for _, p in stratified_packets(spec))
     assert a == b
 
@@ -78,7 +83,7 @@ def test_sl2_f3_stratified_breakdown():
     assert table == {"(0)": 2, "(1/2)": 4, "(1/4)": 1}
     half = [s for s in strata if s.ss_label == "(1/2)"]
     assert len(half) == 2
-    assert {s.labels["beta"] for s in half} == {"e", "0"}
+    assert {dict(s.labels)["beta"] for s in half} == {"e", "0"}
     assert all(s.total == 2 for s in half)
 
 
@@ -138,7 +143,7 @@ def test_beta_classes_cover_frobenius_cosets():
     spec = spec_of("sl2", 3)
     strata = stratified_strata(spec)
     zero = [s for s in strata if s.ss_label == "(0)"]
-    assert {s.labels["beta"] for s in zero} == {"e"}
+    assert {dict(s.labels)["beta"] for s in zero} == {"e"}
     amb = _Ambient(spec)
     [orbit] = [o for o in semisimple_parameters(spec, amb=amb)
                if o.label() == "(0)"]
@@ -158,7 +163,7 @@ def test_frobenius_swap_of_two_b2_factors():
                           omega=table_group([0], lambda a, b: 0, ["e"]),
                           omega_perms=[(0, 1)], beta_perms=[(1, 0)])
     packets, desc = _stratum_packets(geo, 0, 0, [0])
-    assert packets == [Packet("e*e", 2, "Z2"), Packet("e*g1", 2, "Z2")]
+    assert packets == (Packet("e*e", 2, "Z2"), Packet("e*g1", 2, "Z2"))
     assert desc == "Z2xZ2"
     # a Frobenius map that fixes both factors gives the product block 4^2
     geo.beta_perms = [(0, 1)]
