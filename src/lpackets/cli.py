@@ -25,7 +25,7 @@ from .report import (
     spectral_report,
     stratified_report,
 )
-from .rootdata import NAMED_SPECS, TYPE_ALIASES, parse_group_spec
+from .rootdata import NAMED_SPECS, parse_group_spec, type_factors
 from .springer import _TABLES, family_groups
 
 _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}
@@ -96,11 +96,10 @@ def cmd_compare(args) -> int:
 
 def cmd_cells(args) -> int:
     from .strata import _standalone
-    cell_type = TYPE_ALIASES.get(args.type, args.type)
-    if cell_type not in _TABLES and cell_type != "A1xA1":
-        known = sorted(set(_TABLES) | {"A1xA1"})
-        raise ConfigError(f"no cell data for type {args.type!r}; known: "
-                          f"{', '.join(known)}")
+    try:
+        cell_type = "x".join(type_factors(args.type))
+    except UnsupportedTypeError as exc:
+        raise ConfigError(f"no cell data: {exc}") from None
     cox, part = _standalone(cell_type)
     families = family_groups(cell_type) if cell_type in _TABLES else None
     rows = []

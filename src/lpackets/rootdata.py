@@ -4,7 +4,10 @@ A root datum is stored with explicit dual bases: the character lattice X and
 cocharacter lattice Y are both Z^rank and the pairing is the dot product, so
 an isogeny choice is a choice of coordinates for the roots and coroots.
 Reflections act on Y by y -> y - <alpha, y> alpha^ and on X contragrediently;
-all Weyl elements downstream are carried as Y-matrices.
+all Weyl elements downstream are carried as Y-matrices.  A type string is
+read in one place, ``type_factors``: a product X1x...xXk of A1, A2, B2/C2
+and G2 up to semisimple rank 4, whose simply connected datum is the block
+sum of its factors' simple roots and coroots.
 
 Torsion points of the dual torus live in Y tensor Q/Z.  A point s is carried
 as an integer vector v with entries in [0, N), s = v / N, where the modulus N
@@ -48,7 +51,7 @@ __all__ = [
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
     "integral_root_positions", "TorusOrbit", "stable_point_orbits",
     "whittaker_torsor_size", "MAX_TORSION_POINTS", "x_action", "x_preserves",
-    "NAMED_SPECS", "TYPE_ALIASES",
+    "NAMED_SPECS", "TYPE_ALIASES", "type_factors",
 ]
 
 
@@ -193,11 +196,6 @@ def _close_roots(simple_roots, simple_coroots):
     return roots, coroots, tuple(range(len(simple_roots)))
 
 
-def _datum_from_simples(simples, cosimples, rank, label) -> RootDatum:
-    roots, coroots, s_idx = _close_roots(simples, cosimples)
-    return RootDatum(rank, roots, coroots, s_idx, label)
-
-
 def _torus(rank: int) -> RootDatum:
     return RootDatum(rank, (), (), (), f"T{rank}")
 
@@ -206,19 +204,27 @@ def _torus(rank: int) -> RootDatum:
 TYPE_ALIASES = {"C2": "B2"}
 
 _SC_SIMPLES = {
-    # type -> (simple roots in X, simple coroots in Y, rank)
-    "A1": (((2,),), ((1,),), 1),
-    "A2": (((2, -1), (-1, 2)), ((1, 0), (0, 1)), 2),
-    "B2": (((1, -1), (0, 2)), ((1, -1), (0, 1)), 2),  # Sp4 coordinates
-    "G2": (((2, -1), (-3, 2)), ((1, 0), (0, 1)), 2),
-    "A1xA1": (((2, 0), (0, 2)), ((1, 0), (0, 1)), 2),
+    # type -> (simple roots in X, simple coroots in Y), as many as the rank
+    "A1": (((2,),), ((1,),)),
+    "A2": (((2, -1), (-1, 2)), ((1, 0), (0, 1))),
+    "B2": (((1, -1), (0, 2)), ((1, -1), (0, 1))),  # Sp4 coordinates
+    "G2": (((2, -1), (-3, 2)), ((1, 0), (0, 1))),
 }
 
-_GL_DATA = {
-    # GL-style: roots e_i - e_j in X = Y = Z^n, coroots the same vectors
-    "A1": 2,
-    "A2": 3,
-}
+
+def type_factors(type_str: str) -> tuple[str, ...]:
+    """The simple factors of a product type ``X1x...xXk``, aliases resolved:
+    each one of A1, A2, B2/C2 and G2, their ranks adding up to at most 4 (so
+    |W| <= 144).  Anything else is refused."""
+    factors = tuple(TYPE_ALIASES.get(f, f) for f in type_str.split("x"))
+    if not set(factors) <= _SC_SIMPLES.keys():
+        raise UnsupportedTypeError(
+            f"type {type_str!r} is outside the supported menu (T<r>, or a "
+            "product X1x...xXk of A1, A2, B2/C2 and G2, optionally +T<r>)")
+    if sum(len(_SC_SIMPLES[f][1]) for f in factors) > 4:
+        raise UnsupportedTypeError(
+            f"type {type_str!r} has semisimple rank above 4")
+    return factors
 
 
 def _gl_datum(n: int) -> RootDatum:
@@ -295,13 +301,17 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
         if isogeny not in (None, "sc", "ad"):
             raise ConfigError("tori take no isogeny")
         return _torus(r)
-    key = TYPE_ALIASES.get(base_type, base_type)
-    if key not in _SC_SIMPLES:
-        raise UnsupportedTypeError(
-            f"type {base_type!r} is outside the supported menu "
-            "(T<r>, A1, A1xA1, A2, B2/C2, G2, optionally +T<r>)")
-    simples, cosimples, rank = _SC_SIMPLES[key]
-    sc = _datum_from_simples(simples, cosimples, rank, key)
+    factors = type_factors(base_type)
+    key = "x".join(factors)
+    # the simply connected datum of a product is the block sum of its factors
+    rank = sum(len(_SC_SIMPLES[f][1]) for f in factors)
+    simples, cosimples = [], []
+    for f in factors:
+        before = (0,) * len(simples)
+        after = (0,) * (rank - len(before) - len(_SC_SIMPLES[f][1]))
+        simples += [before + r + after for r in _SC_SIMPLES[f][0]]
+        cosimples += [before + c + after for c in _SC_SIMPLES[f][1]]
+    sc = RootDatum(rank, *_close_roots(simples, cosimples), key)
     if isogeny is None or isogeny == "sc":
         return sc
     if isogeny == "ad":
@@ -309,9 +319,9 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
         # dual type; all supported types are self-dual as Weyl types
         return dual_datum(sc)
     if isogeny == "gl":
-        if key not in _GL_DATA:
+        if key not in ("A1", "A2"):
             raise UnsupportedTypeError(f"GL-style isogeny is only available for A1 and A2, not {key}")
-        return _gl_datum(_GL_DATA[key])
+        return _gl_datum(rank + 1)
     if isinstance(isogeny, (list, tuple)):
         return _sublattice_datum(sc, isogeny, key)
     raise ConfigError(f"unknown isogeny {isogeny!r}")

@@ -113,6 +113,32 @@ def test_cells_reads_c2_as_b2(capsys):
     assert sorted(c["family"] for c in c2["cells"]) == ["1", "1", "Z2"]
 
 
+def test_cells_of_a_product_type(capsys):
+    # cells of W(B2) x W(G2) are products of the factors' three cells each
+    code, out, _ = run(capsys, ["cells", "--type", "B2xG2", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 8 * 12
+    assert len(data["cells"]) == 3 * 3
+
+
+A1XA1_CELLS = [("e", "e"), ("0", "0"), ("1", "1"), ("01", "01")]
+
+
+def test_cells_of_a1xa1_output(capsys):
+    # product types carry no family column; both formats are pinned
+    code, out, _ = run(capsys, ["cells", "--type", "A1xA1"])
+    assert code == 0
+    assert out == ("type A1xA1: reflection group of order 4, 4 two-sided "
+                   "cells\n" + "".join(f"  cell {c}: size 1 members {m}\n"
+                                       for c, m in A1XA1_CELLS))
+    code, out, _ = run(capsys, ["cells", "--type", "A1xA1", "--json"])
+    assert code == 0
+    cells = [{"cell": c, "size": 1, "members": [m]} for c, m in A1XA1_CELLS]
+    assert out == json.dumps({"type": "A1xA1", "order": 4, "cells": cells},
+                             indent=2) + "\n"
+
+
 def test_tables_subcommand(capsys):
     code, out, _ = run(capsys, ["tables", "--json"])
     assert code == 0
@@ -133,7 +159,9 @@ def test_exit_code_bad_config(capsys):
     assert run(capsys, ["count", "--group", "nope", "--q", "3"])[0] == 2
     assert run(capsys, ["count", "--group", "sl2"])[0] == 2
     assert run(capsys, ["count", "--group", "sl2", "--q", "6"])[0] == 2
-    assert run(capsys, ["cells", "--type", "E8"])[0] == 2
+    # an unknown factor, an empty one, and semisimple rank 5 over the cap
+    for cell_type in ("E8", "A1x", "A1xA1xA1xA1xA1"):
+        assert run(capsys, ["cells", "--type", cell_type])[0] == 2
 
 
 def test_exit_code_unsupported(capsys):
@@ -262,7 +290,9 @@ def test_oracle_refuses_work_over_its_limit(argv):
 # ---------------------------------------------------------------------------
 # random configs through the CLI
 
-BASE_RANK = {"A1": 1, "A1xA1": 2, "A2": 2, "B2": 2, "C2": 2, "G2": 2}
+BASE_RANK = {"A1": 1, "A1xA1": 2, "A2": 2, "B2": 2, "C2": 2, "G2": 2,
+             "A1xB2": 3, "A2xA1": 3, "C2xA1": 3, "A1xA1xA1xA1xA1": 5,
+             "A1xE8": 9, "A1x": 1}
 
 
 def _rank_of(base, isogeny, suffix):
@@ -294,7 +324,9 @@ def group_configs(draw):
     # the parser; most are still refused, which probes the refusals
     base = draw(st.sampled_from(["T1", "T2", "T3", "A1", "A1", "A1xA1",
                                  "A1xA1", "A2", "A2", "B2", "C2", "G2", "G2",
-                                 "T0", "T7", "Tx", "A3", "E8"]))
+                                 "A1xB2", "A2xA1", "C2xA1",
+                                 "T0", "T7", "Tx", "A3", "E8",
+                                 "A1xA1xA1xA1xA1", "A1xE8", "A1x"]))
     suffix = draw(st.sampled_from([0, 0, 0, 1, 2]))
     config = {"type": base + (f"+T{suffix}" if suffix else "")}
     isogeny = draw(st.sampled_from([None, None, None, "sc", "ad", "gl",

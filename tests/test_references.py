@@ -124,14 +124,20 @@ STEINBERG_CONFIGS = {
     "pu3": ({"type": "A2", "isogeny": "ad", "twist": [1, 0]}, lambda q: q * q),
     "res-pgl2": ({"type": "A1xA1", "isogeny": "ad", "twist": [1, 0]},
                  lambda q: q * q),
+    "res-b2-ad": ({"type": "B2xB2", "isogeny": "ad", "twist": [2, 3, 0, 1]},
+                  lambda q: q ** 4),
 }
 
 
 @pytest.mark.parametrize("label", sorted(STEINBERG_CONFIGS))
 def test_semisimple_class_count_steinberg(label):
     config, expected = STEINBERG_CONFIGS[label]
+    # res-b2-ad past q = 5 lists too many points for every test run
+    qmax = 5 if label == "res-b2-ad" else 16
     checked = 0
     for q in IDENTITY_A_Q:
+        if q > qmax:
+            continue
         try:
             spec = parse_group_spec(config, q=q)
         except LPacketsError:
@@ -156,6 +162,31 @@ def test_weil_restriction_identities(q):
         assert totals(twisted) == [expected, expected], (isogeny, q)
     torus = parse_group_spec({"type": "T2", "twist": SWAP}, q=q)
     assert totals(torus) == [q * q - 1, q * q - 1]
+
+
+# Products of two factors at q, each with the one-factor group G it counts
+# as: with a Frobenius map that swaps the factors, Res_{F_q^2/F_q} G at q
+# counts as G at q^2 (power 1), so the pipelines run the factor action tau
+# of ``strata._stratum_packets``; untwisted, it is G at q squared (power 2).
+RES = [2, 3, 0, 1]
+RES_UNITARY = [2, 3, 1, 0]  # F^2 is A2's graph automorphism on each factor
+SU3 = {"type": "A2", "twist": [1, 0]}
+PRODUCTS = {
+    "res-sp4-q3": ({"type": "B2xB2", "twist": RES}, 3, "sp4", 9, 1),
+    "res-sl3-q2": ({"type": "A2xA2", "twist": RES}, 2, {"type": "A2"}, 4, 1),
+    "res-sl3-q3": ({"type": "A2xA2", "twist": RES}, 3, {"type": "A2"}, 9, 1),
+    "res-su3-q2": ({"type": "A2xA2", "twist": RES_UNITARY}, 2, SU3, 4, 1),
+    "res-su3-q3": ({"type": "A2xA2", "twist": RES_UNITARY}, 3, SU3, 9, 1),
+    "res-g2-q5": ({"type": "G2xG2", "twist": RES}, 5, "g2", 25, 1),
+    "sp4-squared-q3": ({"type": "B2xB2"}, 3, "sp4", 3, 2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PRODUCTS))
+def test_product_types_match_their_factor_group(label):
+    config, q, factor, factor_q, power = PRODUCTS[label]
+    [one] = set(totals(parse_group_spec(factor, q=factor_q)))
+    assert totals(parse_group_spec(config, q=q)) == [one ** power] * 2
 
 
 def brute_force_class_count(rank, m, component_gens):

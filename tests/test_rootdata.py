@@ -21,8 +21,10 @@ from lpackets.rootdata import (
     integral_root_positions,
     parse_group_spec,
     point_label,
+    type_factors,
     whittaker_torsor_size,
 )
+from lpackets.springer import _TABLES
 
 
 def spec_of(name, q):
@@ -86,6 +88,37 @@ def test_parse_rejects_bad_input():
         parse_group_spec("sp4", q=4)
     with pytest.raises(UnsupportedTypeError):
         parse_group_spec("g2", q=9)
+    # products off the menu: rank 5 over the cap, a factor outside it, an
+    # empty factor, a torus factor, and GL-style for a product
+    for config in ({"type": "A1xA1xA1xA1xA1"}, {"type": "A1xE8"},
+                   {"type": "A1x"}, {"type": "A1xT1"},
+                   {"type": "A2xA1", "isogeny": "gl"}):
+        with pytest.raises(UnsupportedTypeError):
+            parse_group_spec(config, q=3)
+
+
+def test_product_datum_is_the_block_sum():
+    # the alias applies per factor, and each factor's roots and coroots sit
+    # in their own block of coordinates
+    a1, b2 = (parse_group_spec({"type": t}, q=3).datum for t in ("A1", "B2"))
+    prod = parse_group_spec({"type": "A1xC2"}, q=3).datum
+    assert (prod.cartan_label, prod.rank) == ("A1xB2", 3)
+    for field in ("roots", "coroots"):
+        blocks = ({r + (0, 0) for r in getattr(a1, field)}
+                  | {(0,) + r for r in getattr(b2, field)})
+        assert set(getattr(prod, field)) == blocks
+    assert prod.simple_roots == ((2, 0, 0), (0, 1, -1), (0, 0, 2))
+
+
+def test_parser_admits_exactly_the_tabled_simple_types():
+    # a factor admitted without a class table would fail inside a pipeline
+    admitted = set()
+    for name in (f"{x}{n}" for x in "ABCDEFG" for n in range(1, 9)):
+        try:
+            admitted.update(type_factors(name))
+        except UnsupportedTypeError:
+            pass
+    assert admitted == set(_TABLES)
 
 
 def test_pairing_and_duality():

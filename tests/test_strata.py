@@ -152,12 +152,12 @@ def test_beta_classes_cover_frobenius_cosets():
 
 
 def test_frobenius_swap_of_two_b2_factors():
-    # No supported spec has a Frobenius map that moves a factor with a
-    # nontrivial family group (that needs two B2 or G2 factors), so the
-    # geometry is built by hand: two B2 factors in the Z2 family, a trivial
-    # Omega, and a coset whose Frobenius map swaps the factors.  The packets
-    # are then the tau-twisted classes of Z2 x Z2, which are the classes of
-    # Z2 over F_q^2: M(Z2) = 4, criterion 4's B2 block.
+    # One stratum of B2xB2 with the factor swap, whose totals
+    # tests/test_references.py checks through both pipelines, built here by
+    # hand: two B2 factors in the Z2 family, a trivial Omega, and a coset
+    # whose Frobenius map swaps the factors.  The packets are then the
+    # tau-twisted classes of Z2 x Z2, which are the classes of Z2 over
+    # F_q^2: M(Z2) = 4, criterion 4's B2 block.
     geo = SimpleNamespace(sub=SimpleNamespace(factor_types=("B2", "B2")),
                           factor_cells=[("0", "0")],
                           omega=table_group([0], lambda a, b: 0, ["e"]),
