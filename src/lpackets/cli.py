@@ -95,24 +95,31 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    from .strata import _standalone
+    from .strata import _factor_cell_ids, _standalone
     try:
-        cell_type = "x".join(type_factors(args.type))
-    except UnsupportedTypeError as exc:
-        raise ConfigError(f"no cell data: {exc}") from None
-    cox, part = _standalone(cell_type)
-    families = family_groups(cell_type) if cell_type in _TABLES else None
+        factors = type_factors(args.type)
+    except UnsupportedTypeError:
+        raise ConfigError(
+            f"no cell data for type {args.type!r}: cells takes a product "
+            "X1x...xXk of A1, A2, B2/C2 and G2 up to semisimple rank 4") from None
+    cox, part = _standalone("x".join(factors))
+    # the block sum of ``_build_datum`` gives each factor a consecutive block
+    # of simple reflections, in factor order
+    blocks, start = [], 0
+    for t in factors:
+        rank = len(_standalone(t)[0].generators)
+        blocks.append(range(start, start + rank))
+        start += rank
+    factor_ids = _factor_cell_ids(blocks, factors, cox, part)
     rows = []
     for ci, cell in enumerate(part.two_sided_cells):
-        cid = part.cell_id(ci)
-        row = {
-            "cell": cid,
+        rows.append({
+            "cell": part.cell_id(ci),
             "size": len(cell),
             "members": [cox.word_label(i) for i in cell],
-        }
-        if families is not None:
-            row["family"] = families[cid]
-        rows.append(row)
+            "family": "x".join(family_groups(t)[c]
+                               for t, c in zip(factors, factor_ids[ci])),
+        })
     if args.json:
         print(json.dumps({"type": args.type, "order": cox.order,
                           "cells": rows}, indent=2))
@@ -120,9 +127,8 @@ def cmd_cells(args) -> int:
         print(f"type {args.type}: reflection group of order {cox.order}, "
               f"{len(rows)} two-sided cells")
         for row in rows:
-            fam = f" family={row['family']}" if "family" in row else ""
-            print(f"  cell {row['cell']}: size {row['size']}{fam} "
-                  f"members {', '.join(row['members'])}")
+            print(f"  cell {row['cell']}: size {row['size']} "
+                  f"family={row['family']} members {', '.join(row['members'])}")
     return 0
 
 

@@ -5,10 +5,13 @@ works with integer matrices and integer vectors, so all counts are exact.
 Matrices are tuples of row tuples; vectors are tuples.  A torsion point s of
 (Q/Z)^n is an integer vector v with entries in [0, N) for a modulus N that
 the caller fixes, standing for s = v / N; with one N shared by all points,
-integer order on the vectors is the order of the points.  Both solvers go
-through the integer adjugate: square rational systems as rows @ adj(a) /
-det(a), and the torsion-point solver as the group that the columns of
-adj(a) / det(a) generate.
+integer order on the vectors is the order of the points.
+
+One fraction-free elimination gives the determinant, and with it the
+adjugate, in O(n^3).  ``adjugate`` hands both on, and every inverse runs on
+it: square rational systems as rows @ adj(a) / det(a), the torsion-point
+solver as the group that the columns of adj(a) / det(a) generate, and the
+unimodular inverse as det(a) * adj(a).
 
 ``mat_mul`` and ``mat_inv_unimodular`` are ``groups.memo`` functions: inside
 one pipeline call each distinct product and inverse is computed once, as
@@ -45,15 +48,24 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def det(a: Matrix) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
+def _eliminate(a: Matrix, with_adjugate: bool) -> tuple[int, Matrix | None]:
+    """det(a), and adj(a) when asked for and a is nonsingular (else None), by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    For the determinant alone the rows below each pivot are cleared.  For
+    the adjugate the elimination runs Gauss-Jordan style on [a | 1], every
+    row but the pivot row cleared, and ends at [d' 1 | d' a^-1], d' the last
+    pivot and the determinant of the row-swapped a.  After step k every entry
+    is a (k+1)-minor of the matrix the elimination started from, so each
+    division by the previous pivot is exact.
+    """
     n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
+    width = 2 * n if with_adjugate else n
+    m = [list(row) + [int(i == j) for j in range(n)] if with_adjugate else list(row)
+         for i, row in enumerate(a)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
@@ -61,24 +73,33 @@ def det(a: Matrix) -> int:
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                return 0, None
+        piv = m[k]
+        pk = piv[k]
+        for i in range(0 if with_adjugate else k + 1, n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                for j in range(k + 1, width):
+                    row[j] = (row[j] * pk - f * piv[j]) // prev
+        prev = pk
+    if not with_adjugate:
+        return sign * prev, None
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """adj(m), so that m @ adj(m) = det(m) * 1, by cofactors."""
-    n = len(m)
-    return tuple(
-        tuple((-1) ** (i + j) * det(tuple(
-            tuple(m[r][c] for c in range(n) if c != i)
-            for r in range(n) if r != j))
-            for j in range(n))
-        for i in range(n))
+def det(a: Matrix) -> int:
+    """Integer determinant."""
+    return _eliminate(a, False)[0]
+
+
+def adjugate(a: Matrix) -> tuple[int, Matrix]:
+    """(det(a), adj(a)) of a nonsingular a, so that a @ adj(a) = det(a) * 1,
+    from one elimination; a singular a is refused."""
+    d, adj = _eliminate(a, True)
+    if adj is None:
+        raise InvariantError("singular matrix")
+    return d, adj
 
 
 def solve_integral(a: Matrix, rows) -> Matrix | None:
@@ -87,8 +108,8 @@ def solve_integral(a: Matrix, rows) -> Matrix | None:
 
     x = rows @ adj(a) / det(a), so the solve is integer arithmetic.
     """
-    d = det(a)
-    scaled = mat_mul(rows, adjugate(a))
+    d, adj = adjugate(a)
+    scaled = mat_mul(rows, adj)
     if any(x % d for row in scaled for x in row):
         return None
     return tuple(tuple(x // d for x in row) for row in scaled)
@@ -96,39 +117,11 @@ def solve_integral(a: Matrix, rows) -> Matrix | None:
 
 @memo
 def mat_inv_unimodular(a: Matrix) -> Matrix:
-    """Inverse of an integer matrix with determinant +-1.
-
-    Integer row reduction of [a | 1]: a Euclidean pass leaves the gcd of each
-    column's remaining entries in the pivot, which is +-1 exactly when a is
-    unimodular.
-    """
-    n = len(a)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        while True:
-            rows = [r for r in range(col, n) if aug[r][col] != 0]
-            if not rows:
-                raise InvariantError("matrix is not unimodular")
-            piv = min(rows, key=lambda r: abs(aug[r][col]))
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            done = True
-            for r in range(col + 1, n):
-                f = aug[r][col] // pv
-                if f:
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-                done = done and aug[r][col] == 0
-            if done:
-                break
-        if abs(pv) != 1:
-            raise InvariantError("matrix is not unimodular")
-        if pv < 0:
-            aug[col] = [-x for x in aug[col]]
-        for r in range(col):
-            f = aug[r][col]
-            if f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    """Inverse of an integer matrix with determinant +-1: det(a) * adj(a)."""
+    d, adj = adjugate(a)
+    if abs(d) != 1:
+        raise InvariantError("matrix is not unimodular")
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
@@ -139,9 +132,7 @@ def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     of it: a @ s integral means det(a) * s is integral.  The vectors come
     sorted, and there are exactly abs(det(a)) of them.
     """
-    d = det(a)
-    if d == 0:
-        raise InvariantError("singular system has infinitely many torsion solutions")
+    d, adj = adjugate(a)
     if modulus is None:
         modulus = abs(d)
     if modulus % d:
@@ -153,7 +144,7 @@ def solve_torsion(a: Matrix, modulus: int | None = None) -> list[Vector]:
     wrap = modulus.__rmod__  # x -> x % modulus
     sols = [(0,) * len(a)]
     members = set()
-    for col in zip(*adjugate(a)):
+    for col in zip(*adj):
         members.update(sols[len(members):])
         c = tuple(modulus // d * x % modulus for x in col)
         steps = []

@@ -35,7 +35,6 @@ from .groups import closure, memo, orbits, strong_components
 from .lattice import (
     Matrix,
     Vector,
-    adjugate,
     det,
     identity,
     mat_inv_unimodular,
@@ -86,30 +85,21 @@ class RootDatum(namedtuple("RootDatum", "rank roots coroots simple_indices "
     def positive_indices(self) -> tuple[int, ...]:
         """Indices of the roots lying in the nonnegative span of the simples.
 
-        A root r is sum_i c_i alpha_i with c = <r, simple coroots> C^-1 for the
-        Cartan matrix C; scaled by det C that is integer arithmetic.
+        A root r is sum_i c_i alpha_i with c C = <r, simple coroots> for the
+        Cartan matrix C, and c is integral.
         """
         simples = self.simple_roots
         cartan = tuple(tuple(self.pairing(a, b) for b in self.simple_coroots)
                        for a in simples)
-        d = det(cartan)
-        if d == 0:
-            raise InvariantError("simple roots are linearly dependent")
-        adj = adjugate(cartan)
-        out = []
-        for i, root in enumerate(self.roots):
-            pairings = [self.pairing(root, b) for b in self.simple_coroots]
-            scaled = [sum(p * adj[j][k] for j, p in enumerate(pairings))
-                      for k in range(len(simples))]  # d * c
-            if tuple(d * x for x in root) != tuple(
-                    sum(c * a[t] for c, a in zip(scaled, simples))
-                    for t in range(self.rank)):
-                raise InvariantError("root outside the span of the simple roots")
-            if all(c * d >= 0 for c in scaled):
-                out.append(i)
+        pairings = tuple(tuple(self.pairing(r, b) for b in self.simple_coroots)
+                         for r in self.roots)
+        coeffs = solve_integral(cartan, pairings)
+        if coeffs is None or mat_mul(coeffs, simples) != self.roots:
+            raise InvariantError("root outside the lattice of the simple roots")
+        out = tuple(i for i, c in enumerate(coeffs) if min(c) >= 0)
         if 2 * len(out) != len(self.roots):
             raise InvariantError("positive roots are not half of all roots")
-        return tuple(out)
+        return out
 
 
 class FrobeniusTwist(namedtuple("FrobeniusTwist", "q p sigma_y")):

@@ -119,27 +119,29 @@ def _standalone(type_label: str):
     return cox, part
 
 
-def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
+def _factor_cell_ids(factors, factor_types, cox: CoxeterGroup,
                      part: CellPartition) -> tuple[tuple[str, ...], ...]:
     """Per two-sided cell, the cell id of each factor component.
 
+    ``cox`` is a product of reflection groups of types ``factor_types``, and
+    ``factors[i]`` holds the letters of its words that generate factor i.
     Cells of a product reflection group are products of factor cells; the
     assignment projects the least element of each cell onto the factors and
     reads its cell off the factor's standalone structure.
     """
-    where = []
-    for s in range(len(sub.simple_positions)):
-        fi = sub.factor_of_simple(s)
-        where.append((fi, sub.factors[fi].index(s)))
-    k = len(sub.factors)
+    where = {}
+    for fi, letters in enumerate(factors):
+        for loc, letter in enumerate(letters):
+            where[letter] = (fi, loc)
+    k = len(factors)
     out = []
     for cell in part.two_sided_cells:
         local_words = [[] for _ in range(k)]
-        for letter in sub_cox.words[cell[0]]:
+        for letter in cox.words[cell[0]]:
             fi, loc = where[letter]
             local_words[fi].append(loc)
         ids = []
-        for fi, t in enumerate(sub.factor_types):
+        for fi, t in enumerate(factor_types):
             cox_t, part_t = _standalone(t)
             idx = 0
             for loc in local_words[fi]:
@@ -147,7 +149,7 @@ def _factor_cell_ids(sub: SubSystem, sub_cox: CoxeterGroup,
             ids.append(part_t.cell_id(part_t.cell_of[idx]))
         out.append(tuple(ids))
     expected = 1
-    for t in sub.factor_types:
+    for t in factor_types:
         expected *= len(_standalone(t)[1].two_sided_cells)
     if len(set(out)) != len(out) or len(out) != expected:
         raise InvariantError("cells do not factor as products over the factors")
@@ -160,7 +162,8 @@ def _subsystem_cells(sub: SubSystem):
     cell ids of each two-sided cell: a function of the subsystem alone."""
     sub_cox = enumerate_weyl(sub.as_datum())
     part = cells(kl_table(sub_cox))
-    return sub_cox, part, _factor_cell_ids(sub, sub_cox, part)
+    return sub_cox, part, _factor_cell_ids(sub.factors, sub.factor_types,
+                                           sub_cox, part)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -114,27 +115,54 @@ def test_cells_reads_c2_as_b2(capsys):
 
 
 def test_cells_of_a_product_type(capsys):
-    # cells of W(B2) x W(G2) are products of the factors' three cells each
+    # cells of W(B2) x W(G2) are products of the factors' three cells each,
+    # and the family group of each is the product of the factors' ones
     code, out, _ = run(capsys, ["cells", "--type", "B2xG2", "--json"])
     assert code == 0
     data = json.loads(out)
     assert data["order"] == 8 * 12
     assert len(data["cells"]) == 3 * 3
+    assert [c["family"] for c in data["cells"]] == [
+        "1x1", "Z2x1", "1xS3", "Z2xS3", "1x1", "1xS3", "1x1", "Z2x1", "1x1"]
+    assert data["cells"][3]["cell"] == "02"
+
+
+# sha256 prefixes of ``cells --type T`` and ``cells --type T --json`` on the
+# simple types, pinned when product types gained their family column
+SIMPLE_CELLS_DIGESTS = {
+    "A1": ("0097f071282ab40f", "f52dbd0806dc5362"),
+    "A2": ("f1ec98b4044fcecd", "f1e3e37026b01107"),
+    "B2": ("511b51bea34eb321", "4cf7e54b3c446a88"),
+    "C2": ("cafa9742887b5969", "c3f0ff9c9bc146d3"),
+    "G2": ("5b4dcc5ae9e5695c", "532e171cc905502d"),
+}
+
+
+@pytest.mark.parametrize("cell_type", sorted(SIMPLE_CELLS_DIGESTS))
+def test_cells_of_simple_types_are_pinned(capsys, cell_type):
+    got = []
+    for flags in ([], ["--json"]):
+        code, out, _ = run(capsys, ["cells", "--type", cell_type, *flags])
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(got) == SIMPLE_CELLS_DIGESTS[cell_type]
 
 
 A1XA1_CELLS = [("e", "e"), ("0", "0"), ("1", "1"), ("01", "01")]
 
 
 def test_cells_of_a1xa1_output(capsys):
-    # product types carry no family column; both formats are pinned
+    # every A1 family group is trivial; both formats are pinned
     code, out, _ = run(capsys, ["cells", "--type", "A1xA1"])
     assert code == 0
     assert out == ("type A1xA1: reflection group of order 4, 4 two-sided "
-                   "cells\n" + "".join(f"  cell {c}: size 1 members {m}\n"
+                   "cells\n" + "".join(f"  cell {c}: size 1 family=1x1 "
+                                       f"members {m}\n"
                                        for c, m in A1XA1_CELLS))
     code, out, _ = run(capsys, ["cells", "--type", "A1xA1", "--json"])
     assert code == 0
-    cells = [{"cell": c, "size": 1, "members": [m]} for c, m in A1XA1_CELLS]
+    cells = [{"cell": c, "size": 1, "members": [m], "family": "1x1"}
+             for c, m in A1XA1_CELLS]
     assert out == json.dumps({"type": "A1xA1", "order": 4, "cells": cells},
                              indent=2) + "\n"
 
@@ -159,15 +187,26 @@ def test_exit_code_bad_config(capsys):
     assert run(capsys, ["count", "--group", "nope", "--q", "3"])[0] == 2
     assert run(capsys, ["count", "--group", "sl2"])[0] == 2
     assert run(capsys, ["count", "--group", "sl2", "--q", "6"])[0] == 2
-    # an unknown factor, an empty one, and semisimple rank 5 over the cap
-    for cell_type in ("E8", "A1x", "A1xA1xA1xA1xA1"):
-        assert run(capsys, ["cells", "--type", cell_type])[0] == 2
+    # an unknown factor, an empty one, semisimple rank 5 over the cap, and
+    # tori, which have no cells: the refusal names only what cells takes
+    for cell_type in ("E8", "A1x", "A1xA1xA1xA1xA1", "T1", "A1+T1"):
+        code, _, err = run(capsys, ["cells", "--type", cell_type])
+        assert code == 2
+        assert err == (f"error: no cell data for type {cell_type!r}: cells "
+                       "takes a product X1x...xXk of A1, A2, B2/C2 and G2 up "
+                       "to semisimple rank 4\n")
 
 
-def test_exit_code_unsupported(capsys):
+def test_exit_code_unsupported(tmp_path, capsys):
     assert run(capsys, ["compare", "--group", "g2", "--q", "5"])[0] == 3
     assert run(capsys, ["oracle", "--group", "g2", "--q", "2"])[0] == 3
     assert run(capsys, ["count", "--group", "sp4", "--q", "2"])[0] == 3
+    # count takes tori, so its refusal of a type keeps them on the menu
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"type": "E8", "q": 3}))
+    code, _, err = run(capsys, ["count", "--config", str(cfg)])
+    assert code == 3
+    assert "T<r>" in err and "+T<r>" in err
 
 
 def test_exit_code_spectral_on_disconnected(capsys):
