@@ -25,7 +25,13 @@ from .report import (
     spectral_report,
     stratified_report,
 )
-from .rootdata import NAMED_SPECS, parse_group_spec, type_factors
+from .rootdata import (
+    NAMED_SPECS,
+    _build_datum,
+    centralizer_subdatum,
+    parse_group_spec,
+    parse_type,
+)
 from .springer import _TABLES, family_groups
 
 _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}
@@ -95,22 +101,18 @@ def cmd_compare(args) -> int:
 
 
 def cmd_cells(args) -> int:
-    from .strata import _factor_cell_ids, _standalone
+    from .strata import _subsystem_cells
     try:
-        factors = type_factors(args.type)
-    except UnsupportedTypeError:
+        factors, torus = parse_type(args.type)
+    except (ConfigError, UnsupportedTypeError):
+        factors, torus = (), 0
+    if not factors or torus:
         raise ConfigError(
             f"no cell data for type {args.type!r}: cells takes a product "
-            "X1x...xXk of A1, A2, B2/C2 and G2 up to semisimple rank 4") from None
-    cox, part = _standalone("x".join(factors))
-    # the block sum of ``_build_datum`` gives each factor a consecutive block
-    # of simple reflections, in factor order
-    blocks, start = [], 0
-    for t in factors:
-        rank = len(_standalone(t)[0].generators)
-        blocks.append(range(start, start + rank))
-        start += rank
-    factor_ids = _factor_cell_ids(blocks, factors, cox, part)
+            "X1x...xXk of A1, A2, B2/C2 and G2 up to semisimple rank 4")
+    datum = _build_datum(factors, 0, None)
+    sub = centralizer_subdatum(datum, tuple(range(len(datum.roots))))
+    cox, part, factor_ids = _subsystem_cells(sub)
     rows = []
     for ci, cell in enumerate(part.two_sided_cells):
         rows.append({
@@ -118,7 +120,7 @@ def cmd_cells(args) -> int:
             "size": len(cell),
             "members": [cox.word_label(i) for i in cell],
             "family": "x".join(family_groups(t)[c]
-                               for t, c in zip(factors, factor_ids[ci])),
+                               for t, c in zip(sub.factor_types, factor_ids[ci])),
         })
     if args.json:
         print(json.dumps({"type": args.type, "order": cox.order,

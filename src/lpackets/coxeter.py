@@ -12,8 +12,9 @@ group is built once.
 
 Polynomials live in one variable as integer coefficient tuples.  The cells
 are the strongly connected components (``groups.strong_components``) of the
-mu-edge graphs; an independent re-verification of the polynomial table
-through the R-polynomial inversion identity is provided for the test suite.
+mu-edge graphs.  The independent check of the polynomial table through the
+R-polynomial inversion identity lives with the tests, in
+``tests/test_coxeter.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CoxeterGroup", "KLTable", "CellPartition", "enumerate_weyl", "kl_table",
-    "cells", "cell_action", "verify_kl_by_inversion",
-    "reflection_on_y",
+    "cells", "cell_action", "reflection_on_y",
 ]
 
 
@@ -65,16 +65,6 @@ def poly_shift(a, k):
 
 def poly_scale(c, a):
     return poly_trim(tuple(c * x for x in a))
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
 
 
 ONE = (1,)
@@ -265,58 +255,6 @@ def kl_table(cox: CoxeterGroup) -> KLTable:
     full = {(x, w): polys.get((x, w), ONE if x == w else ())
             for w in range(cox.order) for x in range(cox.order) if leq[x][w]}
     return KLTable(cox=cox, leq=leq, polynomials=full, mu=mu)
-
-
-def r_polynomials(cox: CoxeterGroup, leq) -> dict:
-    """R-polynomials by their own recursion (independent of the KL one)."""
-    rp: dict = {}
-
-    def R(x, w):
-        if not leq[x][w]:
-            return ()
-        key = (x, w)
-        if key in rp:
-            return rp[key]
-        if x == w:
-            rp[key] = ONE
-            return ONE
-        s = cox.left_descents(w)[0]
-        v = cox.left[s][w]
-        sx = cox.left[s][x]
-        if cox.length[sx] < cox.length[x]:
-            val = R(sx, v)
-        else:
-            val = poly_add(poly_mul((-1, 1), R(x, v)), poly_shift(R(sx, v), 1))
-        rp[key] = val
-        return val
-
-    for w in range(cox.order):
-        for x in range(cox.order):
-            R(x, w)
-    return rp
-
-
-def verify_kl_by_inversion(kl: KLTable) -> bool:
-    """Check q^(l(w)-l(x)) P_{x,w}(1/q) = sum_z R_{x,z} P_{z,w} for all pairs."""
-    cox = kl.cox
-    rp = r_polynomials(cox, kl.leq)
-    for w in range(cox.order):
-        for x in range(cox.order):
-            if not kl.leq[x][w]:
-                continue
-            d = cox.length[w] - cox.length[x]
-            p = kl.polynomials[(x, w)]
-            lhs = [0] * (d + 1)
-            for i, c in enumerate(p):
-                lhs[d - i] += c
-            rhs = ()
-            for z in range(cox.order):
-                if kl.leq[x][z] and kl.leq[z][w]:
-                    rhs = poly_add(rhs, poly_mul(rp.get((x, z), ()),
-                                                 kl.polynomials[(z, w)]))
-            if poly_trim(lhs) != rhs:
-                return False
-    return True
 
 
 # ---- cells ------------------------------------------------------------------

@@ -5,9 +5,13 @@ cocharacter lattice Y are both Z^rank and the pairing is the dot product, so
 an isogeny choice is a choice of coordinates for the roots and coroots.
 Reflections act on Y by y -> y - <alpha, y> alpha^ and on X contragrediently;
 all Weyl elements downstream are carried as Y-matrices.  A type string is
-read in one place, ``type_factors``: a product X1x...xXk of A1, A2, B2/C2
-and G2 up to semisimple rank 4, whose simply connected datum is the block
-sum of its factors' simple roots and coroots.
+read in one place, ``parse_type``: a torus T<r>, or a product X1x...xXk of
+A1, A2, B2/C2 and G2 up to semisimple rank 4 with an optional central torus
++T<r>.  Everything else about the type (the datum, its label, its bad
+primes) is built from the factors and the torus rank it returns; the simply
+connected datum of a product is the block sum of its factors' simple roots
+and coroots.  A ``SubSystem`` records which simple roots form which factor,
+and the cells of a type are read through it.
 
 Torsion points of the dual torus live in Y tensor Q/Z.  A point s is carried
 as an integer vector v with entries in [0, N), s = v / N, where the modulus N
@@ -50,7 +54,7 @@ __all__ = [
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
     "integral_root_positions", "TorusOrbit", "stable_point_orbits",
     "whittaker_torsor_size", "MAX_TORSION_POINTS", "x_action", "x_preserves",
-    "NAMED_SPECS", "TYPE_ALIASES", "type_factors",
+    "NAMED_SPECS", "TYPE_ALIASES", "parse_type",
 ]
 
 
@@ -186,10 +190,6 @@ def _close_roots(simple_roots, simple_coroots):
     return roots, coroots, tuple(range(len(simple_roots)))
 
 
-def _torus(rank: int) -> RootDatum:
-    return RootDatum(rank, (), (), (), f"T{rank}")
-
-
 # other names of a supported type: C2 and B2 are one root system
 TYPE_ALIASES = {"C2": "B2"}
 
@@ -201,12 +201,26 @@ _SC_SIMPLES = {
     "G2": (((2, -1), (-3, 2)), ((1, 0), (0, 1))),
 }
 
+# type -> the primes p for which F_q, q a power of p, is refused
+_BAD_PRIMES = {"A1": (), "A2": (), "B2": (2,), "G2": (2, 3)}
 
-def type_factors(type_str: str) -> tuple[str, ...]:
-    """The simple factors of a product type ``X1x...xXk``, aliases resolved:
-    each one of A1, A2, B2/C2 and G2, their ranks adding up to at most 4 (so
-    |W| <= 144).  Anything else is refused."""
-    factors = tuple(TYPE_ALIASES.get(f, f) for f in type_str.split("x"))
+
+def parse_type(type_str: str) -> tuple[tuple[str, ...], int]:
+    """The simple factors, aliases resolved, and the central torus rank of a
+    type string: ``T<r>``, or ``X1x...xXk`` optionally followed by ``+T<r>``
+    (torus rank 0 when there is none).  Each factor is one of A1, A2, B2/C2
+    and G2, their ranks adding up to at most 4 (so |W| <= 144), and a torus
+    has rank 1 to 6.  Anything else is refused.  This is the one reader of a
+    type string."""
+    head, plus, tail = type_str.partition("+")
+    torus = 0
+    if plus:
+        if not tail.startswith("T"):
+            raise ConfigError(f"bad type suffix {tail!r}; only +T<r> is supported")
+        torus = _torus_rank(tail)
+    elif head.startswith("T"):
+        return (), _torus_rank(head)
+    factors = tuple(TYPE_ALIASES.get(f, f) for f in head.split("x"))
     if not set(factors) <= _SC_SIMPLES.keys():
         raise UnsupportedTypeError(
             f"type {type_str!r} is outside the supported menu (T<r>, or a "
@@ -214,7 +228,18 @@ def type_factors(type_str: str) -> tuple[str, ...]:
     if sum(len(_SC_SIMPLES[f][1]) for f in factors) > 4:
         raise UnsupportedTypeError(
             f"type {type_str!r} has semisimple rank above 4")
-    return factors
+    return factors, torus
+
+
+def _torus_rank(torus: str) -> int:
+    """The rank r of a torus ``T<r>``, from 1 to 6."""
+    try:
+        rank = int(torus[1:])
+    except ValueError:
+        raise ConfigError(f"bad torus {torus!r}") from None
+    if not 1 <= rank <= 6:
+        raise UnsupportedTypeError("torus rank must be between 1 and 6")
+    return rank
 
 
 def _gl_datum(n: int) -> RootDatum:
@@ -230,7 +255,7 @@ def _gl_datum(n: int) -> RootDatum:
         roots_t.index(tuple(1 if k == i else (-1 if k == i + 1 else 0) for k in range(n)))
         for i in range(n - 1)
     )
-    return RootDatum(n, roots_t, roots_t, simples, f"A{n - 1}+T1")
+    return RootDatum(n, roots_t, roots_t, simples, "")
 
 
 def dual_datum(datum: RootDatum) -> RootDatum:
@@ -244,7 +269,7 @@ def dual_datum(datum: RootDatum) -> RootDatum:
     )
 
 
-def _sublattice_datum(base: RootDatum, basis_rows, label) -> RootDatum:
+def _sublattice_datum(base: RootDatum, basis_rows) -> RootDatum:
     """Pass to the sublattice of X spanned by the given rows (old coordinates).
 
     The sublattice must still contain every root; coroots move to the dual
@@ -259,40 +284,15 @@ def _sublattice_datum(base: RootDatum, basis_rows, label) -> RootDatum:
         raise ConfigError("sublattice does not contain all roots")
     new_coroots = [mat_vec(b, y) for y in base.coroots]
     return RootDatum(base.rank, new_roots, tuple(new_coroots),
-                     base.simple_indices, label)
+                     base.simple_indices, base.cartan_label)
 
 
-def _append_torus(datum: RootDatum, extra: int) -> RootDatum:
-    pad = (0,) * extra
-    label = datum.cartan_label
-    if extra:
-        if "+T" in label:
-            head, tail = label.rsplit("+T", 1)
-            label = f"{head}+T{int(tail) + extra}"
-        else:
-            label = f"{label}+T{extra}"
-    return RootDatum(
-        rank=datum.rank + extra,
-        roots=tuple(r + pad for r in datum.roots),
-        coroots=tuple(c + pad for c in datum.coroots),
-        simple_indices=datum.simple_indices,
-        cartan_label=label,
-    )
-
-
-def _build_datum(base_type: str, isogeny) -> RootDatum:
-    if base_type.startswith("T"):
-        try:
-            r = int(base_type[1:])
-        except ValueError:
-            raise ConfigError(f"bad torus type {base_type!r}")
-        if not 1 <= r <= 6:
-            raise UnsupportedTypeError("torus rank must be between 1 and 6")
-        if isogeny not in (None, "sc", "ad"):
-            raise ConfigError("tori take no isogeny")
-        return _torus(r)
-    factors = type_factors(base_type)
-    key = "x".join(factors)
+def _build_datum(factors: tuple[str, ...], torus: int, isogeny) -> RootDatum:
+    """The datum of the type ``parse_type`` reads as ``(factors, torus)``,
+    in the given isogeny, with the central torus in the last coordinates."""
+    label = "x".join(factors)
+    if not factors and isogeny not in (None, "sc", "ad"):
+        raise ConfigError("tori take no isogeny")
     # the simply connected datum of a product is the block sum of its factors
     rank = sum(len(_SC_SIMPLES[f][1]) for f in factors)
     simples, cosimples = [], []
@@ -301,34 +301,34 @@ def _build_datum(base_type: str, isogeny) -> RootDatum:
         after = (0,) * (rank - len(before) - len(_SC_SIMPLES[f][1]))
         simples += [before + r + after for r in _SC_SIMPLES[f][0]]
         cosimples += [before + c + after for c in _SC_SIMPLES[f][1]]
-    sc = RootDatum(rank, *_close_roots(simples, cosimples), key)
+    semisimple = RootDatum(rank, *_close_roots(simples, cosimples), "")
     if isogeny is None or isogeny == "sc":
-        return sc
-    if isogeny == "ad":
+        base = semisimple
+    elif isogeny == "ad":
         # the adjoint form is the dual of the simply connected form of the
         # dual type; all supported types are self-dual as Weyl types
-        return dual_datum(sc)
-    if isogeny == "gl":
-        if key not in ("A1", "A2"):
-            raise UnsupportedTypeError(f"GL-style isogeny is only available for A1 and A2, not {key}")
-        return _gl_datum(rank + 1)
-    if isinstance(isogeny, (list, tuple)):
-        return _sublattice_datum(sc, isogeny, key)
-    raise ConfigError(f"unknown isogeny {isogeny!r}")
+        base = dual_datum(semisimple)
+    elif isogeny == "gl":
+        if factors not in (("A1",), ("A2",)):
+            raise UnsupportedTypeError(
+                f"GL-style isogeny is only available for A1 and A2, not {label}")
+        base = _gl_datum(rank + 1)
+    elif isinstance(isogeny, (list, tuple)):
+        base = _sublattice_datum(semisimple, isogeny)
+    else:
+        raise ConfigError(f"unknown isogeny {isogeny!r}")
+    # GL's centre is one more torus coordinate
+    central = torus + (isogeny == "gl")
+    if central:
+        label = f"{label}+T{central}" if label else f"T{central}"
+    pad = (0,) * torus
+    return RootDatum(base.rank + torus, tuple(r + pad for r in base.roots),
+                     tuple(c + pad for c in base.coroots), base.simple_indices,
+                     label)
 
 
 # ---------------------------------------------------------------------------
 # twists and component groups
-
-def _bad_primes(label: str) -> set[int]:
-    bad = set()
-    for factor in label.replace("+", "x").split("x"):
-        if factor == "B2":
-            bad.add(2)
-        elif factor == "G2":
-            bad.update((2, 3))
-    return bad
-
 
 def _is_root_permuting(datum: RootDatum, m_y: Matrix) -> bool:
     co_set = set(datum.coroots)
@@ -426,22 +426,8 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
     if not isinstance(type_str, str):
         raise ConfigError("'type' must be a string")
 
-    extra_torus = 0
-    base_type = type_str
-    if "+" in type_str:
-        base_type, tail = type_str.split("+", 1)
-        if not tail.startswith("T"):
-            raise ConfigError(f"bad type suffix {tail!r}; only +T<r> is supported")
-        try:
-            extra_torus = int(tail[1:])
-        except ValueError:
-            raise ConfigError(f"bad torus suffix {tail!r}")
-        if extra_torus < 1 or extra_torus > 6:
-            raise ConfigError("torus suffix rank must be between 1 and 6")
-
-    datum = _build_datum(base_type, config.get("isogeny"))
-    if extra_torus:
-        datum = _append_torus(datum, extra_torus)
+    factors, torus = parse_type(type_str)
+    datum = _build_datum(factors, torus, config.get("isogeny"))
 
     q_eff = q if q is not None else config.get("q")
     if q_eff is None:
@@ -455,7 +441,7 @@ def parse_group_spec(config, q: int | None = None) -> GroupSpec:
             f"q = {q_eff} gives at least q - 1 torsion points; "
             f"the limit is {MAX_TORSION_POINTS}")
     p, _ = prime_power(q_eff)
-    bad = _bad_primes(datum.cartan_label)
+    bad = {b for f in factors for b in _BAD_PRIMES[f]}
     if p in bad:
         raise UnsupportedTypeError(
             f"p = {p} is a bad prime for type {datum.cartan_label}; "
@@ -540,9 +526,6 @@ class SubSystem(namedtuple("SubSystem", "ambient root_positions positive_positio
             return "T"
         return "x".join(self.factor_types)
 
-    def simple_roots(self):
-        return tuple(self.ambient.roots[i] for i in self.simple_positions)
-
     def as_datum(self) -> RootDatum:
         """The subsystem as a root datum on the ambient lattices."""
         return RootDatum(
@@ -554,47 +537,33 @@ class SubSystem(namedtuple("SubSystem", "ambient root_positions positive_positio
             cartan_label=self.label,
         )
 
-    def simple_permutation(self, m_y: Matrix) -> tuple[int, ...]:
-        """How a subsystem-preserving based automorphism permutes the simples.
-
-        transpose(m_y) is the inverse of the X-side action, so it carries
-        each simple back to the simple that maps onto it.
-        """
-        back = transpose(m_y)
-        simples = self.simple_roots()
-        out = [None] * len(simples)
-        for j, s in enumerate(simples):
-            try:
-                out[simples.index(mat_vec(back, s))] = j
-            except ValueError:
-                raise InvariantError("matrix does not preserve the subsystem simples")
-        return tuple(out)
-
-    def factor_of_simple(self, pos: int) -> int:
-        for fi, comp in enumerate(self.factors):
-            if pos in comp:
-                return fi
-        raise IndexError(pos)
-
 
 def factor_permutation(sub: SubSystem, m_y: Matrix) -> tuple[int, ...]:
     """Permutation of the subsystem factors induced by a based automorphism:
     factor i goes to factor out[i], so ``groups.permuted`` moves a tuple of
-    per-factor entries by it."""
-    sp = sub.simple_permutation(m_y)
-    k = len(sub.factors)
-    out = [None] * k
-    for fi, comp in enumerate(sub.factors):
-        targets = {sub.factor_of_simple(sp[pos]) for pos in comp}
-        if len(targets) != 1:
+    per-factor entries by it.
+
+    transpose(m_y) is the inverse of the X-side action, so it carries each
+    simple root t back to the simple that maps onto t; that simple's factor
+    goes to the factor of t.
+    """
+    roots = sub.ambient.roots
+    factor_of = {roots[sub.simple_positions[s]]: fi
+                 for fi, comp in enumerate(sub.factors) for s in comp}
+    back = transpose(m_y)
+    out = {}
+    for t, fi in factor_of.items():
+        source = factor_of.get(mat_vec(back, t))
+        if source is None:
+            raise InvariantError("matrix does not preserve the subsystem simples")
+        if out.setdefault(source, fi) != fi:
             raise InvariantError("factor permutation tears a factor apart")
-        out[fi] = targets.pop()
-    if sorted(out) != list(range(k)):
+    perm = tuple(out.get(fi, -1) for fi in range(len(sub.factors)))
+    if sorted(perm) != list(range(len(perm))):
         raise InvariantError("factor map is not a permutation")
-    for fi in range(k):
-        if sub.factor_types[fi] != sub.factor_types[out[fi]]:
-            raise InvariantError("factor permutation changes the type")
-    return tuple(out)
+    if any(sub.factor_types[fi] != sub.factor_types[gi] for fi, gi in enumerate(perm)):
+        raise InvariantError("factor permutation changes the type")
+    return perm
 
 
 def _classify_component(datum: RootDatum, simple_positions, comp) -> str:

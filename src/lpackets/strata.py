@@ -88,7 +88,6 @@ class _Ambient:
         self.dd = dual_datum(spec.datum)
         self.cox = enumerate_weyl(self.dd)
         self.sigma = spec.twist.sigma_x
-        self.sigma_inv = mat_inv_unimodular(self.sigma)
         self.elements: list[Matrix] = [mat_mul(x_action(g), w)
                                        for g in spec.components
                                        for w in self.cox.elements]
@@ -113,27 +112,27 @@ def semisimple_parameters(spec: GroupSpec, amb=None) -> list[TorusOrbit]:
 
 @lru_cache(maxsize=None)
 def _standalone(type_label: str):
-    datum = _build_datum(type_label, None)
+    datum = _build_datum((type_label,), 0, None)
     cox = enumerate_weyl(datum)
     part = cells(kl_table(cox))
     return cox, part
 
 
-def _factor_cell_ids(factors, factor_types, cox: CoxeterGroup,
+def _factor_cell_ids(sub: SubSystem, cox: CoxeterGroup,
                      part: CellPartition) -> tuple[tuple[str, ...], ...]:
-    """Per two-sided cell, the cell id of each factor component.
+    """Per two-sided cell of ``cox``, the reflection group of ``sub``, the
+    cell id of each factor component.
 
-    ``cox`` is a product of reflection groups of types ``factor_types``, and
-    ``factors[i]`` holds the letters of its words that generate factor i.
-    Cells of a product reflection group are products of factor cells; the
-    assignment projects the least element of each cell onto the factors and
-    reads its cell off the factor's standalone structure.
+    ``sub.factors[i]`` holds the letters of ``cox``'s words that generate
+    factor i.  Cells of a product reflection group are products of factor
+    cells; the assignment projects the least element of each cell onto the
+    factors and reads its cell off the factor's standalone structure.
     """
     where = {}
-    for fi, letters in enumerate(factors):
+    for fi, letters in enumerate(sub.factors):
         for loc, letter in enumerate(letters):
             where[letter] = (fi, loc)
-    k = len(factors)
+    k = len(sub.factors)
     out = []
     for cell in part.two_sided_cells:
         local_words = [[] for _ in range(k)]
@@ -141,7 +140,7 @@ def _factor_cell_ids(factors, factor_types, cox: CoxeterGroup,
             fi, loc = where[letter]
             local_words[fi].append(loc)
         ids = []
-        for fi, t in enumerate(factor_types):
+        for fi, t in enumerate(sub.factor_types):
             cox_t, part_t = _standalone(t)
             idx = 0
             for loc in local_words[fi]:
@@ -149,7 +148,7 @@ def _factor_cell_ids(factors, factor_types, cox: CoxeterGroup,
             ids.append(part_t.cell_id(part_t.cell_of[idx]))
         out.append(tuple(ids))
     expected = 1
-    for t in factor_types:
+    for t in sub.factor_types:
         expected *= len(_standalone(t)[1].two_sided_cells)
     if len(set(out)) != len(out) or len(out) != expected:
         raise InvariantError("cells do not factor as products over the factors")
@@ -162,8 +161,7 @@ def _subsystem_cells(sub: SubSystem):
     cell ids of each two-sided cell: a function of the subsystem alone."""
     sub_cox = enumerate_weyl(sub.as_datum())
     part = cells(kl_table(sub_cox))
-    return sub_cox, part, _factor_cell_ids(sub.factors, sub.factor_types,
-                                           sub_cox, part)
+    return sub_cox, part, _factor_cell_ids(sub, sub_cox, part)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +207,6 @@ class _PointGeometry:
             cox.index[mat_mul(m, w0)] for m in stab if m in cox.index)]
         sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
-        self.coset_of: dict = {}
         for _, coset in orbits(sprime, lambda w: [mat_mul(u, w)
                                                   for u in self.sub_cox.elements]):
             if not sset.issuperset(coset):
@@ -217,26 +214,24 @@ class _PointGeometry:
             dist = [v for v in coset if self._based(mat_mul(v, amb.sigma))]
             if len(dist) != 1:
                 raise InvariantError("distinguished representative is not unique")
-            self.coset_of.update(dict.fromkeys(coset, len(self.coset_reps)))
             self.coset_reps.append(dist[0])
 
-        # twisted conjugation of the complement on the cosets
-        self.ad = []
-        for g in self.omega.elements:
-            sgs = mat_mul(mat_mul(amb.sigma, g), amb.sigma_inv)
-            sgs_inv = mat_inv_unimodular(sgs)
-            row = []
-            for w in self.coset_reps:
-                img = mat_mul(mat_mul(g, w), sgs_inv)
-                if img not in self.coset_of:
-                    raise InvariantError("twisted conjugation leaves the cosets")
-                row.append(self.coset_of[img])
-            self.ad.append(row)
-
-        # cell and factor permutations of each distinguished Frobenius map
+        # the distinguished Frobenius maps, and their cell and factor
+        # permutations; twisted conjugation by g in the complement sends
+        # coset w to g w (sigma g sigma^-1)^-1, whose Frobenius map is
+        # g (w sigma) g^-1, and a based g keeps a distinguished map
+        # distinguished, so it is conjugation of the distinguished maps
         betas = [mat_mul(w, amb.sigma) for w in self.coset_reps]
         self.beta_cell_perm = [cell_action(self.part, m) for m in betas]
         self.beta_perms = [factor_permutation(self.sub, m) for m in betas]
+        beta_at = {m: b for b, m in enumerate(betas)}
+        self.ad = []
+        for g in self.omega.elements:
+            g_inv = mat_inv_unimodular(g)
+            try:
+                self.ad.append([beta_at[mat_mul(mat_mul(g, m), g_inv)] for m in betas])
+            except KeyError:
+                raise InvariantError("twisted conjugation leaves the cosets") from None
 
     def _based(self, m: Matrix) -> bool:
         return x_preserves(m, self.pos_set)

@@ -23,6 +23,7 @@ from lpackets.rootdata import (
     _build_datum,
     dual_datum,
     parse_group_spec,
+    parse_type,
     whittaker_torsor_size,
 )
 from lpackets.spectral import spectral_strata
@@ -150,7 +151,7 @@ def test_criterion_6_structural_checks():
         rows = {r.class_label: r for r in special_classes(t)}
         for r in rows.values():
             assert rows[r.dual_class].dual_class == r.class_label, t
-        part = cells(kl_table(enumerate_weyl(_build_datum(t, None))))
+        part = cells(kl_table(enumerate_weyl(_build_datum(*parse_type(t), None))))
         assert len(part.two_sided_cells) == len(rows), t
         fams = family_groups(t)
         for r in rows.values():
@@ -158,7 +159,7 @@ def test_criterion_6_structural_checks():
 
     # polynomial positivity and the degree bound
     for t in RANK2_TYPES:
-        cox = enumerate_weyl(_build_datum(t, None))
+        cox = enumerate_weyl(_build_datum(*parse_type(t), None))
         kl = kl_table(cox)
         for (x, w), p in kl.polynomials.items():
             assert all(c >= 0 for c in p), t

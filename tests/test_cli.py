@@ -189,7 +189,8 @@ def test_exit_code_bad_config(capsys):
     assert run(capsys, ["count", "--group", "sl2", "--q", "6"])[0] == 2
     # an unknown factor, an empty one, semisimple rank 5 over the cap, and
     # tori, which have no cells: the refusal names only what cells takes
-    for cell_type in ("E8", "A1x", "A1xA1xA1xA1xA1", "T1", "A1+T1"):
+    for cell_type in ("E8", "A1x", "A1xA1xA1xA1xA1", "T1", "A1+T1", "Tx",
+                      "A1+Tx", "T7", "A1+T7", "T1+T2"):
         code, _, err = run(capsys, ["cells", "--type", cell_type])
         assert code == 2
         assert err == (f"error: no cell data for type {cell_type!r}: cells "
@@ -207,6 +208,31 @@ def test_exit_code_unsupported(tmp_path, capsys):
     code, _, err = run(capsys, ["count", "--config", str(cfg)])
     assert code == 3
     assert "T<r>" in err and "+T<r>" in err
+
+
+@pytest.mark.parametrize("type_str,code,message", [
+    # a torus rank outside 1-6 is unsupported, in either spelling
+    ("T7", 3, "error: torus rank must be between 1 and 6\n"),
+    ("T0", 3, "error: torus rank must be between 1 and 6\n"),
+    ("A1+T7", 3, "error: torus rank must be between 1 and 6\n"),
+    ("A1+T0", 3, "error: torus rank must be between 1 and 6\n"),
+    # a rank that is not a number is a bad configuration
+    ("Tx", 2, "error: bad torus 'Tx'\n"),
+    ("A1+Tx", 2, "error: bad torus 'Tx'\n"),
+    # a torus takes no torus suffix
+    ("T1+T2", 3, None),
+    ("T6+T6", 3, None),
+])
+def test_torus_refusals(tmp_path, capsys, type_str, code, message):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"type": type_str}))
+    got, out, err = run(capsys, ["count", "--config", str(cfg), "--q", "3"])
+    assert (got, out) == (code, "")
+    if message is None:
+        message = (f"error: type {type_str!r} is outside the supported menu "
+                   "(T<r>, or a product X1x...xXk of A1, A2, B2/C2 and G2, "
+                   "optionally +T<r>)\n")
+    assert err == message
 
 
 def test_exit_code_spectral_on_disconnected(capsys):

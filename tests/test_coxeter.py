@@ -7,11 +7,12 @@ from lpackets.coxeter import (
     cells,
     enumerate_weyl,
     kl_table,
-    poly_mul,
-    verify_kl_by_inversion,
+    poly_add,
+    poly_shift,
+    poly_trim,
 )
 from lpackets.lattice import identity, mat_mul
-from lpackets.rootdata import _build_datum
+from lpackets.rootdata import _build_datum, parse_type
 
 TYPE_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12}
 LONGEST_LENGTH = {"A1": 1, "A1xA1": 2, "A2": 3, "B2": 4, "G2": 6}
@@ -19,7 +20,71 @@ CELL_COUNTS = {"A1": 2, "A1xA1": 4, "A2": 3, "B2": 3, "G2": 3}
 
 
 def standalone(t):
-    return enumerate_weyl(_build_datum(t, None))
+    return enumerate_weyl(_build_datum(*parse_type(t), None))
+
+
+# ---- an independent reference: the R-polynomial inversion identity ---------
+
+def poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def r_polynomials(cox, leq) -> dict:
+    """R-polynomials by their own recursion (independent of the KL one)."""
+    rp: dict = {}
+
+    def R(x, w):
+        if not leq[x][w]:
+            return ()
+        key = (x, w)
+        if key in rp:
+            return rp[key]
+        if x == w:
+            rp[key] = (1,)
+            return (1,)
+        s = cox.left_descents(w)[0]
+        v = cox.left[s][w]
+        sx = cox.left[s][x]
+        if cox.length[sx] < cox.length[x]:
+            val = R(sx, v)
+        else:
+            val = poly_add(poly_mul((-1, 1), R(x, v)), poly_shift(R(sx, v), 1))
+        rp[key] = val
+        return val
+
+    for w in range(cox.order):
+        for x in range(cox.order):
+            R(x, w)
+    return rp
+
+
+def verify_kl_by_inversion(kl) -> bool:
+    """Check q^(l(w)-l(x)) P_{x,w}(1/q) = sum_z R_{x,z} P_{z,w} for all pairs."""
+    cox = kl.cox
+    rp = r_polynomials(cox, kl.leq)
+    for w in range(cox.order):
+        for x in range(cox.order):
+            if not kl.leq[x][w]:
+                continue
+            d = cox.length[w] - cox.length[x]
+            p = kl.polynomials[(x, w)]
+            lhs = [0] * (d + 1)
+            for i, c in enumerate(p):
+                lhs[d - i] += c
+            rhs = ()
+            for z in range(cox.order):
+                if kl.leq[x][z] and kl.leq[z][w]:
+                    rhs = poly_add(rhs, poly_mul(rp.get((x, z), ()),
+                                                 kl.polynomials[(z, w)]))
+            if poly_trim(lhs) != rhs:
+                return False
+    return True
 
 
 def longest(cox):

@@ -368,8 +368,6 @@ def unread_public(sources):
 # the API the package promises beyond what its own modules read
 PUBLIC_API = {
     "__init__.__version__": "the installed version, for users and packaging",
-    "coxeter.verify_kl_by_inversion": "the independent reference the KL tests "
-                                      "compare the recursion against",
 }
 
 
@@ -563,3 +561,51 @@ def test_table_read_is_caught():
               "    return t[y][x], mul, table, g.inverse, g.tables\n"
               "z = groups.FiniteGroup.mul\n")
     assert table_reads(source) == [(2, "mul"), (3, "table"), (6, "mul")]
+
+
+SPLIT_METHODS = {"split", "rsplit", "partition", "rpartition"}
+
+
+def type_string_splits(sources):
+    """``module.definition`` for every ``split``, ``rsplit``, ``partition``
+    or ``rpartition`` call whose separator is ``"x"`` or holds a ``"+"``,
+    named by its enclosing definitions (``<module>`` outside any)."""
+    out = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr in SPLIT_METHODS:
+                seps = child.args[:1] + [k.value for k in child.keywords
+                                         if k.arg == "sep"]
+                if any(isinstance(s, ast.Constant) and isinstance(s.value, str)
+                       and (s.value == "x" or "+" in s.value) for s in seps):
+                    out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
+            visit(child, path)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), [module])
+    return sorted(out)
+
+
+# ``rootdata.parse_type`` is the one reader of a type string: every other
+# module takes the factors and the torus rank from it, or a ``SubSystem``
+def test_only_the_type_parser_splits_type_strings():
+    found = type_string_splits({p.stem: p.read_text() for p in MODULES})
+    assert set(found) == {"rootdata.parse_type"}
+
+
+def test_type_string_split_is_caught():
+    source = ("head, _, tail = t.partition('+')\n"
+              "def label(t):\n"
+              "    return t.rsplit('+T', 1), t.split(sep='x'), t.split('.')\n"
+              "class K:\n"
+              "    def factors(self, t):\n"
+              "        return t.replace('+', 'x').split('x'), t.rpartition('+')\n"
+              "def ok(t):\n"
+              "    return t.split(), t.split(','), t.partition(sep)\n")
+    assert type_string_splits({"m": source}) == [
+        "m.<module>", "m.K.factors", "m.K.factors", "m.label", "m.label"]

@@ -20,8 +20,8 @@ from lpackets.rootdata import (
     factor_permutation,
     integral_root_positions,
     parse_group_spec,
+    parse_type,
     point_label,
-    type_factors,
     whittaker_torsor_size,
 )
 from lpackets.springer import _TABLES
@@ -115,7 +115,7 @@ def test_parser_admits_exactly_the_tabled_simple_types():
     admitted = set()
     for name in (f"{x}{n}" for x in "ABCDEFG" for n in range(1, 9)):
         try:
-            admitted.update(type_factors(name))
+            admitted.update(parse_type(name)[0])
         except UnsupportedTypeError:
             pass
     assert admitted == set(_TABLES)
@@ -194,6 +194,62 @@ def test_factor_permutation_identity():
     sub = centralizer_subdatum(d, integral_root_positions(d, (1, 1), 2))
     n = len(sub.factors)
     assert factor_permutation(sub, identity(2)) == tuple(range(n))
+
+
+@pytest.mark.parametrize("twist,expected", [([1, 2, 0], (1, 2, 0)),
+                                             ([2, 0, 1], (2, 0, 1))])
+def test_factor_permutation_direction(twist, expected):
+    # the twist sends simple coroot i to simple coroot twist[i], and so dual
+    # factor i to dual factor twist[i]; a 3-cycle tells this from its inverse
+    spec = parse_group_spec({"type": "A1xA1xA1", "twist": twist}, q=3)
+    d = dual_datum(spec.datum)
+    sub = centralizer_subdatum(d, tuple(range(len(d.roots))))
+    assert factor_permutation(sub, spec.twist.sigma_x) == expected
+
+
+def test_factor_permutation_refusals():
+    # the dual simple roots of A1xA1 and A1xA2 are the coordinate vectors
+    swap = ((0, 1), (1, 0))
+    d = dual_datum(parse_group_spec({"type": "A1xA1"}, q=3).datum)
+    sub = centralizer_subdatum(d, tuple(range(len(d.roots))))
+    assert factor_permutation(sub, swap) == (1, 0)
+    with pytest.raises(InvariantError, match="does not preserve the subsystem simples"):
+        factor_permutation(sub, ((-1, 0), (0, 1)))
+    with pytest.raises(InvariantError, match="changes the type"):
+        factor_permutation(sub._replace(factor_types=("A1", "A2")), swap)
+    d = dual_datum(parse_group_spec({"type": "A1xA2"}, q=3).datum)
+    sub = centralizer_subdatum(d, tuple(range(len(d.roots))))
+    with pytest.raises(InvariantError, match="tears a factor apart"):
+        factor_permutation(sub, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("type_str,expected", [
+    ("T3", ((), 3)),
+    ("G2", (("G2",), 0)),
+    ("A1xC2+T2", (("A1", "B2"), 2)),
+    ("C2xA1xA1+T6", (("B2", "A1", "A1"), 6)),
+])
+def test_parse_type_reads_the_whole_string(type_str, expected):
+    assert parse_type(type_str) == expected
+
+
+@pytest.mark.parametrize("config,label,rank", [
+    ({"type": "T3"}, "T3", 3),
+    ({"type": "A1xC2+T1"}, "A1xB2+T1", 4),
+    ({"type": "A1", "isogeny": "gl"}, "A1+T1", 2),
+    ({"type": "A2+T2", "isogeny": "gl"}, "A2+T3", 5),
+])
+def test_label_names_the_factors_and_the_whole_centre(config, label, rank):
+    # GL's centre adds one to the torus rank of the label
+    datum = parse_group_spec(config, q=5).datum
+    assert (datum.cartan_label, datum.rank) == (label, rank)
+
+
+@pytest.mark.parametrize("type_str,q", [("A1xC2", 4), ("G2+T1", 9),
+                                        ("A1xG2", 8)])
+def test_bad_primes_come_from_the_factors(type_str, q):
+    with pytest.raises(UnsupportedTypeError, match="bad prime"):
+        parse_group_spec({"type": type_str}, q=q)
 
 
 @pytest.mark.parametrize("config", [

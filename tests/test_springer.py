@@ -3,7 +3,7 @@ import pytest
 from lpackets.coxeter import cells, enumerate_weyl, kl_table
 from lpackets.errors import InvariantError, UnsupportedTypeError
 from lpackets.groups import cyclic, direct_product, symmetric
-from lpackets.rootdata import _build_datum
+from lpackets.rootdata import _build_datum, parse_type
 from lpackets.springer import (
     TABLE_VERSION,
     abar_group,
@@ -40,7 +40,7 @@ def test_duality_reverses_dimension_order(t):
 
 @pytest.mark.parametrize("t", TYPES)
 def test_cells_match_special_classes(t):
-    part = cells(kl_table(enumerate_weyl(_build_datum(t, None))))
+    part = cells(kl_table(enumerate_weyl(_build_datum(*parse_type(t), None))))
     rows = special_classes(t)
     assert len(part.two_sided_cells) == len(rows)
     ids = {part.cell_id(i) for i in range(len(part.two_sided_cells))}

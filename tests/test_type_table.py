@@ -19,7 +19,7 @@ import pytest
 
 from lpackets.coxeter import enumerate_weyl
 from lpackets.errors import InvariantError
-from lpackets.lattice import mat_vec
+from lpackets.lattice import mat_mul, mat_vec
 from lpackets.rootdata import (
     dual_datum,
     parse_group_spec,
@@ -143,8 +143,9 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
         stab = [m for m in amb.elements if _mat_vec_mod(m, rep, modulus) == rep]
         assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
         target = _frobenius(spec, rep, modulus)
-        assert set(geo.coset_of) == {w for w in amb.cox.elements
-                                     if _mat_vec_mod(w, target, modulus) == rep}
+        assert {mat_mul(u, w) for w in geo.coset_reps
+                for u in geo.sub_cox.elements} == {
+            w for w in amb.cox.elements if _mat_vec_mod(w, target, modulus) == rep}
     if not spec.connected:
         return
     cox = enumerate_weyl(dual_datum(spec.datum))
