@@ -112,16 +112,13 @@ def cmd_cells(args) -> int:
             "X1x...xXk of A1, A2, B2/C2 and G2 up to semisimple rank 4")
     datum = _build_datum(factors, 0, None)
     sub = centralizer_subdatum(datum, tuple(range(len(datum.roots))))
-    cox, part, factor_ids = _subsystem_cells(sub)
-    rows = []
-    for ci, cell in enumerate(part.two_sided_cells):
-        rows.append({
-            "cell": part.cell_id(ci),
-            "size": len(cell),
-            "members": [cox.word_label(i) for i in cell],
-            "family": "x".join(family_groups(t)[c]
-                               for t, c in zip(sub.factor_types, factor_ids[ci])),
-        })
+    cox, cells = _subsystem_cells(sub)
+    rows = [{"cell": cox.word_label(members[0]),
+             "size": len(members),
+             "members": [cox.word_label(i) for i in members],
+             "family": "x".join(family_groups(t)[c]
+                                for t, c in zip(sub.factor_types, ids))}
+            for ids, members in cells]
     if args.json:
         print(json.dumps({"type": args.type, "order": cox.order,
                           "cells": rows}, indent=2))

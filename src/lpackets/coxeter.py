@@ -12,7 +12,8 @@ group is built once.
 
 Polynomials live in one variable as integer coefficient tuples.  The cells
 are the strongly connected components (``groups.strong_components``) of the
-mu-edge graphs.  The independent check of the polynomial table through the
+mu-edge graphs.  The pipelines compute them only for the four simple types
+(``strata._standalone``) and read the cells of a product from its factors'.  The independent check of the polynomial table through the
 R-polynomial inversion identity lives with the tests, in
 ``tests/test_coxeter.py``.
 """
@@ -24,14 +25,14 @@ from typing import TYPE_CHECKING
 
 from .errors import InvariantError
 from .groups import closure, memo, strong_components
-from .lattice import Matrix, identity, mat_inv_unimodular, mat_mul, mat_vec, transpose
+from .lattice import Matrix, identity, mat_mul, mat_vec, transpose
 
 if TYPE_CHECKING:
     from .rootdata import RootDatum
 
 __all__ = [
     "CoxeterGroup", "KLTable", "CellPartition", "enumerate_weyl", "kl_table",
-    "cells", "cell_action", "reflection_on_y",
+    "cells", "reflection_on_y",
 ]
 
 
@@ -313,24 +314,3 @@ def cells(kl: KLTable) -> CellPartition:
     return CellPartition(cox=cox, left_cells=left_cells, right_cells=right_cells,
                          two_sided_cells=two_sided, cell_of=tuple(cell_of))
 
-
-def cell_action(part: CellPartition, m_y: Matrix):
-    """The permutation of two-sided cells induced by conjugation with a
-    normalizing lattice map; raises if the map does not normalize the group
-    or shuffles elements across cell boundaries.
-    """
-    cox = part.cox
-    m_inv = mat_inv_unimodular(m_y)
-    elem_perm = []
-    for w in cox.elements:
-        img = mat_mul(mat_mul(m_y, w), m_inv)
-        if img not in cox.index:
-            raise InvariantError("matrix does not normalize the reflection group")
-        elem_perm.append(cox.index[img])
-    cell_perm = []
-    for cell in part.two_sided_cells:
-        images = {part.cell_of[elem_perm[i]] for i in cell}
-        if len(images) != 1:
-            raise InvariantError("conjugation does not permute the cells")
-        cell_perm.append(images.pop())
-    return tuple(cell_perm)

@@ -232,11 +232,12 @@ def parse_type(type_str: str) -> tuple[tuple[str, ...], int]:
 
 
 def _torus_rank(torus: str) -> int:
-    """The rank r of a torus ``T<r>``, from 1 to 6."""
-    try:
-        rank = int(torus[1:])
-    except ValueError:
-        raise ConfigError(f"bad torus {torus!r}") from None
+    """The rank r of a torus ``T<r>``, from 1 to 6, written in ASCII digits
+    without a leading zero."""
+    text = torus[1:]
+    if not (text.isascii() and text.isdigit() and str(int(text)) == text):
+        raise ConfigError(f"bad torus {torus!r}")
+    rank = int(text)
     if not 1 <= rank <= 6:
         raise UnsupportedTypeError("torus rank must be between 1 and 6")
     return rank

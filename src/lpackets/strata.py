@@ -10,6 +10,12 @@ in one ``groups.orbits`` pass.  Its packets are twisted classes of the
 family group of c extended by the pair's stabilizer, walked with
 ``groups.FiniteGroup.twisted_images`` as the dual route's are.
 
+A cell of the integral reflection group, a product of simple factors, is
+the tuple of its factor cell ids, one two-sided cell per factor.  Omega and
+the Frobenius maps move it by their factor permutations, as ``spectral``
+moves a special class.  KL polynomials and cells are computed only for the
+four simple types, once each per process (``_standalone``).
+
 This route covers disconnected groups: component matrices act on the torus
 alongside the reflections and enter every stabilizer.
 
@@ -30,8 +36,8 @@ orbits with one key have the same strata up to their semisimple label:
 
 Types share more than their keys show: many have one integral subsystem,
 and many strata one packet walk.  ``stratified_strata`` runs in one
-``groups.call_scope``, so a subsystem's reflection group, cells and factor
-cell ids (``_subsystem_cells``) and a stratum's packets (``_packets``, keyed
+``groups.call_scope``, so a subsystem's reflection group and cells
+(``_subsystem_cells``) and a stratum's packets (``_packets``, keyed
 on the family labels, the Frobenius factor permutation, Omega_b and its
 factor permutations) are each built once per call.
 """
@@ -39,8 +45,9 @@ factor permutations) are each built once per call.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
-from .coxeter import CellPartition, CoxeterGroup, cell_action, cells, enumerate_weyl, kl_table
+from .coxeter import cells, enumerate_weyl, kl_table
 from .errors import InvariantError
 from .groups import (
     Packet,
@@ -118,50 +125,33 @@ def _standalone(type_label: str):
     return cox, part
 
 
-def _factor_cell_ids(sub: SubSystem, cox: CoxeterGroup,
-                     part: CellPartition) -> tuple[tuple[str, ...], ...]:
-    """Per two-sided cell of ``cox``, the reflection group of ``sub``, the
-    cell id of each factor component.
-
-    ``sub.factors[i]`` holds the letters of ``cox``'s words that generate
-    factor i.  Cells of a product reflection group are products of factor
-    cells; the assignment projects the least element of each cell onto the
-    factors and reads its cell off the factor's standalone structure.
-    """
-    where = {}
-    for fi, letters in enumerate(sub.factors):
-        for loc, letter in enumerate(letters):
-            where[letter] = (fi, loc)
-    k = len(sub.factors)
-    out = []
-    for cell in part.two_sided_cells:
-        local_words = [[] for _ in range(k)]
-        for letter in cox.words[cell[0]]:
-            fi, loc = where[letter]
-            local_words[fi].append(loc)
-        ids = []
-        for fi, t in enumerate(sub.factor_types):
-            cox_t, part_t = _standalone(t)
-            idx = 0
-            for loc in local_words[fi]:
-                idx = cox_t.right[loc][idx]
-            ids.append(part_t.cell_id(part_t.cell_of[idx]))
-        out.append(tuple(ids))
-    expected = 1
-    for t in sub.factor_types:
-        expected *= len(_standalone(t)[1].two_sided_cells)
-    if len(set(out)) != len(out) or len(out) != expected:
-        raise InvariantError("cells do not factor as products over the factors")
-    return tuple(out)
-
-
 @memo
 def _subsystem_cells(sub: SubSystem):
-    """The reflection group of ``sub``, its cell partition, and the factor
-    cell ids of each two-sided cell: a function of the subsystem alone."""
-    sub_cox = enumerate_weyl(sub.as_datum())
-    part = cells(kl_table(sub_cox))
-    return sub_cox, part, _factor_cell_ids(sub, sub_cox, part)
+    """The reflection group of ``sub`` and its two-sided cells, listed by
+    least member, each as ``(ids, members)``: its factor cell ids and its
+    sorted element indices.
+
+    ``sub.factors[i]`` holds the letters of the group's words that generate
+    factor i.  Cells of a product reflection group are products of factor
+    cells, so each element's cell is read off its projections: the letters
+    of its word in factor i, walked through factor i's standalone group.
+    """
+    cox = enumerate_weyl(sub.as_datum())
+    where = {letter: (fi, loc) for fi, letters in enumerate(sub.factors)
+             for loc, letter in enumerate(letters)}
+    tables = [_standalone(t) for t in sub.factor_types]
+    by_ids: dict[tuple[str, ...], list[int]] = {}
+    for i, word in enumerate(cox.words):
+        local = [0] * len(tables)
+        for letter in word:
+            fi, loc = where[letter]
+            local[fi] = tables[fi][0].right[loc][local[fi]]
+        ids = tuple(part.cell_id(part.cell_of[x])
+                    for (_, part), x in zip(tables, local))
+        by_ids.setdefault(ids, []).append(i)
+    if len(by_ids) != prod(len(part.two_sided_cells) for _, part in tables):
+        raise InvariantError("cells do not factor as products over the factors")
+    return cox, tuple((ids, tuple(members)) for ids, members in by_ids.items())
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +160,11 @@ def _subsystem_cells(sub: SubSystem):
 class _PointGeometry:
     """Stabilizer, cells, and Frobenius cosets of one semisimple type, built
     from its type key (see ``rootdata.stable_point_orbits``) alone.
-    Element i of ``omega``, labelled by its acting index, moves cells by
-    ``cell_perm[i]``, cosets by ``ad[i]`` and factors by ``omega_perms[i]``;
-    coset b's Frobenius map moves cells by ``beta_cell_perm[b]`` and factors
-    by ``beta_perms[b]``."""
+    ``cells`` are the ``_subsystem_cells`` pairs ``(ids, members)``.
+    Element i of ``omega``, labelled by its acting index, moves cosets by
+    ``ad[i]`` and factors by ``omega_perms[i]``; coset b's Frobenius map
+    moves factors by ``beta_perms[b]``.  Each moves a cell's ids by
+    ``groups.permuted`` with its factor permutation."""
 
     def __init__(self, amb: _Ambient, key: tuple):
         positions, stab_idx, witness = key
@@ -181,7 +172,7 @@ class _PointGeometry:
             raise InvariantError("point enumerated without a Frobenius witness")
         dd = amb.dd
         self.sub = centralizer_subdatum(dd, positions)
-        self.sub_cox, self.part, self.factor_cells = _subsystem_cells(self.sub)
+        self.sub_cox, self.cells = _subsystem_cells(self.sub)
         self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
 
         stab = [amb.elements[i] for i in stab_idx]
@@ -194,7 +185,9 @@ class _PointGeometry:
                                      mat_mul, omega_idx)
         except ValueError:
             raise InvariantError("based stabilizer complement is not closed") from None
-        self.cell_perm = [cell_action(self.part, m) for m in self.omega.elements]
+        # a based map moves a cell by permuting its factor cell ids alone:
+        # within a factor it acts by a Coxeter-graph automorphism, and each
+        # of those fixes every two-sided cell of the four simple types
         self.omega_perms = [factor_permutation(self.sub, m)
                             for m in self.omega.elements]
 
@@ -216,13 +209,12 @@ class _PointGeometry:
                 raise InvariantError("distinguished representative is not unique")
             self.coset_reps.append(dist[0])
 
-        # the distinguished Frobenius maps, and their cell and factor
-        # permutations; twisted conjugation by g in the complement sends
-        # coset w to g w (sigma g sigma^-1)^-1, whose Frobenius map is
-        # g (w sigma) g^-1, and a based g keeps a distinguished map
-        # distinguished, so it is conjugation of the distinguished maps
+        # the distinguished Frobenius maps and their factor permutations;
+        # twisted conjugation by g in the complement sends coset w to
+        # g w (sigma g sigma^-1)^-1, whose Frobenius map is g (w sigma) g^-1,
+        # and a based g keeps a distinguished map distinguished, so it is
+        # conjugation of the distinguished maps
         betas = [mat_mul(w, amb.sigma) for w in self.coset_reps]
-        self.beta_cell_perm = [cell_action(self.part, m) for m in betas]
         self.beta_perms = [factor_permutation(self.sub, m) for m in betas]
         beta_at = {m: b for b, m in enumerate(betas)}
         self.ad = []
@@ -240,28 +232,20 @@ class _PointGeometry:
 # ---------------------------------------------------------------------------
 # counting one stratum
 
-def _check_factor_cells(geo: _PointGeometry, cell_pos: int, perm) -> None:
-    ids = geo.factor_cells[cell_pos]
-    if permuted(ids, perm) != ids:
-        raise InvariantError("cell-preserving map moves a factor cell")
-
-
-def _stratum_packets(geo: _PointGeometry, cell: int, beta: int, stab,
-                     rng=None):
+def _stratum_packets(geo: _PointGeometry, ids: tuple[str, ...], beta: int,
+                     stab, rng=None):
     """Packets of one stratum, as a tuple, and the description of the group
-    they are twisted classes of.  With G the cell's family group, Omega_b the
-    pair's stabilizer ``stab``, tau the coset's Frobenius action and
-    f = (tau, id) on E = G x| Omega_b: (h, v)(g, 1)f(h, v)^-1 =
-    (h v(g) tau(h)^-1, 1), so they are the f-twisted classes of E inside G.
-    f is an automorphism as tau commutes with Omega_b, which is checked."""
-    labels = tuple(family_groups(t)[geo.factor_cells[cell][fi]]
-                   for fi, t in enumerate(geo.sub.factor_types))
+    they are twisted classes of.  With G the family group of the cell with
+    factor cell ids ``ids``, Omega_b the pair's stabilizer ``stab``, tau the
+    coset's Frobenius action and f = (tau, id) on E = G x| Omega_b:
+    (h, v)(g, 1)f(h, v)^-1 = (h v(g) tau(h)^-1, 1), so they are the f-twisted
+    classes of E inside G.  f is an automorphism as tau commutes with
+    Omega_b, which is checked."""
+    labels = tuple(family_groups(t)[c] for t, c in zip(geo.sub.factor_types, ids))
     tau_fp = geo.beta_perms[beta]
-    _check_factor_cells(geo, cell, tau_fp)
     omega_sub = geo.omega.subgroup(stab)
     perms = tuple(geo.omega_perms[oi] for oi in omega_sub.elements)
     for fp in perms:
-        _check_factor_cells(geo, cell, fp)
         if tuple(fp[i] for i in tau_fp) != tuple(tau_fp[i] for i in fp):
             raise InvariantError("cell stabilizer does not commute with Frobenius")
     return _packets(labels, tau_fp, omega_sub, perms, rng=rng)
@@ -307,20 +291,21 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
     each orbit of the type gets them under its own label.  Pairs are listed
     c-major, so each orbit's first-seen pair is its least."""
     geo = _PointGeometry(amb, key)
-    pairs = [(c, b) for c in range(len(geo.part.two_sided_cells))
-             for b, perm in enumerate(geo.beta_cell_perm) if perm[c] == c]
+    pairs = [(ids, b) for ids, _ in geo.cells
+             for b, fp in enumerate(geo.beta_perms) if permuted(ids, fp) == ids]
     pair_set = set(pairs)
-    moves = list(zip(geo.cell_perm, geo.ad))
+    moves = list(zip(geo.omega_perms, geo.ad))
     strata = []
-    for pair, imgs in orbits(pairs, lambda p: [(cp[p[0]], ad[p[1]])
-                                               for cp, ad in moves]):
+    for pair, imgs in orbits(pairs, lambda p: [(permuted(p[0], fp), ad[p[1]])
+                                               for fp, ad in moves]):
         if not pair_set.issuperset(imgs):
             raise InvariantError("twisted conjugation leaves the stable cosets")
-        cell, beta = pair
+        ids, beta = pair
         stab = [oi for oi, img in enumerate(imgs) if img == pair]
-        packets, desc = _stratum_packets(geo, cell, beta, stab, rng=rng)
-        cell_label = "+".join(geo.part.cell_id(c)
-                              for c in sorted({c for c, _ in imgs}))
+        packets, desc = _stratum_packets(geo, ids, beta, stab, rng=rng)
+        seen = {c for c, _ in imgs}
+        cell_label = "+".join(geo.sub_cox.word_label(members[0])
+                              for c, members in geo.cells if c in seen)
         beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[beta]])
         strata.append(Stratum(ss_label="", labels=(("cell", cell_label),
                                                    ("beta", beta_label)),

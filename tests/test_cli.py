@@ -219,6 +219,13 @@ def test_exit_code_unsupported(tmp_path, capsys):
     # a rank that is not a number is a bad configuration
     ("Tx", 2, "error: bad torus 'Tx'\n"),
     ("A1+Tx", 2, "error: bad torus 'Tx'\n"),
+    # the rank is ASCII digits without a leading zero: int() would take
+    # spaces, leading zeros, digit underscores and other scripts' digits
+    ("T 3", 2, "error: bad torus 'T 3'\n"),
+    ("T01", 2, "error: bad torus 'T01'\n"),
+    ("A1+T 2", 2, "error: bad torus 'T 2'\n"),
+    ("T\u0663", 2, "error: bad torus 'T\u0663'\n"),
+    ("T1_0", 2, "error: bad torus 'T1_0'\n"),
     # a torus takes no torus suffix
     ("T1+T2", 3, None),
     ("T6+T6", 3, None),

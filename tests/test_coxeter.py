@@ -1,9 +1,8 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from lpackets.coxeter import (
-    cell_action,
     cells,
     enumerate_weyl,
     kl_table,
@@ -13,6 +12,7 @@ from lpackets.coxeter import (
 )
 from lpackets.lattice import identity, mat_mul
 from lpackets.rootdata import _build_datum, parse_type
+from lpackets.strata import _standalone
 
 TYPE_ORDERS = {"A1": 2, "A1xA1": 4, "A2": 6, "B2": 8, "G2": 12}
 LONGEST_LENGTH = {"A1": 1, "A1xA1": 2, "A2": 3, "B2": 4, "G2": 6}
@@ -188,21 +188,41 @@ def test_cells_refine_left_and_right():
         assert len(pos) == 1
 
 
-def test_cell_action_identity_fixes_everything():
-    part = cells(kl_table(standalone("G2")))
-    cell_perm = cell_action(part, identity(2))
-    assert list(cell_perm) == list(range(len(part.two_sided_cells)))
+def _graph_automorphisms(cox):
+    """The permutations of the simple reflections that keep the order of
+    every product of two of them: the Coxeter-graph automorphisms."""
+    def order(s, t):
+        i, k = cox.right[t][cox.right[s][0]], 1
+        while i:
+            i, k = cox.right[t][cox.right[s][i]], k + 1
+        return k
+    n = len(cox.generators)
+    return [p for p in permutations(range(n))
+            if all(order(p[s], p[t]) == order(s, t)
+                   for s in range(n) for t in range(n))]
 
 
-def test_cell_action_swap_on_product_type():
-    part = cells(kl_table(standalone("A1xA1")))
-    swap = ((0, 1), (1, 0))
-    cell_perm = cell_action(part, swap)
-    ids = [part.cell_id(i) for i in range(len(part.two_sided_cells))]
-    moved = {ids[i]: ids[cell_perm[i]] for i in range(len(ids))}
-    assert moved["e"] == "e"
-    assert moved["01"] == "01"
-    assert moved["0"] == "1" and moved["1"] == "0"
+@pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2"])
+def test_graph_automorphisms_fix_each_standalone_cell(t):
+    # a factor permutation carries a cell of a product reflection group in
+    # strata because each Coxeter-graph automorphism of a simple factor,
+    # such as su3's A2 swap or a B2 listed long root first, fixes every
+    # two-sided cell of it
+    cox, part = _standalone(t)
+    autos = _graph_automorphisms(cox)
+    assert len(autos) == (1 if t == "A1" else 2)
+    for p in autos:
+        image = []
+        for w in cox.words:
+            i = 0
+            for s in w:
+                i = cox.right[p[s]][i]
+            image.append(i)
+        assert sorted(image) == list(range(cox.order))
+        assert all(image[cox.right[s][i]] == cox.right[p[s]][image[i]]
+                   for s in range(len(p)) for i in range(cox.order))
+        assert all(part.cell_of[image[i]] == part.cell_of[i]
+                   for i in range(cox.order))
 
 
 def test_poly_helpers():

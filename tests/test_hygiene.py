@@ -566,10 +566,9 @@ def test_table_read_is_caught():
 SPLIT_METHODS = {"split", "rsplit", "partition", "rpartition"}
 
 
-def type_string_splits(sources):
-    """``module.definition`` for every ``split``, ``rsplit``, ``partition``
-    or ``rpartition`` call whose separator is ``"x"`` or holds a ``"+"``,
-    named by its enclosing definitions (``<module>`` outside any)."""
+def calls_by_definition(sources, match):
+    """``module.definition`` for every call ``match`` accepts, named by its
+    enclosing definitions (``<module>`` outside any)."""
     out = []
 
     def visit(node, path):
@@ -577,18 +576,27 @@ def type_string_splits(sources):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
-                    and child.func.attr in SPLIT_METHODS:
-                seps = child.args[:1] + [k.value for k in child.keywords
-                                         if k.arg == "sep"]
-                if any(isinstance(s, ast.Constant) and isinstance(s.value, str)
-                       and (s.value == "x" or "+" in s.value) for s in seps):
-                    out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
+            if isinstance(child, ast.Call) and match(child):
+                out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
             visit(child, path)
 
     for module, source in sources.items():
         visit(ast.parse(source), [module])
     return sorted(out)
+
+
+def type_string_splits(sources):
+    """Every ``split``, ``rsplit``, ``partition`` or ``rpartition`` call
+    whose separator is ``"x"`` or holds a ``"+"``, as
+    ``calls_by_definition`` names it."""
+    def match(call):
+        if not (isinstance(call.func, ast.Attribute)
+                and call.func.attr in SPLIT_METHODS):
+            return False
+        seps = call.args[:1] + [k.value for k in call.keywords if k.arg == "sep"]
+        return any(isinstance(s, ast.Constant) and isinstance(s.value, str)
+                   and (s.value == "x" or "+" in s.value) for s in seps)
+    return calls_by_definition(sources, match)
 
 
 # ``rootdata.parse_type`` is the one reader of a type string: every other
@@ -609,3 +617,31 @@ def test_type_string_split_is_caught():
               "    return t.split(), t.split(','), t.partition(sep)\n")
     assert type_string_splits({"m": source}) == [
         "m.<module>", "m.K.factors", "m.K.factors", "m.label", "m.label"]
+
+
+def kl_calls(sources):
+    """Every call of ``kl_table`` or ``cells``, by name or as an attribute,
+    as ``calls_by_definition`` names it."""
+    def match(call):
+        f = call.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name in ("kl_table", "cells")
+    return calls_by_definition(sources, match)
+
+
+# KL polynomials and cells are computed for the four simple types alone; a
+# product reads its cells from its factors' (``strata._subsystem_cells``)
+def test_only_the_standalone_cache_runs_kl():
+    found = kl_calls({p.stem: p.read_text() for p in MODULES})
+    assert set(found) == {"strata._standalone"}
+
+
+def test_kl_call_is_caught():
+    source = ("part = cells(kl_table(cox))\n"
+              "class K:\n"
+              "    def walk(self, cox):\n"
+              "        return coxeter.cells(coxeter.kl_table(cox))\n"
+              "def ok(cox):\n"
+              "    return kl_tables(cox), cox.cells, cells_of(cox)\n")
+    assert kl_calls({"m": source}) == [
+        "m.<module>", "m.<module>", "m.K.walk", "m.K.walk"]

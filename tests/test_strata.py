@@ -1,18 +1,21 @@
 import random
 from collections import Counter
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
+from lpackets.coxeter import cells, enumerate_weyl, kl_table
 from lpackets.groups import Packet, call_scope, table_group
 from lpackets.oracle import oracle_count
 from lpackets.report import spectral_report, stratified_report
-from lpackets.rootdata import parse_group_spec
+from lpackets.rootdata import _build_datum, centralizer_subdatum, parse_group_spec
 from lpackets.spectral import spectral_strata
 from lpackets.strata import (
     _Ambient,
     _PointGeometry,
     _stratum_packets,
+    _subsystem_cells,
     semisimple_parameters,
     stratified_strata,
 )
@@ -159,15 +162,14 @@ def test_frobenius_swap_of_two_b2_factors():
     # tau-twisted classes of Z2 x Z2, which are the classes of Z2 over
     # F_q^2: M(Z2) = 4, criterion 4's B2 block.
     geo = SimpleNamespace(sub=SimpleNamespace(factor_types=("B2", "B2")),
-                          factor_cells=[("0", "0")],
                           omega=table_group([0], lambda a, b: 0, ["e"]),
                           omega_perms=[(0, 1)], beta_perms=[(1, 0)])
-    packets, desc = _stratum_packets(geo, 0, 0, [0])
+    packets, desc = _stratum_packets(geo, ("0", "0"), 0, [0])
     assert packets == (Packet("e*e", 2, "Z2"), Packet("e*g1", 2, "Z2"))
     assert desc == "Z2xZ2"
     # a Frobenius map that fixes both factors gives the product block 4^2
     geo.beta_perms = [(0, 1)]
-    packets, _ = _stratum_packets(geo, 0, 0, [0])
+    packets, _ = _stratum_packets(geo, ("0", "0"), 0, [0])
     assert [(p.size, p.group_label) for p in packets] == [(4, "Z2xZ2")] * 4
 
 
@@ -176,3 +178,20 @@ def test_packet_memo_tells_the_frobenius_maps_apart():
     # one memo scope the second must not read the first one's packets
     with call_scope():
         test_frobenius_swap_of_two_b2_factors()
+
+
+SIMPLE_RANK = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
+PRODUCTS = [f for k in range(1, 5) for f in product(SIMPLE_RANK, repeat=k)
+            if sum(SIMPLE_RANK[t] for t in f) <= 4]
+
+
+def test_product_cells_are_the_kl_cells():
+    # the pipeline reads a product's cells from its factors' cells; KL run
+    # on the whole product must give the same two-sided cells, in order
+    assert len(PRODUCTS) == 31
+    for factors in PRODUCTS:
+        datum = _build_datum(factors, 0, None)
+        sub = centralizer_subdatum(datum, tuple(range(len(datum.roots))))
+        _, pairs = _subsystem_cells(sub)
+        kl_cells = cells(kl_table(enumerate_weyl(sub.as_datum())))
+        assert kl_cells.two_sided_cells == tuple(m for _, m in pairs), factors
