@@ -38,7 +38,9 @@ _REPORTERS = {"spectral": spectral_report, "stratified": stratified_report}
 
 
 def _load_spec(args):
-    if getattr(args, "config", None):
+    if args.group and args.config:
+        raise ConfigError("give --group or --config, not both")
+    if args.config:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)

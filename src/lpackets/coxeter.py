@@ -13,9 +13,10 @@ group is built once.
 Polynomials live in one variable as integer coefficient tuples.  The cells
 are the strongly connected components (``groups.strong_components``) of the
 mu-edge graphs.  The pipelines compute them only for the four simple types
-(``strata._standalone``) and read the cells of a product from its factors'.  The independent check of the polynomial table through the
-R-polynomial inversion identity lives with the tests, in
-``tests/test_coxeter.py``.
+(``strata._standalone``) and read the cells of a product from its factors'.
+
+The independent check of the polynomial table through the R-polynomial
+inversion identity lives with the tests, in ``tests/test_coxeter.py``.
 """
 
 from __future__ import annotations

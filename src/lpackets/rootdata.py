@@ -18,11 +18,11 @@ as an integer vector v with entries in [0, N), s = v / N, where the modulus N
 is fixed once per spec before any solving (see ``stable_point_orbits``), so
 every Weyl action, integrality test and comparison is integer arithmetic mod
 N.  ``point_label`` is the one place a point becomes a fraction.  The same
-solver feeds both counting pipelines, and hands each orbit over as a
-``TorusOrbit`` that carries its semisimple type key: this is the one place
-a point's type is read.  That record and the others here are immutable
-named tuples: equal fields make equal records, and no field can be
-reassigned.
+solver, under the acting group that ``acting_group`` builds from the spec,
+feeds both counting pipelines, and hands each orbit over as a ``TorusOrbit``
+that carries its semisimple type key: this is the one place a point's type
+is read.  That record and the others here are immutable named tuples: equal
+fields make equal records, and no field can be reassigned.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from .lattice import (
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "integral_root_positions", "TorusOrbit", "stable_point_orbits",
-    "whittaker_torsor_size", "MAX_TORSION_POINTS", "x_action", "x_preserves",
-    "NAMED_SPECS", "TYPE_ALIASES", "parse_type",
+    "integral_root_positions", "TorusOrbit", "acting_group",
+    "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
+    "x_action", "x_preserves", "NAMED_SPECS", "TYPE_ALIASES", "parse_type",
 ]
 
 
@@ -651,10 +651,22 @@ class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key")):
         return point_label(self.rep, self.modulus)
 
 
-def stable_point_orbits(spec: GroupSpec, cox: CoxeterGroup, acting) -> list[TorusOrbit]:
-    """Orbits of the group ``acting`` on the torsion points s of the dual
-    torus with q sigma w (s) = s for some w in the dual Weyl group ``cox``.
-    ``acting`` must hold every element of ``cox``, in any order.
+@memo
+def acting_group(spec: GroupSpec) -> tuple[CoxeterGroup, tuple[Matrix, ...]]:
+    """The dual Weyl group W* and the matrices of W* extended by the
+    component group, listed component-major with each coset in W*'s order:
+    for a connected spec, W*'s elements."""
+    cox = enumerate_weyl(dual_datum(spec.datum))
+    acting = tuple(mat_mul(x_action(g), w)
+                   for g in spec.components for w in cox.elements)
+    if len(set(acting)) != len(acting):
+        raise InvariantError("component coset collides with the reflection group")
+    return cox, acting
+
+
+def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
+    """Orbits of the spec's ``acting_group`` on the torsion points s of the
+    dual torus with q sigma w (s) = s for some w in the dual Weyl group W*.
 
     Every point is an integer vector v with s = v / N, where N is the lcm
     over w of |det(q sigma w - 1)|.  Specs whose solution count
@@ -665,11 +677,12 @@ def stable_point_orbits(spec: GroupSpec, cox: CoxeterGroup, acting) -> list[Toru
     each orbit is its least point and the orbits come out sorted by it.  All
     images of that point come from one pass over the rows of every acting
     matrix, stacked into one list, and are regrouped by rank.  The orbit's
-    type key is read off them at once: the positions in ``cox.datum`` of the
-    roots integral at s, the indices in ``acting`` of the stabilizer of s,
-    and the index in ``cox.elements`` of the first w with w(s) = q sigma(s),
-    or None when there is none.
+    type key is read off them at once: the positions in the dual datum of
+    the roots integral at s, the indices in the acting matrices of the
+    stabilizer of s, and the index in W*'s elements of the first w with
+    w(s) = q sigma(s), or None when there is none.
     """
+    cox, acting = acting_group(spec)
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
     systems = []
@@ -682,11 +695,9 @@ def stable_point_orbits(spec: GroupSpec, cox: CoxeterGroup, acting) -> list[Toru
         raise UnsupportedTypeError(
             f"{spec.name} at q = {q} needs up to {sum(dets)} torsion points; "
             f"the limit is {MAX_TORSION_POINTS}")
+    # the identity component's coset is the whole of W*
     at = {g: i for i, g in enumerate(acting)}
-    try:
-        weyl_at = [at[w] for w in cox.elements]
-    except KeyError:
-        raise InvariantError("the acting group lacks an element of the Weyl group") from None
+    weyl_at = [at[w] for w in cox.elements]
     modulus = lcm(*dets)
     points = set()
     for a in systems:

@@ -17,7 +17,8 @@ Semisimple classes fall into a few types.  Each class arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
 positions, its stabilizer in the dual Weyl group and its first Frobenius
 witness, the first w with w(s) = q sigma(s).  ``_StratumGeometry`` takes the
-key and no point: the centralizer subsystem comes from the integral
+spec and the key and no point: the dual Weyl group comes from the spec
+(``rootdata.acting_group``), the centralizer subsystem from the integral
 positions, the component group pi0 is the group of the based part of the
 stabilizer, and the Frobenius is corrected from the witness.  The geometry
 also holds the factor permutation of every pi0 element and of every
@@ -44,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import product
 
-from .coxeter import CoxeterGroup, enumerate_weyl
+from .coxeter import enumerate_weyl
 from .errors import InvariantError, PipelineUnavailableError
 from .groups import (
     Packet,
@@ -62,8 +63,8 @@ from .rootdata import (
     GroupSpec,
     SubSystem,
     TorusOrbit,
+    acting_group,
     centralizer_subdatum,
-    dual_datum,
     factor_permutation,
     stable_point_orbits,
     x_preserves,
@@ -95,14 +96,11 @@ def _require_connected(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 # semisimple classes
 
-def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
+def enumerate_ss_classes(spec: GroupSpec) -> list[TorusOrbit]:
     """Torsion points of the dual torus with q sigma (s) Weyl-conjugate to s,
-    up to the Weyl group.
-
-    ``cox`` is the dual Weyl group, built here when not given."""
+    up to the Weyl group."""
     _require_connected(spec)
-    cox = cox or enumerate_weyl(dual_datum(spec.datum))
-    return stable_point_orbits(spec, cox, cox.elements)
+    return stable_point_orbits(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +108,8 @@ def enumerate_ss_classes(spec: GroupSpec, cox=None) -> list[TorusOrbit]:
 
 class _StratumGeometry:
     """Everything about the centralizer of one semisimple type, built from
-    its type key (see ``rootdata.stable_point_orbits``) alone; ``cox`` is the
-    dual Weyl group.
+    the spec and its type key (see ``rootdata.stable_point_orbits``) alone;
+    the spec is connected, so the key's stabilizer indexes W*'s elements.
 
     ``pi0`` is the group of the based part of the stabilizer, in element
     order (length, word), so element 0 is the identity; ``perms[i]`` is the
@@ -119,10 +117,11 @@ class _StratumGeometry:
     c F for c in pi0, in pi0's order, each with its own factor permutation;
     the first is the positivity-corrected Frobenius F itself."""
 
-    def __init__(self, spec: GroupSpec, key: tuple, cox: CoxeterGroup):
+    def __init__(self, spec: GroupSpec, key: tuple):
         positions, stab, witness = key
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
+        cox = acting_group(spec)[0]
         self.sub = centralizer_subdatum(cox.datum, positions)
         pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
         based = [i for i in stab if x_preserves(cox.elements[i], pos_set)]
@@ -260,11 +259,10 @@ def mbar(ext: ExtendedComponentGroup) -> tuple[Packet, ...]:
 # ---------------------------------------------------------------------------
 # assembly
 
-def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
-                  rng=None) -> list[Stratum]:
+def _class_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
     each class of the type gets them under its own label."""
-    geo = _StratumGeometry(spec, key, cox)
+    geo = _StratumGeometry(spec, key)
     strata = []
     for pair in special_pairs(geo, rng=rng):
         ext = extended_group(geo, pair)
@@ -277,7 +275,5 @@ def _class_strata(spec: GroupSpec, key: tuple, cox: CoxeterGroup,
 
 def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     with call_scope():
-        _require_connected(spec)
-        cox = enumerate_weyl(dual_datum(spec.datum))
-        return strata_by_type(enumerate_ss_classes(spec, cox=cox),
-                              lambda key: _class_strata(spec, key, cox, rng=rng))
+        return strata_by_type(enumerate_ss_classes(spec),
+                              lambda key: _class_strata(spec, key, rng=rng))

@@ -26,12 +26,13 @@ twisted class.
 Points fall into a few semisimple types.  Each orbit arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
 positions, its stabilizer in the acting group and its first Frobenius
-witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the key
-and no point: the centralizer subsystem comes from the integral positions,
-the based complement from the stabilizer, and the Frobenius solutions, the
-w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's inverse.  So two
-orbits with one key have the same strata up to their semisimple label:
-``stratified_strata`` builds them once per key through
+witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the spec
+and the key and no point: the acting group comes from the spec alone
+(``rootdata.acting_group``), the centralizer subsystem from the integral
+positions, the based complement from the stabilizer, and the Frobenius
+solutions, the w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's
+inverse.  So two orbits with one key have the same strata up to their
+semisimple label: ``stratified_strata`` builds them once per key through
 ``groups.strata_by_type``.
 
 Types share more than their keys show: many have one integral subsystem,
@@ -66,11 +67,10 @@ from .rootdata import (
     SubSystem,
     TorusOrbit,
     _build_datum,
+    acting_group,
     centralizer_subdatum,
-    dual_datum,
     factor_permutation,
     stable_point_orbits,
-    x_action,
     x_preserves,
 )
 from .springer import (
@@ -84,34 +84,12 @@ __all__ = ["semisimple_parameters", "stratified_strata"]
 
 
 # ---------------------------------------------------------------------------
-# the full acting group on the dual torus
-
-class _Ambient:
-    """Dual reflection group extended by the component matrices: ``elements``
-    lists the acting matrices component-major, each component's coset in
-    reflection-group order."""
-
-    def __init__(self, spec: GroupSpec):
-        self.dd = dual_datum(spec.datum)
-        self.cox = enumerate_weyl(self.dd)
-        self.sigma = spec.twist.sigma_x
-        self.elements: list[Matrix] = [mat_mul(x_action(g), w)
-                                       for g in spec.components
-                                       for w in self.cox.elements]
-        if len(set(self.elements)) != len(self.elements):
-            raise InvariantError(
-                "component coset collides with the reflection group")
-
-
-# ---------------------------------------------------------------------------
 # semisimple parameters
 
-def semisimple_parameters(spec: GroupSpec, amb=None) -> list[TorusOrbit]:
-    """Orbits on the dual torus containing a Frobenius-stable reflection orbit.
-
-    ``amb`` is the spec's acting group, built here when not given."""
-    amb = amb or _Ambient(spec)
-    return stable_point_orbits(spec, amb.cox, amb.elements)
+def semisimple_parameters(spec: GroupSpec) -> list[TorusOrbit]:
+    """Orbits on the dual torus containing a Frobenius-stable reflection
+    orbit, under the dual reflections extended by the component group."""
+    return stable_point_orbits(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -159,29 +137,30 @@ def _subsystem_cells(sub: SubSystem):
 
 class _PointGeometry:
     """Stabilizer, cells, and Frobenius cosets of one semisimple type, built
-    from its type key (see ``rootdata.stable_point_orbits``) alone.
+    from the spec and its type key (see ``rootdata.stable_point_orbits``).
     ``cells`` are the ``_subsystem_cells`` pairs ``(ids, members)``.
     Element i of ``omega``, labelled by its acting index, moves cosets by
     ``ad[i]`` and factors by ``omega_perms[i]``; coset b's Frobenius map
     moves factors by ``beta_perms[b]``.  Each moves a cell's ids by
     ``groups.permuted`` with its factor permutation."""
 
-    def __init__(self, amb: _Ambient, key: tuple):
+    def __init__(self, spec: GroupSpec, key: tuple):
         positions, stab_idx, witness = key
         if witness is None:
             raise InvariantError("point enumerated without a Frobenius witness")
-        dd = amb.dd
-        self.sub = centralizer_subdatum(dd, positions)
+        cox, acting = acting_group(spec)
+        sigma = spec.twist.sigma_x
+        self.sub = centralizer_subdatum(cox.datum, positions)
         self.sub_cox, self.cells = _subsystem_cells(self.sub)
-        self.pos_set = {dd.roots[i] for i in self.sub.positive_positions}
+        self.pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
 
-        stab = [amb.elements[i] for i in stab_idx]
-        omega_idx = [i for i in stab_idx if self._based(amb.elements[i])]
+        stab = [acting[i] for i in stab_idx]
+        omega_idx = [i for i in stab_idx if self._based(acting[i])]
         if len(stab) != len(omega_idx) * self.sub_cox.order:
             raise InvariantError(
                 "stabilizer does not split over the integral reflection group")
         try:
-            self.omega = table_group([amb.elements[i] for i in omega_idx],
+            self.omega = table_group([acting[i] for i in omega_idx],
                                      mat_mul, omega_idx)
         except ValueError:
             raise InvariantError("based stabilizer complement is not closed") from None
@@ -194,7 +173,6 @@ class _PointGeometry:
         # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0 for
         # w0 the witness's inverse, listed in reflection-group order and
         # partitioned into left cosets of the integral reflection group
-        cox = amb.cox
         w0 = cox.elements[cox.inverse[witness]]
         sprime = [cox.elements[j] for j in sorted(
             cox.index[mat_mul(m, w0)] for m in stab if m in cox.index)]
@@ -204,7 +182,7 @@ class _PointGeometry:
                                                   for u in self.sub_cox.elements]):
             if not sset.issuperset(coset):
                 raise InvariantError("Frobenius coset leaves the solution set")
-            dist = [v for v in coset if self._based(mat_mul(v, amb.sigma))]
+            dist = [v for v in coset if self._based(mat_mul(v, sigma))]
             if len(dist) != 1:
                 raise InvariantError("distinguished representative is not unique")
             self.coset_reps.append(dist[0])
@@ -214,7 +192,7 @@ class _PointGeometry:
         # g w (sigma g sigma^-1)^-1, whose Frobenius map is g (w sigma) g^-1,
         # and a based g keeps a distinguished map distinguished, so it is
         # conjugation of the distinguished maps
-        betas = [mat_mul(w, amb.sigma) for w in self.coset_reps]
+        betas = [mat_mul(w, sigma) for w in self.coset_reps]
         self.beta_perms = [factor_permutation(self.sub, m) for m in betas]
         beta_at = {m: b for b, m in enumerate(betas)}
         self.ad = []
@@ -286,11 +264,12 @@ def _packets(labels: tuple[str, ...], tau_fp: tuple[int, ...], omega_sub,
 # ---------------------------------------------------------------------------
 # assembly
 
-def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
+def _point_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
     """The strata of one semisimple type, with an empty semisimple label:
     each orbit of the type gets them under its own label.  Pairs are listed
     c-major, so each orbit's first-seen pair is its least."""
-    geo = _PointGeometry(amb, key)
+    geo = _PointGeometry(spec, key)
+    cox = acting_group(spec)[0]
     pairs = [(ids, b) for ids, _ in geo.cells
              for b, fp in enumerate(geo.beta_perms) if permuted(ids, fp) == ids]
     pair_set = set(pairs)
@@ -306,7 +285,7 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
         seen = {c for c, _ in imgs}
         cell_label = "+".join(geo.sub_cox.word_label(members[0])
                               for c, members in geo.cells if c in seen)
-        beta_label = amb.cox.word_label(amb.cox.index[geo.coset_reps[beta]])
+        beta_label = cox.word_label(cox.index[geo.coset_reps[beta]])
         strata.append(Stratum(ss_label="", labels=(("cell", cell_label),
                                                    ("beta", beta_label)),
                               group_desc=desc, packets=packets))
@@ -315,6 +294,5 @@ def _point_strata(amb: _Ambient, key: tuple, rng=None) -> list[Stratum]:
 
 def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
     with call_scope():
-        amb = _Ambient(spec)
-        return strata_by_type(semisimple_parameters(spec, amb=amb),
-                              lambda key: _point_strata(amb, key, rng=rng))
+        return strata_by_type(semisimple_parameters(spec),
+                              lambda key: _point_strata(spec, key, rng=rng))

@@ -12,6 +12,7 @@ from collections import Counter
 
 import lpackets.cli as cli
 from lpackets.coxeter import cells, enumerate_weyl, kl_table
+from lpackets.groups import call_scope
 from lpackets.lattice import (
     det,
     mat_mul,
@@ -28,12 +29,7 @@ from lpackets.rootdata import (
 )
 from lpackets.spectral import spectral_strata
 from lpackets.springer import abar_group, family_groups, special_classes
-from lpackets.strata import (
-    _Ambient,
-    _PointGeometry,
-    semisimple_parameters,
-    stratified_strata,
-)
+from lpackets.strata import _PointGeometry, semisimple_parameters, stratified_strata
 
 ORACLE_CASES = [
     ("sl2", 2, 3),
@@ -170,14 +166,16 @@ def test_criterion_6_structural_checks():
     su3 = {"type": "A2", "isogeny": "sc", "twist": [1, 0]}
     for spec in [spec_of("sl2", 3), spec_of("sp4", 3), spec_of("o2", 3),
                  parse_group_spec(su3, q=2)]:
-        amb = _Ambient(spec)
-        for ss in semisimple_parameters(spec):
-            geo = _PointGeometry(amb, ss.key)
+        sigma = spec.twist.sigma_x
+        with call_scope():
+            geos = [(ss, _PointGeometry(spec, ss.key))
+                    for ss in semisimple_parameters(spec)]
+        for ss, geo in geos:
             int_set = set(geo.sub_cox.elements)
             for ci, wrep in enumerate(geo.coset_reps):
                 coset = {mat_mul(u, wrep) for u in int_set}
                 based = [v for v in coset
-                         if geo._based(mat_mul(v, amb.sigma))]
+                         if geo._based(mat_mul(v, sigma))]
                 assert based == [wrep], (spec.name, ss.label(), ci)
 
     # solution counts equal the determinant, which is prime to p

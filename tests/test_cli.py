@@ -84,6 +84,15 @@ def test_q_flag_overrides_config(tmp_path, capsys):
     assert json.loads(out)["total"] == 7
 
 
+@pytest.mark.parametrize("command", ["count", "compare"])
+def test_group_and_config_together_are_refused(tmp_path, capsys, command):
+    cfg = tmp_path / "group.json"
+    cfg.write_text(json.dumps({"type": "A1", "isogeny": "ad"}))
+    assert run(capsys, [command, "--group", "gl3", "--config", str(cfg),
+                        "--q", "3"]) == \
+        (2, "", "error: give --group or --config, not both\n")
+
+
 def test_seed_flag_changes_nothing(capsys):
     base = run(capsys, ["count", "--group", "sp4", "--q", "3", "--json"])
     for seed in ("0", "31337"):

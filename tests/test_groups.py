@@ -217,11 +217,11 @@ def test_orbits_keep_first_seen_order():
 def test_orbits_reject_an_acting_set_that_is_not_a_group():
     # one transposition without the identity: its image set of 0 misses 0
     swap = (1, 0, 2)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="not a group"):
         orbits(range(3), lambda x: [swap[x]])
     # identity plus a 3-cycle but not its square: the image sets overlap
     cyc = (1, 2, 0)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="not a group"):
         orbits(range(3), lambda x: [x, cyc[x]])
 
 

@@ -94,6 +94,39 @@ def test_pipelines_take_the_type_key_from_rootdata(name):
     assert sorted(TYPE_READERS & imported) == []
 
 
+# ``rootdata.acting_group`` builds the group acting on the dual torus from
+# the spec; a pipeline that built the dual datum or moved a component onto
+# the torus itself would be a second builder.
+ACTING_BUILDERS = {"dual_datum", "x_action"}
+
+
+def acting_builder_uses(source):
+    """Every name in ``ACTING_BUILDERS`` that ``source`` imports (under
+    any alias) or reads as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [a.name for a in node.names if a.name in ACTING_BUILDERS]
+        elif isinstance(node, ast.Attribute) and node.attr in ACTING_BUILDERS:
+            found.append(node.attr)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
+def test_pipelines_take_the_acting_group_from_rootdata(name):
+    assert acting_builder_uses((SRC / name).read_text()) == []
+
+
+def test_acting_group_builder_is_caught():
+    source = ("from .rootdata import dual_datum as dd, x_preserves\n"
+              "from . import rootdata\n"
+              "def f(spec):\n"
+              "    return rootdata.x_action(spec.components[0]), dd\n"
+              "def ok(spec, x_actions):\n"
+              "    return spec.twist.sigma_x, x_actions, x_preserves\n")
+    assert acting_builder_uses(source) == ["dual_datum", "x_action"]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys\n"
             "bare = set(sys.modules)\n"

@@ -105,7 +105,7 @@ def test_semisimple_class_count_closed_form(label):
             m = mat_mul(spec.twist.sigma_x, w)
             solutions += abs(det([[q * m[i][j] - (i == j) for j in range(n)]
                                   for i in range(n)]))
-        classes = enumerate_ss_classes(spec, cox=cox)
+        classes = enumerate_ss_classes(spec)
         assert len(classes) * cox.order == solutions, (label, q)
         checked += 1
     assert checked

@@ -15,6 +15,7 @@ from lpackets.lattice import identity
 from lpackets.rootdata import (
     NAMED_SPECS,
     RootDatum,
+    acting_group,
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
@@ -152,6 +153,15 @@ def test_component_validation():
     with pytest.raises(ConfigError):
         parse_group_spec({"type": "A1", "isogeny": "sc",
                           "component_group": [[[-1, 1], [0, 1]]]}, q=3)
+
+
+def test_a_component_coset_inside_the_reflection_group_is_refused():
+    # the parser refuses such a component, so the spec is built by hand:
+    # for sl2, -1 is the reflection of the dual torus, so the coset of the
+    # component -1 is W* again
+    spec = spec_of("sl2", 3)._replace(components=(((1,),), ((-1,),)))
+    with pytest.raises(InvariantError, match="component coset collides"):
+        acting_group(spec)
 
 
 def test_twist_permutation_grammar():

@@ -12,7 +12,6 @@ from lpackets.report import spectral_report, stratified_report
 from lpackets.rootdata import _build_datum, centralizer_subdatum, parse_group_spec
 from lpackets.spectral import spectral_strata
 from lpackets.strata import (
-    _Ambient,
     _PointGeometry,
     _stratum_packets,
     _subsystem_cells,
@@ -147,10 +146,8 @@ def test_beta_classes_cover_frobenius_cosets():
     strata = stratified_strata(spec)
     zero = [s for s in strata if s.ss_label == "(0)"]
     assert {dict(s.labels)["beta"] for s in zero} == {"e"}
-    amb = _Ambient(spec)
-    [orbit] = [o for o in semisimple_parameters(spec, amb=amb)
-               if o.label() == "(0)"]
-    geo = _PointGeometry(amb, orbit.key)
+    [orbit] = [o for o in semisimple_parameters(spec) if o.label() == "(0)"]
+    geo = _PointGeometry(spec, orbit.key)
     assert len(geo.coset_reps) == 1
 
 

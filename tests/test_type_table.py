@@ -3,9 +3,10 @@ from the type key alone, and hand them to the other orbits of that type.
 These tests rebuild every orbit's strata on its own, from a key found by a
 scan of the roots, the acting group and the Weyl group at the orbit's
 point, without the table, and compare.  They check each orbit's points
-against the per-element action, the key ``stable_point_orbits`` hands over
-against that scan, also for a shuffled acting list, and the key-built
-geometry against scans at every orbit's own point.
+against the per-element action, also from a point picked at random, the
+key ``stable_point_orbits`` hands over against that scan, the key-built
+geometry against scans at every orbit's own point, and the order in which
+``acting_group`` lists the acting matrices.
 
 The specs are the benchmark's ``twisted-grid`` workload, read from
 ``perfbench/cases.py`` (which this test only reads), plus three larger ones.
@@ -17,15 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from lpackets.coxeter import enumerate_weyl
-from lpackets.errors import InvariantError
-from lpackets.lattice import mat_mul, mat_vec
-from lpackets.rootdata import (
-    dual_datum,
-    parse_group_spec,
-    stable_point_orbits,
-    x_preserves,
-)
+from lpackets.groups import call_scope
+from lpackets.lattice import identity, mat_mul, mat_vec
+from lpackets.rootdata import acting_group, parse_group_spec, x_preserves
 from lpackets import spectral, strata
 
 CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
@@ -53,10 +48,11 @@ def _frobenius(spec, rep, modulus):
     return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, rep))
 
 
-def _key_by_scan(spec, cox, acting, orbit):
+def _key_by_scan(spec, orbit):
     """The type key at the orbit's least point s: the roots integral at s,
-    the positions in ``acting`` that fix s, and the position in
-    ``cox.elements`` of the first w with w(s) = q sigma(s)."""
+    the positions in ``acting_group(spec)``'s matrices that fix s, and the
+    position in the dual Weyl group of the first w with w(s) = q sigma(s)."""
+    cox, acting = acting_group(spec)
     rep, modulus = orbit.rep, orbit.modulus
     integral = tuple(i for i, r in enumerate(cox.datum.roots)
                      if sum(a * b for a, b in zip(r, rep)) % modulus == 0)
@@ -68,31 +64,23 @@ def _key_by_scan(spec, cox, acting, orbit):
     return integral, stab, witness
 
 
-def _stratified_key_by_scan(spec, amb, ss):
-    return _key_by_scan(spec, amb.cox, amb.elements, ss)
-
-
-def _spectral_key_by_scan(spec, cox, ssc):
-    return _key_by_scan(spec, cox, cox.elements, ssc)
+def _by_orbit(spec, orbits, type_strata):
+    """Every orbit's strata, rebuilt from its scanned key without the table,
+    with the number of distinct keys and of orbits."""
+    with call_scope():
+        keys = [_key_by_scan(spec, o) for o in orbits]
+        return [st._replace(ss_label=o.label()) for o, key in zip(orbits, keys)
+                for st in type_strata(spec, key)], len(set(keys)), len(orbits)
 
 
 def _stratified_by_orbit(spec):
-    amb = strata._Ambient(spec)
-    orbits = strata.semisimple_parameters(spec, amb=amb)
-    keys = [_stratified_key_by_scan(spec, amb, ss) for ss in orbits]
-    return [st._replace(ss_label=ss.label()) for ss, key in zip(orbits, keys)
-            for st in strata._point_strata(amb, key)], \
-        len(set(keys)), len(orbits)
+    return _by_orbit(spec, strata.semisimple_parameters(spec),
+                     strata._point_strata)
 
 
 def _spectral_by_orbit(spec):
-    cox = enumerate_weyl(dual_datum(spec.datum))
-    classes = spectral.enumerate_ss_classes(spec, cox=cox)
-    keys = [_spectral_key_by_scan(spec, cox, ssc) for ssc in classes]
-    return [st._replace(ss_label=ssc.label())
-            for ssc, key in zip(classes, keys)
-            for st in spectral._class_strata(spec, key, cox)], \
-        len(set(keys)), len(classes)
+    return _by_orbit(spec, spectral.enumerate_ss_classes(spec),
+                     spectral._class_strata)
 
 
 @pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
@@ -133,96 +121,71 @@ def test_type_table_merges_orbits():
 def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
     # one geometry per key, checked at the point of every orbit of that key
     spec = parse_group_spec(_CASES.group_config(label), q=q)
-    amb = strata._Ambient(spec)
-    geos = {}
-    for ss in strata.semisimple_parameters(spec, amb=amb):
-        if ss.key not in geos:
-            geos[ss.key] = strata._PointGeometry(amb, ss.key)
-        geo = geos[ss.key]
-        rep, modulus = ss.rep, ss.modulus
-        stab = [m for m in amb.elements if _mat_vec_mod(m, rep, modulus) == rep]
-        assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
-        target = _frobenius(spec, rep, modulus)
-        assert {mat_mul(u, w) for w in geo.coset_reps
-                for u in geo.sub_cox.elements} == {
-            w for w in amb.cox.elements if _mat_vec_mod(w, target, modulus) == rep}
-    if not spec.connected:
-        return
-    cox = enumerate_weyl(dual_datum(spec.datum))
-    geos = {}
-    for ssc in spectral.enumerate_ss_classes(spec, cox=cox):
-        if ssc.key not in geos:
-            geos[ssc.key] = spectral._StratumGeometry(spec, ssc.key, cox)
-        geo = geos[ssc.key]
-        rep, modulus = ssc.rep, ssc.modulus
-        pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
-        assert geo.pi0.elements == tuple(w for w in cox.elements
-                                         if _mat_vec_mod(w, rep, modulus) == rep
-                                         and x_preserves(w, pos_set))
-
-
-def _assert_orbits(orbits, acting):
-    # each orbit is the image set of its least point
-    for o in orbits:
-        assert o.rep == min(o.orbit)
-        assert o.orbit == tuple(sorted({_mat_vec_mod(g, o.rep, o.modulus)
-                                        for g in acting}))
-
-
-def _shuffled(items, seed):
-    items = list(items)
-    if seed is not None:
-        random.Random(seed).shuffle(items)
-    return items
-
-
-def _assert_order_free(spec, orbits, cox, acting, seed):
-    # the orbits depend on the acting list only as a set, and the key's
-    # stabilizer follows the list's order
-    acting = _shuffled(acting, seed)
-    again = stable_point_orbits(spec, cox, acting)
-    assert [(o.rep, o.orbit, o.modulus) for o in again] == \
-        [(o.rep, o.orbit, o.modulus) for o in orbits]
-    assert [o.key for o in again] == \
-        [_key_by_scan(spec, cox, acting, o) for o in again]
+    with call_scope():
+        cox, acting = acting_group(spec)
+        geos = {}
+        for ss in strata.semisimple_parameters(spec):
+            if ss.key not in geos:
+                geos[ss.key] = strata._PointGeometry(spec, ss.key)
+            geo = geos[ss.key]
+            rep, modulus = ss.rep, ss.modulus
+            stab = [m for m in acting if _mat_vec_mod(m, rep, modulus) == rep]
+            assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
+            target = _frobenius(spec, rep, modulus)
+            assert {mat_mul(u, w) for w in geo.coset_reps
+                    for u in geo.sub_cox.elements} == {
+                w for w in cox.elements if _mat_vec_mod(w, target, modulus) == rep}
+        if not spec.connected:
+            return
+        geos = {}
+        for ssc in spectral.enumerate_ss_classes(spec):
+            if ssc.key not in geos:
+                geos[ssc.key] = spectral._StratumGeometry(spec, ssc.key)
+            geo = geos[ssc.key]
+            rep, modulus = ssc.rep, ssc.modulus
+            pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
+            assert geo.pi0.elements == tuple(w for w in cox.elements
+                                             if _mat_vec_mod(w, rep, modulus) == rep
+                                             and x_preserves(w, pos_set))
 
 
 @pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
     spec = parse_group_spec(_CASES.group_config(label), q=q)
-    amb = strata._Ambient(spec)
-    acting = amb.elements
-    orbits = strata.semisimple_parameters(spec, amb=amb)
-    _assert_orbits(orbits, acting)
-    assert [ss.key for ss in orbits] == \
-        [_stratified_key_by_scan(spec, amb, ss) for ss in orbits]
-    _assert_order_free(spec, orbits, amb.cox, acting, seed)
-    if spec.connected:
-        cox = enumerate_weyl(dual_datum(spec.datum))
-        classes = spectral.enumerate_ss_classes(spec, cox=cox)
-        _assert_orbits(classes, cox.elements)
-        assert [ssc.key for ssc in classes] == \
-            [_spectral_key_by_scan(spec, cox, ssc) for ssc in classes]
-        _assert_order_free(spec, classes, cox, cox.elements, seed)
+    with call_scope():
+        acting = acting_group(spec)[1]
+        orbits = strata.semisimple_parameters(spec)
+        # each orbit is the image set of its least point, and of the point
+        # the seed picks from it: the acting matrices form a group
+        pick = random.Random(seed)
+        for o in orbits:
+            assert o.rep == min(o.orbit)
+            point = o.rep if seed is None else pick.choice(o.orbit)
+            assert o.orbit == tuple(sorted({_mat_vec_mod(g, point, o.modulus)
+                                            for g in acting}))
+        assert [o.key for o in orbits] == [_key_by_scan(spec, o) for o in orbits]
+        if spec.connected:
+            assert spectral.enumerate_ss_classes(spec) == orbits
 
 
-def test_a_non_group_acting_list_is_refused():
-    # the dual Weyl group and minus the identity, which is not in it: the
-    # image set of a point off every reflection wall meets the image set of
-    # its negative
-    spec = parse_group_spec("gl3", q=5)
-    cox = enumerate_weyl(dual_datum(spec.datum))
-    minus = tuple(tuple(-x for x in row) for row in cox.elements[0])
-    with pytest.raises(InvariantError, match="not a group"):
-        stable_point_orbits(spec, cox, list(cox.elements) + [minus])
+GRID = sorted({(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]})
 
 
-def test_an_acting_list_without_a_reflection_is_refused():
-    # the key's witness is found through the acting list, so the list must
-    # hold the whole Weyl group
-    spec = parse_group_spec("gl3", q=5)
-    cox = enumerate_weyl(dual_datum(spec.datum))
-    acting = [w for w in cox.elements if w != cox.generators[0]]
-    with pytest.raises(InvariantError, match="lacks an element"):
-        stable_point_orbits(spec, cox, acting)
+def test_the_acting_group_is_w_extended_by_the_components():
+    # component-major, each coset in the dual Weyl group's order: the
+    # identity component's block is W itself, wherever the component group
+    # lists the identity (o2 lists [[-1]] first)
+    disconnected = []
+    for label, q in GRID:
+        spec = parse_group_spec(_CASES.group_config(label), q=q)
+        cox, acting = acting_group(spec)
+        if spec.connected:
+            assert acting == cox.elements, label
+            continue
+        block = spec.components.index(identity(spec.datum.rank))
+        n = cox.order
+        assert len(acting) == len(spec.components) * n, label
+        assert acting[block * n:(block + 1) * n] == cox.elements, label
+        disconnected.append((label, block))
+    assert ("o2", 1) in disconnected
