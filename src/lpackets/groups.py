@@ -15,7 +15,8 @@ some elements generate, with its right Cayley tables, or any set closed
 under right multiplication), ``strong_components``
 (of a small digraph) and ``table_group`` (the multiplication table of a
 closed set) are the package's one orbit loop, closure loop, component loop
-and table loop.  ``FiniteGroup.twisted_images`` (the images b x f(b)^-1 of
+and table loop; ``orbits`` is also the one check that an action keeps to the
+set it walks.  ``FiniteGroup.twisted_images`` (the images b x f(b)^-1 of
 x over every b) is the one formula of twisted conjugation: twisted classes
 and twisted centralizers both read it, and a pipeline that acts by twisted
 conjugation on part of a group walks ``orbits`` of it.
@@ -150,20 +151,20 @@ def orbits(items, images) -> list[tuple]:
     ``images(x)`` lists g(x) for every g in the group, in one fixed order.
     Each orbit comes back as ``(x, imgs)``: its first-seen point x and the
     list ``images(x)``, whose set is the orbit.  That is one pass over the
-    group and no closure.  An image set that misses its start or meets an
-    earlier orbit means the acting set is not a group, and raises.
+    group and no closure.  The orbits must partition ``items``: an image set
+    that misses its start or leaves the items no orbit has taken raises.
     """
-    seen: set = set()
+    remaining = set(items)
     out = []
     for x in items:
-        if x in seen:
+        if x not in remaining:
             continue
         imgs = images(x)
         orbit = set(imgs)
-        if x not in orbit or not seen.isdisjoint(orbit):
-            raise InvariantError("the acting set is not a group: "
-                                 "its image sets do not partition the points")
-        seen |= orbit
+        if not (x in orbit and orbit <= remaining):
+            raise InvariantError("the acting set is not a group on the items: "
+                                 "its image sets do not partition them")
+        remaining -= orbit
         out.append((x, imgs))
     return out
 

@@ -20,9 +20,10 @@ every Weyl action, integrality test and comparison is integer arithmetic mod
 N.  ``point_label`` is the one place a point becomes a fraction.  The same
 solver, under the acting group that ``acting_group`` builds from the spec,
 feeds both counting pipelines, and hands each orbit over as a ``TorusOrbit``
-that carries its semisimple type key: this is the one place a point's type
-is read.  That record and the others here are immutable named tuples: equal
-fields make equal records, and no field can be reassigned.
+that carries its semisimple type key, read from one integer matrix pass at
+its least point: this is the one place a point's type is read.  That record
+and the others here are immutable named tuples: equal fields make equal
+records, and no field can be reassigned.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .lattice import (
 __all__ = [
     "RootDatum", "FrobeniusTwist", "GroupSpec", "SubSystem",
     "parse_group_spec", "dual_datum", "centralizer_subdatum",
-    "integral_root_positions", "TorusOrbit", "acting_group",
+    "TorusOrbit", "acting_group",
     "stable_point_orbits", "whittaker_torsor_size", "MAX_TORSION_POINTS",
     "x_action", "x_preserves", "NAMED_SPECS", "TYPE_ALIASES", "parse_type",
 ]
@@ -585,18 +586,10 @@ def _classify_component(datum: RootDatum, simple_positions, comp) -> str:
         f"centralizer subsystem of rank {len(comp)} outside the supported menu")
 
 
-def integral_root_positions(datum: RootDatum, point: Vector,
-                            modulus: int) -> tuple[int, ...]:
-    """Indices of the roots alpha with <alpha, s> integral, for the point
-    s = point / modulus of Y x Q/Z."""
-    return tuple(i for i, r in enumerate(datum.roots)
-                 if datum.pairing(r, point) % modulus == 0)
-
-
 @memo
 def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSystem:
     """Subsystem of the roots at ``positions``: the roots integral at a torsion
-    point, as ``integral_root_positions`` lists them.  The point itself is not
+    point, as ``stable_point_orbits`` lists them.  The point itself is not
     an input, so the subsystem depends on it only through these positions,
     and as a ``groups.memo`` function it is built once per positions in a
     pipeline call."""
@@ -676,11 +669,12 @@ def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
     The points are visited once, in sorted order, so the first point seen in
     each orbit is its least point and the orbits come out sorted by it.  All
     images of that point come from one pass over the rows of every acting
-    matrix, stacked into one list, and are regrouped by rank.  The orbit's
-    type key is read off them at once: the positions in the dual datum of
-    the roots integral at s, the indices in the acting matrices of the
-    stabilizer of s, and the index in W*'s elements of the first w with
-    w(s) = q sigma(s), or None when there is none.
+    matrix, stacked into one list, and are regrouped by rank.  One pass of
+    the rows of q sigma and the dual roots, stacked, gives F(s) and every
+    <alpha, s> mod N.  The orbit's type key is read off these at once: the
+    positions in the dual datum of the roots integral at s, the indices in
+    the acting matrices of the stabilizer of s, and the index in W*'s
+    elements of the first w with w(s) = F(s), or None when there is none.
     """
     cox, acting = acting_group(spec)
     sigma, q = spec.twist.sigma_x, spec.q
@@ -695,27 +689,25 @@ def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
         raise UnsupportedTypeError(
             f"{spec.name} at q = {q} needs up to {sum(dets)} torsion points; "
             f"the limit is {MAX_TORSION_POINTS}")
-    # the identity component's coset is the whole of W*
-    at = {g: i for i, g in enumerate(acting)}
-    weyl_at = [at[w] for w in cox.elements]
     modulus = lcm(*dets)
-    points = set()
-    for a in systems:
-        points.update(solve_torsion(a, modulus))
+    points = sorted({v for a in systems for v in solve_torsion(a, modulus)})
     rows = [row for g in acting for row in g]
+    key_rows = [tuple(q * x for x in row) for row in sigma] + list(cox.datum.roots)
+    # the identity component's coset is W* itself, in W*'s order
+    start = spec.components.index(identity(n)) * cox.order
 
     def images(v):
         values = [sum(map(mul, row, v)) % modulus for row in rows]
         return tuple(zip(*[iter(values)] * n))
 
     out = []
-    for rep, imgs in orbits(sorted(points), images):
-        if not points.issuperset(imgs):
-            raise InvariantError("orbit leaks outside the solution set")
-        target = tuple(q * x % modulus for x in mat_vec(sigma, rep))
+    for rep, imgs in orbits(points, images):
+        values = [sum(map(mul, row, rep)) % modulus for row in key_rows]
+        target = tuple(values[:n])
+        weyl_imgs = imgs[start:start + cox.order]
         stab = tuple(i for i, v in enumerate(imgs) if v == rep)
-        witness = next((j for j, i in enumerate(weyl_at) if imgs[i] == target), None)
-        key = (integral_root_positions(cox.datum, rep, modulus), stab, witness)
+        witness = weyl_imgs.index(target) if target in weyl_imgs else None
+        key = (tuple(i for i, x in enumerate(values[n:]) if x == 0), stab, witness)
         out.append(TorusOrbit(rep, tuple(sorted(set(imgs))), modulus, key))
     return out
 

@@ -6,7 +6,8 @@ canonical point the stabilizer splits into the reflection group of the
 integral subsystem and a based complement Omega.  A stratum at that point
 is one orbit of Omega on the pairs (two-sided cell c of the integral
 reflection group, Frobenius coset b whose distinguished map fixes c), found
-in one ``groups.orbits`` pass.  Its packets are twisted classes of the
+in one ``groups.orbits`` pass, which also checks that Omega keeps to these
+pairs.  Its packets are twisted classes of the
 family group of c extended by the pair's stabilizer, walked with
 ``groups.FiniteGroup.twisted_images`` as the dual route's are.
 
@@ -172,16 +173,14 @@ class _PointGeometry:
 
         # Frobenius cosets: the solutions of w(F(s)) = s are Stab_W(s) w0 for
         # w0 the witness's inverse, listed in reflection-group order and
-        # partitioned into left cosets of the integral reflection group
+        # partitioned (``orbits`` checks it) into left cosets of the
+        # integral reflection group
         w0 = cox.elements[cox.inverse[witness]]
         sprime = [cox.elements[j] for j in sorted(
             cox.index[mat_mul(m, w0)] for m in stab if m in cox.index)]
-        sset = set(sprime)
         self.coset_reps: list[Matrix] = []      # distinguished representatives
         for _, coset in orbits(sprime, lambda w: [mat_mul(u, w)
                                                   for u in self.sub_cox.elements]):
-            if not sset.issuperset(coset):
-                raise InvariantError("Frobenius coset leaves the solution set")
             dist = [v for v in coset if self._based(mat_mul(v, sigma))]
             if len(dist) != 1:
                 raise InvariantError("distinguished representative is not unique")
@@ -272,13 +271,10 @@ def _point_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
     cox = acting_group(spec)[0]
     pairs = [(ids, b) for ids, _ in geo.cells
              for b, fp in enumerate(geo.beta_perms) if permuted(ids, fp) == ids]
-    pair_set = set(pairs)
     moves = list(zip(geo.omega_perms, geo.ad))
     strata = []
     for pair, imgs in orbits(pairs, lambda p: [(permuted(p[0], fp), ad[p[1]])
                                                for fp, ad in moves]):
-        if not pair_set.issuperset(imgs):
-            raise InvariantError("twisted conjugation leaves the stable cosets")
         ids, beta = pair
         stab = [oi for oi, img in enumerate(imgs) if img == pair]
         packets, desc = _stratum_packets(geo, ids, beta, stab, rng=rng)

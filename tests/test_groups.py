@@ -22,7 +22,13 @@ from lpackets.groups import (
     symmetric,
     table_group,
 )
-from lpackets.rootdata import TorusOrbit
+from lpackets.lattice import identity, mat_mul
+from lpackets.rootdata import (
+    TorusOrbit,
+    acting_group,
+    parse_group_spec,
+    stable_point_orbits,
+)
 
 
 def test_trivial_and_cyclic():
@@ -210,7 +216,7 @@ def test_orbits_of_conjugation_on_s3():
 def test_orbits_keep_first_seen_order():
     rot = (1, 2, 0, 3, 4)            # a 3-cycle and two fixed points
     c3 = [(0, 1, 2, 3, 4), rot, tuple(rot[rot[i]] for i in range(5))]
-    got = orbits([4, 2, 3, 0], lambda x: [p[x] for p in c3])
+    got = orbits([4, 2, 3, 0, 1], lambda x: [p[x] for p in c3])
     assert got == [(4, [4, 4, 4]), (2, [2, 0, 1]), (3, [3, 3, 3])]
 
 
@@ -223,6 +229,56 @@ def test_orbits_reject_an_acting_set_that_is_not_a_group():
     cyc = (1, 2, 0)
     with pytest.raises(InvariantError, match="not a group"):
         orbits(range(3), lambda x: [x, cyc[x]])
+
+
+def test_orbits_reject_images_that_leave_the_items():
+    # a group acting on more than the items: the orbit of 0 under the
+    # 3-cycle reaches 2, which the items leave out
+    cyc = (1, 2, 0)
+    c3 = [(0, 1, 2), cyc, tuple(cyc[cyc[i]] for i in range(3))]
+    with pytest.raises(InvariantError, match="not a group"):
+        orbits([0, 1], lambda x: [p[x] for p in c3])
+    # the same leak found late: the first orbit stays inside the items
+    with pytest.raises(InvariantError, match="not a group"):
+        orbits([3, 0, 1], lambda x: [x] if x == 3 else [p[x] for p in c3])
+
+
+SHEAR = ((1, 1), (0, 1))
+
+
+def _shear_the_reflection(cox, acting, spec):
+    # gl2's dual Weyl group with its reflection replaced by a shear
+    return tuple(g if g == identity(2) else SHEAR for g in acting)
+
+
+def _shear_the_component_block(cox, acting, spec):
+    # the acting matrices outside the identity component's block moved by a
+    # shear, which normalizes neither the torus points nor the Weyl group
+    block = spec.components.index(identity(spec.datum.rank))
+    return tuple(g if i // cox.order == block else mat_mul(SHEAR, g)
+                 for i, g in enumerate(acting))
+
+
+@pytest.mark.parametrize("config,breaker", [
+    ("gl2", _shear_the_reflection),
+    ({"type": "A1xA1", "component_group": [[[0, 1], [1, 0]]]},
+     _shear_the_component_block),
+    ({"type": "A2", "isogeny": "ad", "component_group": [[[0, 1], [1, 0]]]},
+     _shear_the_component_block),
+], ids=["gl2-shear", "a1xa1-swap", "a2ad-swap"])
+def test_a_broken_acting_group_ends_in_invariant_error(monkeypatch, config,
+                                                       breaker):
+    # the torus orbits are one ``orbits`` pass, which checks the partition
+    build = acting_group.__wrapped__
+
+    def spy(spec):
+        cox, acting = build(spec)
+        return cox, breaker(cox, acting, spec)
+
+    monkeypatch.setattr(acting_group, "__wrapped__", spy)
+    for q in (3, 5, 7):
+        with pytest.raises(InvariantError, match="not a group"):
+            stable_point_orbits(parse_group_spec(config, q=q))
 
 
 def compose(a, b):

@@ -83,15 +83,31 @@ def test_dataclasses_import_is_caught():
 
 
 # ``rootdata.stable_point_orbits`` reads each torus orbit's semisimple type
-# and hands it over as ``TorusOrbit.key``; a pipeline that read a point's
-# integral roots or Frobenius image itself would be a second reading.
-TYPE_READERS = {"frobenius_point", "integral_root_positions"}
+# and hands it over as ``TorusOrbit.key``; a pipeline reads an orbit only
+# through its key and ``label()``, so one that read a point, its modulus or
+# its orbit would be a second reading of the type.
+ORBIT_POINT_FIELDS = {"rep", "modulus", "orbit"}
+
+
+def orbit_point_reads(source):
+    """Every attribute in ``ORBIT_POINT_FIELDS`` that ``source`` reads."""
+    return sorted(node.attr for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in ORBIT_POINT_FIELDS)
 
 
 @pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
 def test_pipelines_take_the_type_key_from_rootdata(name):
-    imported = set(imported_names(ast.parse((SRC / name).read_text())))
-    assert sorted(TYPE_READERS & imported) == []
+    assert orbit_point_reads((SRC / name).read_text()) == []
+
+
+def test_orbit_point_read_is_caught():
+    source = ("def f(orbits, o):\n"
+              "    pts = [x.rep for x in orbits]\n"
+              "    return o.modulus, len(o.orbit), o.key, o.label(), pts\n"
+              "def ok(orbit, rep):\n"
+              "    return orbit.key, rep, orbit.reps\n")
+    assert orbit_point_reads(source) == ["modulus", "orbit", "rep"]
 
 
 # ``rootdata.acting_group`` builds the group acting on the dual torus from

@@ -6,6 +6,7 @@ this test only reads.
 """
 
 import importlib.util
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -83,21 +84,41 @@ CONNECTED_CONFIGS = {
     "a1xa1-twisted": {"type": "A1xA1", "twist": [1, 0]},
     "a1+t1": {"type": "A1+T1"},
 }
-IDENTITY_A_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
+# Both identities run at every admissible q up to 32, except where a spec
+# lists too many points for every test run.  gl3, A1xA2 and A1xA1xA1 have
+# about q^3 points per Weyl element: past q = 16 each q takes 0.1-1.6 s,
+# 5-10 s in all up to q = 32 (single runs on a 2-vCPU machine).  B2xB2 has
+# 64 Weyl elements and about q^4 points each: q = 7 takes about 1 s, q = 9
+# about 3 s.  The two rank-3 products run in identity B alone, which needs
+# no determinant; in both identities they would add another second to every
+# test run.
+IDENTITY_QMAX = {"gl3": 16, "a1xa2-ad": 16, "a1xa1xa1-ad": 16, "res-b2-ad": 5}
+
+
+@lru_cache(maxsize=None)
+def ss_class_count(spec):
+    """The number of semisimple classes, counted once per spec: identities A
+    and B share most of their specs."""
+    return len(enumerate_ss_classes(spec))
+
+
+def identity_specs(label, config):
+    """The spec at every admissible prime power q up to the label's cap."""
+    qmax = IDENTITY_QMAX.get(label, 32)
+    for q in PRIME_POWERS:
+        if q > qmax:
+            break
+        try:
+            spec = parse_group_spec(config, q=q)
+        except LPacketsError:
+            continue
+        yield q, spec
 
 
 @pytest.mark.parametrize("label", sorted(CONNECTED_CONFIGS))
 def test_semisimple_class_count_closed_form(label):
-    # gl3 past q = 9 lists too many points for every test run
-    qmax = 9 if label == "gl3" else 16
     checked = 0
-    for q in IDENTITY_A_Q:
-        if q > qmax:
-            continue
-        try:
-            spec = parse_group_spec(CONNECTED_CONFIGS[label], q=q)
-        except LPacketsError:
-            continue
+    for q, spec in identity_specs(label, CONNECTED_CONFIGS[label]):
         cox = enumerate_weyl(dual_datum(spec.datum))
         n = len(spec.twist.sigma_x)
         solutions = 0
@@ -105,8 +126,7 @@ def test_semisimple_class_count_closed_form(label):
             m = mat_mul(spec.twist.sigma_x, w)
             solutions += abs(det([[q * m[i][j] - (i == j) for j in range(n)]
                                   for i in range(n)]))
-        classes = enumerate_ss_classes(spec)
-        assert len(classes) * cox.order == solutions, (label, q)
+        assert ss_class_count(spec) * cox.order == solutions, (label, q)
         checked += 1
     assert checked
 
@@ -126,23 +146,17 @@ STEINBERG_CONFIGS = {
                  lambda q: q * q),
     "res-b2-ad": ({"type": "B2xB2", "isogeny": "ad", "twist": [2, 3, 0, 1]},
                   lambda q: q ** 4),
+    "a1xa2-ad": ({"type": "A1xA2", "isogeny": "ad"}, lambda q: q ** 3),
+    "a1xa1xa1-ad": ({"type": "A1xA1xA1", "isogeny": "ad"}, lambda q: q ** 3),
 }
 
 
 @pytest.mark.parametrize("label", sorted(STEINBERG_CONFIGS))
 def test_semisimple_class_count_steinberg(label):
     config, expected = STEINBERG_CONFIGS[label]
-    # res-b2-ad past q = 5 lists too many points for every test run
-    qmax = 5 if label == "res-b2-ad" else 16
     checked = 0
-    for q in IDENTITY_A_Q:
-        if q > qmax:
-            continue
-        try:
-            spec = parse_group_spec(config, q=q)
-        except LPacketsError:
-            continue
-        assert len(enumerate_ss_classes(spec)) == expected(q), (label, q)
+    for q, spec in identity_specs(label, config):
+        assert ss_class_count(spec) == expected(q), (label, q)
         checked += 1
     assert checked
 

@@ -1,4 +1,6 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from lpackets.errors import (
     LPacketsError,
     UnsupportedTypeError,
 )
-from lpackets.lattice import identity
+from lpackets.lattice import identity, mat_vec
 from lpackets.rootdata import (
     NAMED_SPECS,
     RootDatum,
@@ -19,10 +21,10 @@ from lpackets.rootdata import (
     centralizer_subdatum,
     dual_datum,
     factor_permutation,
-    integral_root_positions,
     parse_group_spec,
     parse_type,
     point_label,
+    stable_point_orbits,
     whittaker_torsor_size,
 )
 from lpackets.springer import _TABLES
@@ -177,6 +179,14 @@ def test_twist_permutation_grammar():
     with pytest.raises(ConfigError):
         parse_group_spec({"type": "A2", "isogeny": "sc",
                           "twist": [[2, 0], [0, 1]]}, q=3)
+
+
+def integral_root_positions(datum, point, modulus):
+    """Indices of the roots alpha with <alpha, s> integral, for the point
+    s = point / modulus of Y x Q/Z, one pairing per root: a reference for
+    the integral positions in ``TorusOrbit.key``."""
+    return tuple(i for i, r in enumerate(datum.roots)
+                 if datum.pairing(r, point) % modulus == 0)
 
 
 def test_centralizer_subdatum_full_and_empty():
@@ -416,3 +426,47 @@ def test_parse_raises_only_package_errors(shape, q, q_in_config):
     except LPacketsError:
         return
     assert spec.q == q
+
+
+CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
+
+
+def _load_cases():
+    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES_FILE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_CASES = _load_cases()
+GRID_CONFIGS = sorted({label for _, label, _ in _CASES.WORKLOADS["twisted-grid"]})
+KEY_SPECS = [(label, q) for label in GRID_CONFIGS for q in (5, 7)] + [
+    ("b2xb2-swap", 3)]
+KEY_CONFIGS = {"b2xb2-swap": {"type": "B2xB2", "twist": [2, 3, 0, 1]}}
+
+
+def _old_key(spec, cox, acting, orbit):
+    """The type key at the orbit's least point, read three ways as a
+    reference: the integral roots one pairing at a time, F(s) by ``mat_vec``
+    and the witness by looking each element of W* up among the acting
+    matrices."""
+    rep, modulus = orbit.rep, orbit.modulus
+    imgs = [tuple(x % modulus for x in mat_vec(g, rep)) for g in acting]
+    target = tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, rep))
+    at = {g: i for i, g in enumerate(acting)}
+    weyl_at = [at[w] for w in cox.elements]
+    stab = tuple(i for i, v in enumerate(imgs) if v == rep)
+    witness = next((j for j, i in enumerate(weyl_at) if imgs[i] == target), None)
+    return integral_root_positions(cox.datum, rep, modulus), stab, witness
+
+
+@pytest.mark.parametrize("label,q", KEY_SPECS,
+                         ids=[f"{label}/F{q}" for label, q in KEY_SPECS])
+def test_type_keys_match_the_three_way_reading(label, q):
+    config = KEY_CONFIGS.get(label) or _CASES.group_config(label)
+    spec = parse_group_spec(config, q=q)
+    cox, acting = acting_group(spec)
+    orbits = stable_point_orbits(spec)
+    assert orbits
+    for orbit in orbits:
+        assert orbit.key == _old_key(spec, cox, acting, orbit), (label, orbit.rep)
