@@ -9,10 +9,8 @@ seed 1; a seed gives every pipeline call its own rng, built as
 execution of the benchmark.
 """
 
-import importlib.util
 import itertools
 import random
-from pathlib import Path
 
 import pytest
 
@@ -20,18 +18,9 @@ import lpackets
 import lpackets.oracle
 import lpackets.report
 from lpackets.rootdata import parse_group_spec
+from perfbench_files import load_perfbench
 
-CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-
-
-def _load_cases():
-    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_CASES = _load_cases()
+_CASES = load_perfbench("cases")
 DIGESTS = _CASES.load_digests()
 ALL = sorted({case for cases in _CASES.WORKLOADS.values() for case in cases})
 RUNS = [(case, seed) for case in ALL

@@ -10,6 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "lpackets"
 MODULES = sorted(SRC.glob("*.py"))
+SOURCES = {p.stem: p.read_text() for p in MODULES}
 
 
 def imported_names(tree):
@@ -53,94 +54,6 @@ def test_unused_import_is_caught():
               "__all__ = ['sep']\n"
               "print(path)\n")
     assert unused_imports(source) == ["args", "json"]
-
-
-def imported_packages(source):
-    """The top-level package of every absolute import."""
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            yield from (alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            yield node.module.split(".")[0]
-
-
-# Records are named tuples: importing ``dataclasses`` (which loads
-# ``inspect``, ``ast``, ``dis`` and ``tokenize``) and decorating the classes
-# took longer than most counts.
-def test_no_module_imports_dataclasses():
-    assert [p.name for p in MODULES
-            if "dataclasses" in imported_packages(p.read_text())] == []
-
-
-def test_dataclasses_import_is_caught():
-    source = ("from __future__ import annotations\n"
-              "import dataclasses.field, json\n"
-              "from . import groups\n"
-              "def f():\n"
-              "    from dataclasses import dataclass\n")
-    assert list(imported_packages(source)) == [
-        "__future__", "dataclasses", "json", "dataclasses"]
-
-
-# ``rootdata.stable_point_orbits`` reads each torus orbit's semisimple type
-# and hands it over as ``TorusOrbit.key``; a pipeline reads an orbit only
-# through its key and ``label()``, so one that read a point, its modulus or
-# its orbit would be a second reading of the type.
-ORBIT_POINT_FIELDS = {"rep", "modulus", "orbit"}
-
-
-def orbit_point_reads(source):
-    """Every attribute in ``ORBIT_POINT_FIELDS`` that ``source`` reads."""
-    return sorted(node.attr for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute)
-                  and node.attr in ORBIT_POINT_FIELDS)
-
-
-@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
-def test_pipelines_take_the_type_key_from_rootdata(name):
-    assert orbit_point_reads((SRC / name).read_text()) == []
-
-
-def test_orbit_point_read_is_caught():
-    source = ("def f(orbits, o):\n"
-              "    pts = [x.rep for x in orbits]\n"
-              "    return o.modulus, len(o.orbit), o.key, o.label(), pts\n"
-              "def ok(orbit, rep):\n"
-              "    return orbit.key, rep, orbit.reps\n")
-    assert orbit_point_reads(source) == ["modulus", "orbit", "rep"]
-
-
-# ``rootdata.acting_group`` builds the group acting on the dual torus from
-# the spec; a pipeline that built the dual datum or moved a component onto
-# the torus itself would be a second builder.
-ACTING_BUILDERS = {"dual_datum", "x_action"}
-
-
-def acting_builder_uses(source):
-    """Every name in ``ACTING_BUILDERS`` that ``source`` imports (under
-    any alias) or reads as an attribute."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found += [a.name for a in node.names if a.name in ACTING_BUILDERS]
-        elif isinstance(node, ast.Attribute) and node.attr in ACTING_BUILDERS:
-            found.append(node.attr)
-    return sorted(found)
-
-
-@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
-def test_pipelines_take_the_acting_group_from_rootdata(name):
-    assert acting_builder_uses((SRC / name).read_text()) == []
-
-
-def test_acting_group_builder_is_caught():
-    source = ("from .rootdata import dual_datum as dd, x_preserves\n"
-              "from . import rootdata\n"
-              "def f(spec):\n"
-              "    return rootdata.x_action(spec.components[0]), dd\n"
-              "def ok(spec, x_actions):\n"
-              "    return spec.twist.sigma_x, x_actions, x_preserves\n")
-    assert acting_builder_uses(source) == ["dual_datum", "x_action"]
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -338,47 +251,6 @@ def referenced_names(node):
             yield from (alias.name for alias in n.names)
 
 
-def unreferenced_private(sources):
-    """``module.name`` for every module-level ``_``-prefixed function or
-    class that no module references outside its own definition."""
-    defined, used = [], set()
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            names = set(referenced_names(node))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names.discard(node.name)
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.append((module, node.name))
-            used |= names
-    return sorted(f"{m}.{name}" for m, name in defined if name not in used)
-
-
-def test_every_private_helper_is_referenced():
-    sources = {p.stem: p.read_text() for p in MODULES}
-    assert unreferenced_private(sources) == []
-
-
-def test_unreferenced_private_helper_is_caught():
-    a = ("def _called():\n"
-         "    return 1\n"
-         "def _recursive(n):\n"
-         "    return _recursive(n - 1)\n"
-         "class _Unused:\n"
-         "    pass\n"
-         "def _imported():\n"
-         "    pass\n"
-         "def _by_attribute():\n"
-         "    pass\n"
-         "def __getattr__(name):\n"
-         "    pass\n"
-         "def public():\n"
-         "    return _called()\n")
-    b = ("from .a import _imported\n"
-         "from . import a\n"
-         "f = a._by_attribute\n")
-    assert unreferenced_private({"a": a, "b": b}) == ["a._Unused", "a._recursive"]
-
-
 def defined_names(node):
     """The names a ``def``, ``class`` or plain assignment binds."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -390,25 +262,24 @@ def defined_names(node):
     return set()
 
 
-def unread_public(sources):
-    """``module.name`` for every public module-level function, class or
-    constant (``__version__`` too, not ``__all__``), and
-    ``module.Class.name`` for every public method or property, that no
-    module reads outside its own definition.  Reads are matched by name, as
-    ``referenced_names`` yields them, so the strings of ``__all__`` are not
-    reads."""
+def unread_names(sources):
+    """``module.name`` for every module-level function, class or constant,
+    private or public (``__version__`` too, not ``__all__``), and
+    ``module.Class.name`` for every method or property but the dunder ones,
+    that no module reads outside its own definition.  Reads are matched by
+    name, as ``referenced_names`` yields them, so the strings of ``__all__``
+    are not reads."""
     defined, used = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             own = defined_names(node)
-            defined += [(module, name) for name in own if name != "__all__"
-                        and (not name.startswith("_") or name.endswith("__"))]
+            defined += [(module, name) for name in own if name != "__all__"]
             parts = [node]
             if isinstance(node, ast.ClassDef):
                 parts = node.body + node.bases + node.keywords + node.decorator_list
                 defined += [(f"{module}.{node.name}", m.name) for m in node.body
                             if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and not m.name.startswith("_")]
+                            and not m.name.startswith("__")]
             for part in parts:
                 used |= set(referenced_names(part)) - own - defined_names(part)
     return sorted(f"{where}.{name}" for where, name in defined if name not in used)
@@ -420,12 +291,11 @@ PUBLIC_API = {
 }
 
 
-def test_every_public_name_has_a_reader():
-    sources = {p.stem: p.read_text() for p in MODULES}
-    assert unread_public(sources) == sorted(PUBLIC_API)
+def test_every_name_has_a_reader():
+    assert unread_names(SOURCES) == sorted(PUBLIC_API)
 
 
-def test_unread_public_name_is_caught():
+def test_unread_name_is_caught():
     a = ("__version__ = '1'\n"
          "__all__ = ['unread', 'LIMIT']\n"
          "LIMIT = 3\n"
@@ -436,24 +306,29 @@ def test_unread_public_name_is_caught():
          "    return recursive(n - 1)\n"
          "def stored():\n"
          "    pass\n"
-         "def _private():\n"
+         "def _by_attribute():\n"
+         "    pass\n"
+         "class _Unused:\n"
          "    pass\n"
          "class K:\n"
          "    def __len__(self):\n"
          "        return 0\n"
          "    def used(self):\n"
-         "        return self.helper()\n"
-         "    def helper(self):\n"
+         "        return self._helper()\n"
+         "    def _helper(self):\n"
          "        return K()\n"
+         "    def _spare(self):\n"
+         "        return 1\n"
          "    @property\n"
          "    def size(self):\n"
          "        return self.size\n")
     b = ("from .a import K\n"
-         "stored = 1\n"
+         "from . import a\n"
+         "stored = a._by_attribute\n"
          "print(K().used)\n")
-    assert unread_public({"a": a, "b": b}) == [
-        "a.K.size", "a.UNUSED", "a.__version__", "a.recursive", "a.stored",
-        "a.unread", "b.stored"]
+    assert unread_names({"a": a, "b": b}) == [
+        "a.K._spare", "a.K.size", "a.UNUSED", "a._Unused", "a.__version__",
+        "a.recursive", "a.stored", "a.unread", "b.stored"]
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -548,75 +423,8 @@ def test_process_wide_state_is_caught():
         "memo:9"]
 
 
-def group_builders(sources):
-    """``module.definition`` for every ``FiniteGroup(...)`` call, named by
-    its enclosing definitions (``<module>`` outside any)."""
-    out = []
-
-    def visit(node, path):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, path + [child.name])
-                continue
-            if isinstance(child, ast.Call) and _called_name(child) == "FiniteGroup":
-                out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
-            visit(child, path)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), [module])
-    return sorted(out)
-
-
-# ``groups.table_group`` is the one constructor of a group, so every group
-# carries the objects it was built from and no module lays out an index
-def test_every_group_is_built_by_table_group():
-    found = group_builders({p.stem: p.read_text() for p in MODULES})
-    assert "groups.table_group" in found
-    assert [f for f in found if f != "groups.table_group"] == []
-
-
-def test_group_built_outside_table_group_is_caught():
-    source = ("from .groups import FiniteGroup\n"
-              "G = FiniteGroup((), ())\n"
-              "def table_group(e):\n"
-              "    return FiniteGroup(e)\n"
-              "class K:\n"
-              "    def make(self):\n"
-              "        return groups.FiniteGroup(f(FiniteGroup(1)))\n")
-    assert group_builders({"m": source}) == [
-        "m.<module>", "m.K.make", "m.K.make", "m.table_group"]
-
-
-def table_reads(source):
-    """``(line, attribute)`` for every read of a ``.table`` or ``.mul``."""
-    return sorted((node.lineno, node.attr)
-                  for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute)
-                  and node.attr in ("table", "mul"))
-
-
-# the pipelines multiply group elements only through ``groups`` (its
-# twisted images, classes, subgroups and products), never by table lookups
-@pytest.mark.parametrize("name", ["spectral.py", "strata.py"])
-def test_pipelines_multiply_only_through_groups(name):
-    assert table_reads((SRC / name).read_text()) == []
-
-
-def test_table_read_is_caught():
-    source = ("def act(g, h, x):\n"
-              "    y = g.mul(h, x)\n"
-              "    t = g.table\n"
-              "    mul = table = None\n"
-              "    return t[y][x], mul, table, g.inverse, g.tables\n"
-              "z = groups.FiniteGroup.mul\n")
-    assert table_reads(source) == [(2, "mul"), (3, "table"), (6, "mul")]
-
-
-SPLIT_METHODS = {"split", "rsplit", "partition", "rpartition"}
-
-
-def calls_by_definition(sources, match):
-    """``module.definition`` for every call ``match`` accepts, named by its
+def rule_hits(sources, match):
+    """``module.definition`` for every node ``match`` accepts, named by its
     enclosing definitions (``<module>`` outside any)."""
     out = []
 
@@ -625,7 +433,7 @@ def calls_by_definition(sources, match):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, path + [child.name])
                 continue
-            if isinstance(child, ast.Call) and match(child):
+            if match(child):
                 out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
             visit(child, path)
 
@@ -634,63 +442,252 @@ def calls_by_definition(sources, match):
     return sorted(out)
 
 
-def type_string_splits(sources):
-    """Every ``split``, ``rsplit``, ``partition`` or ``rpartition`` call
-    whose separator is ``"x"`` or holds a ``"+"``, as
-    ``calls_by_definition`` names it."""
-    def match(call):
-        if not (isinstance(call.func, ast.Attribute)
-                and call.func.attr in SPLIT_METHODS):
-            return False
-        seps = call.args[:1] + [k.value for k in call.keywords if k.arg == "sep"]
-        return any(isinstance(s, ast.Constant) and isinstance(s.value, str)
-                   and (s.value == "x" or "+" in s.value) for s in seps)
-    return calls_by_definition(sources, match)
+def named(node, kind, names):
+    """Whether ``node`` is a ``kind`` node (an attribute or a call) whose
+    name, as ``_called_name`` reads it, is in ``names``."""
+    return isinstance(node, kind) and _called_name(node) in names
 
 
-# ``rootdata.parse_type`` is the one reader of a type string: every other
-# module takes the factors and the torus rank from it, or a ``SubSystem``
-def test_only_the_type_parser_splits_type_strings():
-    found = type_string_splits({p.stem: p.read_text() for p in MODULES})
-    assert set(found) == {"rootdata.parse_type"}
+def imports(node, names):
+    """Whether ``node`` imports a name in ``names``, or a package in
+    ``names`` by an absolute import."""
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] in names for a in node.names)
+    return isinstance(node, ast.ImportFrom) and (
+        any(a.name in names for a in node.names)
+        or node.level == 0 and node.module.split(".")[0] in names)
 
 
-def test_type_string_split_is_caught():
-    source = ("head, _, tail = t.partition('+')\n"
-              "def label(t):\n"
-              "    return t.rsplit('+T', 1), t.split(sep='x'), t.split('.')\n"
-              "class K:\n"
-              "    def factors(self, t):\n"
-              "        return t.replace('+', 'x').split('x'), t.rpartition('+')\n"
-              "def ok(t):\n"
-              "    return t.split(), t.split(','), t.partition(sep)\n")
-    assert type_string_splits({"m": source}) == [
-        "m.<module>", "m.K.factors", "m.K.factors", "m.label", "m.label"]
+def type_string_split(node):
+    """A ``split``, ``rsplit``, ``partition`` or ``rpartition`` call whose
+    separator is ``"x"`` or holds a ``"+"``."""
+    if not named(node, ast.Call, {"split", "rsplit", "partition", "rpartition"}):
+        return False
+    seps = node.args[:1] + [k.value for k in node.keywords if k.arg == "sep"]
+    return any(isinstance(s, ast.Constant) and isinstance(s.value, str)
+               and (s.value == "x" or "+" in s.value) for s in seps)
 
 
-def kl_calls(sources):
-    """Every call of ``kl_table`` or ``cells``, by name or as an attribute,
-    as ``calls_by_definition`` names it."""
-    def match(call):
-        f = call.func
-        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-        return name in ("kl_table", "cells")
-    return calls_by_definition(sources, match)
+PIPELINES = ("spectral", "strata")
+ACTING_BUILDERS = {"dual_datum", "x_action"}
+
+# Each rule forbids what its match accepts in ``modules``, outside the
+# allowed definitions, and each allowed definition must hold a match.  Its
+# planted source shows the definitions that the match finds there.
+RULES = {
+    "dataclasses-import": (
+        lambda n: imports(n, {"dataclasses"}), SOURCES, (),
+        "records are named tuples: importing dataclasses (which loads inspect, "
+        "ast, dis and tokenize) and decorating the classes took longer than "
+        "most counts",
+        "from __future__ import annotations\n"
+        "import dataclasses.field, json\n"
+        "from . import groups\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n",
+        ["m.<module>", "m.f"]),
+    "orbit-point-read": (
+        lambda n: named(n, ast.Attribute, {"rep", "modulus", "orbit"}),
+        PIPELINES, (),
+        "rootdata.stable_point_orbits hands each torus orbit's semisimple type "
+        "over as TorusOrbit.key; a pipeline reads an orbit only through its key "
+        "and label(), so one that read a point, its modulus or its orbit would "
+        "make a second reading of the type",
+        "def f(orbits, o):\n"
+        "    pts = [x.rep for x in orbits]\n"
+        "    return o.modulus, len(o.orbit), o.key, o.label(), pts\n"
+        "def ok(orbit, rep):\n"
+        "    return orbit.key, rep, orbit.reps\n",
+        ["m.f", "m.f", "m.f"]),
+    "acting-group-builder": (
+        lambda n: imports(n, ACTING_BUILDERS)
+        or named(n, ast.Attribute, ACTING_BUILDERS), PIPELINES, (),
+        "rootdata.acting_group builds the group acting on the dual torus from "
+        "the spec; a pipeline that built the dual datum or moved a component "
+        "onto the torus itself would be a second builder",
+        "from .rootdata import dual_datum as dd, x_preserves\n"
+        "from . import rootdata\n"
+        "def f(spec):\n"
+        "    return rootdata.x_action(spec.components[0]), dd\n"
+        "def ok(spec, x_actions):\n"
+        "    return spec.twist.sigma_x, x_actions, x_preserves\n",
+        ["m.<module>", "m.f"]),
+    "table-read": (
+        lambda n: named(n, ast.Attribute, {"table", "mul"}), PIPELINES, (),
+        "the pipelines multiply group elements only through groups (its twisted "
+        "images, classes, subgroups and products), never by table lookups",
+        "def act(g, h, x):\n"
+        "    y = g.mul(h, x)\n"
+        "    t = g.table\n"
+        "    mul = table = None\n"
+        "    return t[y][x], mul, table, g.inverse, g.tables\n"
+        "z = groups.FiniteGroup.mul\n",
+        ["m.<module>", "m.act", "m.act"]),
+    "group-constructor": (
+        lambda n: named(n, ast.Call, {"FiniteGroup"}), SOURCES,
+        ("groups.table_group",),
+        "groups.table_group is the one constructor of a group, so every group "
+        "carries the objects it was built from and no module lays out an index",
+        "from .groups import FiniteGroup\n"
+        "G = FiniteGroup((), ())\n"
+        "def table_group(e):\n"
+        "    return FiniteGroup(e)\n"
+        "class K:\n"
+        "    def make(self):\n"
+        "        return groups.FiniteGroup(f(FiniteGroup(1)))\n",
+        ["m.<module>", "m.K.make", "m.K.make", "m.table_group"]),
+    "type-string-split": (
+        type_string_split, SOURCES, ("rootdata.parse_type",),
+        "rootdata.parse_type is the one reader of a type string: every other "
+        "module takes the factors and the torus rank from it, or a SubSystem",
+        "head, _, tail = t.partition('+')\n"
+        "def label(t):\n"
+        "    return t.rsplit('+T', 1), t.split(sep='x'), t.split('.')\n"
+        "class K:\n"
+        "    def factors(self, t):\n"
+        "        return t.replace('+', 'x').split('x'), t.rpartition('+')\n"
+        "def ok(t):\n"
+        "    return t.split(), t.split(','), t.partition(sep)\n",
+        ["m.<module>", "m.K.factors", "m.K.factors", "m.label", "m.label"]),
+    "kl-call": (
+        lambda n: named(n, ast.Call, {"kl_table", "cells"}), SOURCES,
+        ("strata._standalone",),
+        "KL polynomials and cells are computed for the four simple types alone; "
+        "a product reads its cells from its factors' (strata._subsystem_cells)",
+        "part = cells(kl_table(cox))\n"
+        "class K:\n"
+        "    def walk(self, cox):\n"
+        "        return coxeter.cells(coxeter.kl_table(cox))\n"
+        "def ok(cox):\n"
+        "    return kl_tables(cox), cox.cells, cells_of(cox)\n",
+        ["m.<module>", "m.<module>", "m.K.walk", "m.K.walk"]),
+}
 
 
-# KL polynomials and cells are computed for the four simple types alone; a
-# product reads its cells from its factors' (``strata._subsystem_cells``)
-def test_only_the_standalone_cache_runs_kl():
-    found = kl_calls({p.stem: p.read_text() for p in MODULES})
-    assert set(found) == {"strata._standalone"}
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_source_rule(rule):
+    match, modules, allowed, reason, _, _ = RULES[rule]
+    found = rule_hits({m: SOURCES[m] for m in modules}, match)
+    assert set(found) == set(allowed), reason
 
 
-def test_kl_call_is_caught():
-    source = ("part = cells(kl_table(cox))\n"
-              "class K:\n"
-              "    def walk(self, cox):\n"
-              "        return coxeter.cells(coxeter.kl_table(cox))\n"
-              "def ok(cox):\n"
-              "    return kl_tables(cox), cox.cells, cells_of(cox)\n")
-    assert kl_calls({"m": source}) == [
-        "m.<module>", "m.<module>", "m.K.walk", "m.K.walk"]
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_planted_rule_violation_is_caught(rule):
+    match, _, _, _, source, expected = RULES[rule]
+    assert rule_hits({"m": source}, match) == expected
+
+
+def name_graph(sources):
+    """``module.name`` -> the ``module.name``s its definition reads, for
+    every module-level name.  A read resolves to its own module's name, or
+    through a relative import: ``from .m import f`` binds ``f`` to ``m.f``,
+    and ``from . import m`` binds every name of ``m``, so that ``m.f``
+    resolves.  A class reads whatever its methods read."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    top = {m: {name: node for node in tree.body for name in defined_names(node)}
+           for m, tree in trees.items()}
+    graph = {}
+    for module, tree in trees.items():
+        binds = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        binds[a.asname or a.name] = f"{node.module}.{a.name}"
+                    else:
+                        binds.update((name, f"{a.name}.{name}") for name in top[a.name])
+        binds.update((name, f"{module}.{name}") for name in top[module])
+        for name, node in top[module].items():
+            graph[f"{module}.{name}"] = {binds[r] for r in referenced_names(node)
+                                         if r in binds}
+    return graph
+
+
+def shared_names(sources, *roots):
+    """The ``module.name``s that every root reaches in ``name_graph``."""
+    graph = name_graph(sources)
+
+    def reached(root):
+        seen, stack = {root}, [root]
+        while stack:
+            for name in graph.get(stack.pop(), ()) - seen:
+                seen.add(name)
+                stack.append(name)
+        return seen
+    return sorted(set.intersection(*map(reached, roots)))
+
+
+# The checks that guard a counting definition both pipelines run; none reads
+# a pipeline, so a fault there cannot move both totals unseen.
+IDENTITIES_A_B = ("test_references.py::test_semisimple_class_count_closed_form",
+                  "test_references.py::test_semisimple_class_count_steinberg")
+TWISTED_CLASSES = ("test_groups.py::test_twisted_classes_inside_a_semidirect_product",)
+UNIPOTENT_COUNTS = ("test_references.py::test_unipotent_counts_per_type",)
+
+# What the spectral and the stratified pipelines both reach, as (tag, module,
+# names, reason): plumbing has one reason per module, and each counting
+# entry names the checks that guard it.
+SHARED = [
+    ("plumbing", "coxeter", "CoxeterGroup enumerate_weyl reflection_on_y",
+     "the Weyl group of a root datum"),
+    ("plumbing", "errors", "InvariantError LPacketsError UnsupportedTypeError",
+     "the package's errors"),
+    ("plumbing", "groups",
+     "CLOSURE_BLOCK Closure Packet Stratum _cycle_label _scope call_scope "
+     "closure cyclic direct_product from_permutations memo orbits permuted "
+     "semidirect strata_by_type strong_components symmetric table_group",
+     "the orbit and closure loops, the group constructors, the per-call memo "
+     "table and the records both pipelines emit"),
+    ("plumbing", "lattice",
+     "Matrix Vector _eliminate adjugate det identity mat_inv_unimodular "
+     "mat_mul mat_vec solve_integral transpose",
+     "integer matrix arithmetic"),
+    ("plumbing", "rootdata",
+     "GroupSpec MAX_TORSION_POINTS RootDatum SubSystem TorusOrbit "
+     "_classify_component _reduced dual_datum factor_permutation point_label "
+     "x_action x_preserves",
+     "the parsed spec, its dual datum, and the torus orbit and subsystem records"),
+    ("plumbing", "springer",
+     "SpecialClassRecord _ABAR_GROUPS abar_group assemble_product_group "
+     "group_structure_label induced_automorphism",
+     "family groups built from their labels, and their names"),
+    ("counting", "lattice", "solve_torsion", IDENTITIES_A_B),
+    ("counting", "rootdata", "acting_group centralizer_subdatum stable_point_orbits",
+     IDENTITIES_A_B),
+    ("counting", "groups", "FiniteGroup", TWISTED_CLASSES),
+    ("counting", "springer", "_TABLES special_classes", UNIPOTENT_COUNTS),
+]
+
+
+def test_shared_code_is_in_the_ledger():
+    found = shared_names(SOURCES, "spectral.spectral_strata",
+                         "strata.stratified_strata")
+    assert set(found) == {f"{module}.{name}" for _, module, names, _ in SHARED
+                          for name in names.split()}
+    for tag, _, _, why in SHARED:
+        assert tag == "plumbing" or all(
+            f"\ndef {test}(" in Path(__file__).with_name(file).read_text()
+            for file, test in (guard.split("::") for guard in why)), why
+
+
+def test_shared_name_is_caught():
+    a = ("from .m import K, f\n"
+         "from . import n\n"
+         "def run_a(x):\n"
+         "    return f() + n.g() + K + x.make\n")
+    b = ("from .m import make, f as first\n"
+         "from .n import g\n"
+         "def run_b():\n"
+         "    return make().size + first() + g()\n")
+    m = ("def f():\n"
+         "    return 1\n"
+         "def make():\n"
+         "    return K()\n"
+         "class K:\n"
+         "    def size(self):\n"
+         "        return helper()\n"
+         "def helper():\n"
+         "    return 2\n")
+    n = "def g():\n    return 3\n"
+    assert shared_names({"a": a, "b": b, "m": m, "n": n}, "a.run_a",
+                        "b.run_b") == ["m.K", "m.f", "m.helper", "n.g"]

@@ -6,21 +6,12 @@ This test only reads ``perfbench/``.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SPANS
+from perfbench_files import load_perfbench
 
 
 def test_every_span_resolves_to_a_package_attribute():
-    spans = _load_spans()
+    spans = load_perfbench("spans").SPANS
     assert spans
     for mod_name, attr, _counter in spans:
         target = importlib.import_module(f"lpackets.{mod_name}")

@@ -5,33 +5,28 @@ The reference table is ``reference_total`` in ``perfbench/cases.py``, which
 this test only reads.
 """
 
-import importlib.util
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 
 import pytest
 
 from lpackets.coxeter import enumerate_weyl
 from lpackets.errors import ConfigError, LPacketsError
 from lpackets.fq import prime_power
+from lpackets.groups import call_scope
 from lpackets.lattice import det, mat_mul
 from lpackets.report import spectral_report, stratified_report
 from lpackets.rootdata import NAMED_SPECS, dual_datum, parse_group_spec
 from lpackets.spectral import enumerate_ss_classes
-from lpackets.strata import stratified_strata
+from lpackets.strata import (
+    _point_strata,
+    _PointGeometry,
+    semisimple_parameters,
+    stratified_strata,
+)
+from perfbench_files import load_perfbench
 
-CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-
-
-def _reference_total():
-    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.reference_total
-
-
-reference_total = _reference_total()
+reference_total = load_perfbench("cases").reference_total
 
 
 def is_prime_power(q):
@@ -158,6 +153,47 @@ def test_semisimple_class_count_steinberg(label):
     for q, spec in identity_specs(label, config):
         assert ss_class_count(spec) == expected(q), (label, q)
         checked += 1
+    assert checked
+
+
+# Per-type unipotent counts.  By Lusztig's Jordan decomposition (Lusztig,
+# "Characters of reductive groups over a finite field", Ann. of Math.
+# Studies 107, 1984, Thm. 4.23), when C = C_{G*}(s) is connected the
+# characters over s are in bijection with the unipotent characters of C^F.
+# For a type with trivial Omega and one Frobenius coset, that count is the
+# product, over the orbits of beta's factor permutation, of u(X) for the
+# orbit's factor type X, and 1 for a torus (Carter, "Finite groups of Lie
+# type", 1985, section 13.9; u(2A2) = u(A2) = 3).  So each type's stratum
+# total is checked against a table that reads no family table.
+UNIPOTENT = {"A1": 2, "A2": 3, "B2": 6, "G2": 10}
+UNIPOTENT_CONFIGS = {
+    **{label: STEINBERG_CONFIGS[label][0]
+       for label in ("pgl2", "gl2", "gl3", "g2", "b2-ad", "pu3", "res-pgl2")},
+    "pgl3": {"type": "A2", "isogeny": "ad"},
+    "a1xb2-ad": {"type": "A1xB2", "isogeny": "ad"},
+}
+
+
+@pytest.mark.parametrize("label", sorted(UNIPOTENT_CONFIGS))
+def test_unipotent_counts_per_type(label):
+    checked = 0
+    for q in (5, 7, 11):
+        spec = parse_group_spec(UNIPOTENT_CONFIGS[label], q=q)
+        with call_scope():
+            for key in {o.key for o in semisimple_parameters(spec)}:
+                geo = _PointGeometry(spec, key)
+                if geo.omega.order > 1 or len(geo.coset_reps) > 1:
+                    continue
+                beta, seen, expected = geo.beta_perms[0], set(), 1
+                for i, factor_type in enumerate(geo.sub.factor_types):
+                    if i not in seen:
+                        expected *= UNIPOTENT[factor_type]
+                    while i not in seen:
+                        seen.add(i)
+                        i = beta[i]
+                total = sum(st.total for st in _point_strata(spec, key))
+                assert total == expected, (label, q, geo.sub.label)
+                checked += 1
     assert checked
 
 

@@ -12,9 +12,7 @@ The specs are the benchmark's ``twisted-grid`` workload, read from
 ``perfbench/cases.py`` (which this test only reads), plus three larger ones.
 """
 
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -22,18 +20,9 @@ from lpackets.groups import call_scope
 from lpackets.lattice import identity, mat_mul, mat_vec
 from lpackets.rootdata import acting_group, parse_group_spec, x_preserves
 from lpackets import spectral, strata
+from perfbench_files import load_perfbench
 
-CASES_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "cases.py"
-
-
-def _load_cases():
-    spec = importlib.util.spec_from_file_location("perfbench_cases", CASES_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_CASES = _load_cases()
+_CASES = load_perfbench("cases")
 SPECS = sorted({(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]}
                | {("gl3", 5), ("sp4", 5), ("g2", 7)})
 
@@ -149,10 +138,19 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
                                              and x_preserves(w, pos_set))
 
 
-@pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
+# the keys are also scanned for every grid spec at q = 5 and 7, and for
+# B2xB2 with a Frobenius map that swaps its factors
+KEY_SCAN_CONFIGS = {"b2xb2-swap": {"type": "B2xB2", "twist": [2, 3, 0, 1]}}
+KEY_SCAN_SPECS = sorted(set(SPECS) | {(label, q) for label, _ in SPECS
+                                      for q in (5, 7)} | {("b2xb2-swap", 3)})
+
+
+@pytest.mark.parametrize("label,q", KEY_SCAN_SPECS,
+                         ids=[f"{l}/F{q}" for l, q in KEY_SCAN_SPECS])
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
-    spec = parse_group_spec(_CASES.group_config(label), q=q)
+    config = KEY_SCAN_CONFIGS.get(label) or _CASES.group_config(label)
+    spec = parse_group_spec(config, q=q)
     with call_scope():
         acting = acting_group(spec)[1]
         orbits = strata.semisimple_parameters(spec)
