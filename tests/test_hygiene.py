@@ -291,44 +291,63 @@ PUBLIC_API = {
 }
 
 
-def test_every_name_has_a_reader():
-    assert unread_names(SOURCES) == sorted(PUBLIC_API)
+def private(name):
+    """Whether the last part of a dotted name is ``_``-prefixed but not dunder."""
+    last = name.rsplit(".", 1)[1]
+    return last.startswith("_") and not last.startswith("__")
 
 
-def test_unread_name_is_caught():
-    a = ("__version__ = '1'\n"
-         "__all__ = ['unread', 'LIMIT']\n"
-         "LIMIT = 3\n"
-         "UNUSED: int = 2\n"
-         "def unread():\n"
-         "    return LIMIT\n"
-         "def recursive(n):\n"
-         "    return recursive(n - 1)\n"
-         "def stored():\n"
-         "    pass\n"
-         "def _by_attribute():\n"
-         "    pass\n"
-         "class _Unused:\n"
-         "    pass\n"
-         "class K:\n"
-         "    def __len__(self):\n"
-         "        return 0\n"
-         "    def used(self):\n"
-         "        return self._helper()\n"
-         "    def _helper(self):\n"
-         "        return K()\n"
-         "    def _spare(self):\n"
-         "        return 1\n"
-         "    @property\n"
-         "    def size(self):\n"
-         "        return self.size\n")
-    b = ("from .a import K\n"
-         "from . import a\n"
-         "stored = a._by_attribute\n"
-         "print(K().used)\n")
-    assert unread_names({"a": a, "b": b}) == [
-        "a.K._spare", "a.K.size", "a.UNUSED", "a._Unused", "a.__version__",
-        "a.recursive", "a.stored", "a.unread", "b.stored"]
+def test_every_private_helper_is_referenced():
+    assert [n for n in unread_names(SOURCES) if private(n)] == []
+
+
+def test_every_public_name_has_a_reader():
+    assert [n for n in unread_names(SOURCES) if not private(n)] == sorted(PUBLIC_API)
+
+
+# planted modules for the two checks above
+PLANTED_A = ("__version__ = '1'\n"
+             "__all__ = ['unread', 'LIMIT']\n"
+             "LIMIT = 3\n"
+             "UNUSED: int = 2\n"
+             "def unread():\n"
+             "    return LIMIT\n"
+             "def recursive(n):\n"
+             "    return recursive(n - 1)\n"
+             "def stored():\n"
+             "    pass\n"
+             "def _by_attribute():\n"
+             "    pass\n"
+             "class _Unused:\n"
+             "    pass\n"
+             "class K:\n"
+             "    def __len__(self):\n"
+             "        return 0\n"
+             "    def used(self):\n"
+             "        return self._helper()\n"
+             "    def _helper(self):\n"
+             "        return K()\n"
+             "    def _spare(self):\n"
+             "        return 1\n"
+             "    @property\n"
+             "    def size(self):\n"
+             "        return self.size\n")
+PLANTED_B = ("from .a import K\n"
+             "from . import a\n"
+             "stored = a._by_attribute\n"
+             "print(K().used)\n")
+PLANTED = {"a": PLANTED_A, "b": PLANTED_B}
+
+
+def test_unreferenced_private_helper_is_caught():
+    assert [n for n in unread_names(PLANTED) if private(n)] == [
+        "a.K._spare", "a._Unused"]
+
+
+def test_unread_public_name_is_caught():
+    assert [n for n in unread_names(PLANTED) if not private(n)] == [
+        "a.K.size", "a.UNUSED", "a.__version__", "a.recursive", "a.stored",
+        "a.unread", "b.stored"]
 
 
 CACHE_NAMES = {"lru_cache", "cache"}
@@ -564,17 +583,76 @@ RULES = {
 }
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
-def test_source_rule(rule):
-    match, modules, allowed, reason, _, _ = RULES[rule]
-    found = rule_hits({m: SOURCES[m] for m in modules}, match)
+def assert_rule(rule, modules=None):
+    """The ``RULES`` row holds on the package, or on ``modules`` alone."""
+    match, scope, allowed, reason, _, _ = RULES[rule]
+    found = rule_hits({m: SOURCES[m] for m in modules or scope}, match)
     assert set(found) == set(allowed), reason
 
 
-@pytest.mark.parametrize("rule", sorted(RULES))
-def test_planted_rule_violation_is_caught(rule):
+def assert_planted(rule):
+    """The ``RULES`` row's match finds its planted hits."""
     match, _, _, _, source, expected = RULES[rule]
     assert rule_hits({"m": source}, match) == expected
+
+
+def test_no_module_imports_dataclasses():
+    assert_rule("dataclasses-import")
+
+
+def test_dataclasses_import_is_caught():
+    assert_planted("dataclasses-import")
+
+
+@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
+def test_pipelines_take_the_type_key_from_rootdata(module):
+    assert_rule("orbit-point-read", [module])
+
+
+def test_orbit_point_read_is_caught():
+    assert_planted("orbit-point-read")
+
+
+@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
+def test_pipelines_take_the_acting_group_from_rootdata(module):
+    assert_rule("acting-group-builder", [module])
+
+
+def test_acting_group_builder_is_caught():
+    assert_planted("acting-group-builder")
+
+
+@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
+def test_pipelines_multiply_only_through_groups(module):
+    assert_rule("table-read", [module])
+
+
+def test_table_read_is_caught():
+    assert_planted("table-read")
+
+
+def test_every_group_is_built_by_table_group():
+    assert_rule("group-constructor")
+
+
+def test_group_built_outside_table_group_is_caught():
+    assert_planted("group-constructor")
+
+
+def test_only_the_type_parser_splits_type_strings():
+    assert_rule("type-string-split")
+
+
+def test_type_string_split_is_caught():
+    assert_planted("type-string-split")
+
+
+def test_only_the_standalone_cache_runs_kl():
+    assert_rule("kl-call")
+
+
+def test_kl_call_is_caught():
+    assert_planted("kl-call")
 
 
 def name_graph(sources):

@@ -22,9 +22,12 @@ from lpackets.rootdata import (
     parse_group_spec,
     parse_type,
     point_label,
+    stable_point_orbits,
     whittaker_torsor_size,
 )
 from lpackets.springer import _TABLES
+from perfbench_files import load_perfbench
+from torus_scan import key_by_scan
 
 
 def spec_of(name, q):
@@ -422,3 +425,23 @@ def test_parse_raises_only_package_errors(shape, q, q_in_config):
     except LPacketsError:
         return
     assert spec.q == q
+
+
+_CASES = load_perfbench("cases")
+GRID_CONFIGS = sorted({label for _, label, _ in _CASES.WORKLOADS["twisted-grid"]})
+KEY_SPECS = [(label, q) for label in GRID_CONFIGS for q in (5, 7)] + [
+    ("b2xb2-swap", 3)]
+KEY_CONFIGS = {"b2xb2-swap": {"type": "B2xB2", "twist": [2, 3, 0, 1]}}
+
+
+# every grid config at q = 5 and 7, and B2xB2 with a Frobenius map that
+# swaps its factors, against the scan of tests/torus_scan.py
+@pytest.mark.parametrize("label,q", KEY_SPECS,
+                         ids=[f"{label}/F{q}" for label, q in KEY_SPECS])
+def test_type_keys_match_the_three_way_reading(label, q):
+    config = KEY_CONFIGS.get(label) or _CASES.group_config(label)
+    spec = parse_group_spec(config, q=q)
+    orbits = stable_point_orbits(spec)
+    assert orbits
+    for orbit in orbits:
+        assert orbit.key == key_by_scan(spec, orbit), (label, orbit.rep)

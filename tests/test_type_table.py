@@ -17,47 +17,22 @@ import random
 import pytest
 
 from lpackets.groups import call_scope
-from lpackets.lattice import identity, mat_mul, mat_vec
+from lpackets.lattice import identity, mat_mul
 from lpackets.rootdata import acting_group, parse_group_spec, x_preserves
 from lpackets import spectral, strata
 from perfbench_files import load_perfbench
+from torus_scan import frobenius, key_by_scan, mat_vec_mod
 
 _CASES = load_perfbench("cases")
 SPECS = sorted({(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]}
                | {("gl3", 5), ("sp4", 5), ("g2", 7)})
 
 
-def _mat_vec_mod(a, v, n):
-    """a v with entries reduced to [0, n): the action of an integer matrix
-    on the torsion point v / n."""
-    return tuple(x % n for x in mat_vec(a, v))
-
-
-def _frobenius(spec, rep, modulus):
-    return tuple(spec.q * x % modulus for x in mat_vec(spec.twist.sigma_x, rep))
-
-
-def _key_by_scan(spec, orbit):
-    """The type key at the orbit's least point s: the roots integral at s,
-    the positions in ``acting_group(spec)``'s matrices that fix s, and the
-    position in the dual Weyl group of the first w with w(s) = q sigma(s)."""
-    cox, acting = acting_group(spec)
-    rep, modulus = orbit.rep, orbit.modulus
-    integral = tuple(i for i, r in enumerate(cox.datum.roots)
-                     if sum(a * b for a, b in zip(r, rep)) % modulus == 0)
-    stab = tuple(i for i, g in enumerate(acting)
-                 if _mat_vec_mod(g, rep, modulus) == rep)
-    target = _frobenius(spec, rep, modulus)
-    witness = next((i for i, w in enumerate(cox.elements)
-                    if _mat_vec_mod(w, rep, modulus) == target), None)
-    return integral, stab, witness
-
-
 def _by_orbit(spec, orbits, type_strata):
     """Every orbit's strata, rebuilt from its scanned key without the table,
     with the number of distinct keys and of orbits."""
     with call_scope():
-        keys = [_key_by_scan(spec, o) for o in orbits]
+        keys = [key_by_scan(spec, o) for o in orbits]
         return [st._replace(ss_label=o.label()) for o, key in zip(orbits, keys)
                 for st in type_strata(spec, key)], len(set(keys)), len(orbits)
 
@@ -118,12 +93,12 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
                 geos[ss.key] = strata._PointGeometry(spec, ss.key)
             geo = geos[ss.key]
             rep, modulus = ss.rep, ss.modulus
-            stab = [m for m in acting if _mat_vec_mod(m, rep, modulus) == rep]
+            stab = [m for m in acting if mat_vec_mod(m, rep, modulus) == rep]
             assert geo.omega.elements == tuple(m for m in stab if geo._based(m))
-            target = _frobenius(spec, rep, modulus)
+            target = frobenius(spec, rep, modulus)
             assert {mat_mul(u, w) for w in geo.coset_reps
                     for u in geo.sub_cox.elements} == {
-                w for w in cox.elements if _mat_vec_mod(w, target, modulus) == rep}
+                w for w in cox.elements if mat_vec_mod(w, target, modulus) == rep}
         if not spec.connected:
             return
         geos = {}
@@ -134,23 +109,14 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
             rep, modulus = ssc.rep, ssc.modulus
             pos_set = {cox.datum.roots[i] for i in geo.sub.positive_positions}
             assert geo.pi0.elements == tuple(w for w in cox.elements
-                                             if _mat_vec_mod(w, rep, modulus) == rep
+                                             if mat_vec_mod(w, rep, modulus) == rep
                                              and x_preserves(w, pos_set))
 
 
-# the keys are also scanned for every grid spec at q = 5 and 7, and for
-# B2xB2 with a Frobenius map that swaps its factors
-KEY_SCAN_CONFIGS = {"b2xb2-swap": {"type": "B2xB2", "twist": [2, 3, 0, 1]}}
-KEY_SCAN_SPECS = sorted(set(SPECS) | {(label, q) for label, _ in SPECS
-                                      for q in (5, 7)} | {("b2xb2-swap", 3)})
-
-
-@pytest.mark.parametrize("label,q", KEY_SCAN_SPECS,
-                         ids=[f"{l}/F{q}" for l, q in KEY_SCAN_SPECS])
+@pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
-    config = KEY_SCAN_CONFIGS.get(label) or _CASES.group_config(label)
-    spec = parse_group_spec(config, q=q)
+    spec = parse_group_spec(_CASES.group_config(label), q=q)
     with call_scope():
         acting = acting_group(spec)[1]
         orbits = strata.semisimple_parameters(spec)
@@ -160,9 +126,9 @@ def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
         for o in orbits:
             assert o.rep == min(o.orbit)
             point = o.rep if seed is None else pick.choice(o.orbit)
-            assert o.orbit == tuple(sorted({_mat_vec_mod(g, point, o.modulus)
+            assert o.orbit == tuple(sorted({mat_vec_mod(g, point, o.modulus)
                                             for g in acting}))
-        assert [o.key for o in orbits] == [_key_by_scan(spec, o) for o in orbits]
+        assert [o.key for o in orbits] == [key_by_scan(spec, o) for o in orbits]
         if spec.connected:
             assert spectral.enumerate_ss_classes(spec) == orbits
 
