@@ -166,46 +166,58 @@ def test_unread_parameter_is_caught():
                                          "g.c", "m.y"]
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def private(name):
+    """Whether a name, or the last part of a dotted one, is ``_``-prefixed
+    but not dunder."""
+    last = name.rsplit(".", 1)[-1]
+    return last.startswith("_") and not last.startswith("__")
+
+
+def scoped_nodes(tree):
+    """Every node below ``tree`` with the ``def`` and ``class`` nodes that
+    enclose it, outermost first; a definition encloses its decorators and
+    arguments too, but not itself."""
+    stack = [(tree, ())]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield child, scope
+            inner = (child,) if isinstance(child, (*FUNCTIONS, ast.ClassDef)) else ()
+            stack.append((child, scope + inner))
+
+
 def defaults_never_passed(sources):
     """``function.parameter`` for every defaulted parameter of a private or
     nested function that no call in ``sources`` passes, by position or by
     keyword.  Calls are matched by the called name (``f(...)`` or
     ``m.f(...)``); a method's ``self`` or ``cls`` takes no call position,
     and a ``*args`` or ``**kwargs`` argument passes everything."""
-    defaulted, calls = [], []
-
-    def visit(node, nested, method):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if nested or (child.name.startswith("_")
-                              and not child.name.startswith("__")):
-                    a = child.args
-                    positional = a.posonlyargs + a.args
-                    defaults = [None] * (len(positional) - len(a.defaults))
-                    defaults += a.defaults + a.kw_defaults
-                    if method:
-                        positional, defaults = positional[1:], defaults[1:]
-                    names = [p.arg for p in positional + a.kwonlyargs]
-                    defaulted.extend((child.name, name,
-                                      pos if pos < len(positional) else None)
-                                     for pos, (name, default)
-                                     in enumerate(zip(names, defaults))
-                                     if default is not None)
-                visit(child, True, False)
-            elif isinstance(child, ast.ClassDef):
-                visit(child, nested, True)
-            else:
-                if isinstance(child, ast.Call):
-                    calls.append(child)
-                visit(child, nested, False)
+    nodes = [n for source in sources for n in scoped_nodes(ast.parse(source))]
+    calls = [node for node, _ in nodes if isinstance(node, ast.Call)]
+    defaulted = []
+    for node, scope in nodes:
+        nested = any(isinstance(d, FUNCTIONS) for d in scope)
+        if not isinstance(node, FUNCTIONS) or not (nested or private(node.name)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        defaults = [None] * (len(positional) - len(a.defaults))
+        defaults += a.defaults + a.kw_defaults
+        if scope and isinstance(scope[-1], ast.ClassDef):
+            positional, defaults = positional[1:], defaults[1:]
+        names = [p.arg for p in positional + a.kwonlyargs]
+        defaulted += [(node.name, name, pos if pos < len(positional) else None)
+                      for pos, (name, default) in enumerate(zip(names, defaults))
+                      if default is not None]
 
     def passes(call, name, pos):
         return (any(k.arg in (name, None) for k in call.keywords)
                 or any(isinstance(x, ast.Starred) for x in call.args)
                 or (pos is not None and pos < len(call.args)))
 
-    for source in sources:
-        visit(ast.parse(source), False, False)
     return sorted(f"{f}.{name}" for f, name, pos in defaulted
                   if not any(_called_name(c) == f and passes(c, name, pos)
                              for c in calls))
@@ -278,7 +290,7 @@ def unread_names(sources):
             if isinstance(node, ast.ClassDef):
                 parts = node.body + node.bases + node.keywords + node.decorator_list
                 defined += [(f"{module}.{node.name}", m.name) for m in node.body
-                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            if isinstance(m, FUNCTIONS)
                             and not m.name.startswith("__")]
             for part in parts:
                 used |= set(referenced_names(part)) - own - defined_names(part)
@@ -289,12 +301,6 @@ def unread_names(sources):
 PUBLIC_API = {
     "__init__.__version__": "the installed version, for users and packaging",
 }
-
-
-def private(name):
-    """Whether the last part of a dotted name is ``_``-prefixed but not dunder."""
-    last = name.rsplit(".", 1)[1]
-    return last.startswith("_") and not last.startswith("__")
 
 
 def test_every_private_helper_is_referenced():
@@ -318,6 +324,8 @@ PLANTED_A = ("__version__ = '1'\n"
              "    pass\n"
              "def _by_attribute():\n"
              "    pass\n"
+             "def _imported():\n"
+             "    pass\n"
              "class _Unused:\n"
              "    pass\n"
              "class K:\n"
@@ -332,7 +340,7 @@ PLANTED_A = ("__version__ = '1'\n"
              "    @property\n"
              "    def size(self):\n"
              "        return self.size\n")
-PLANTED_B = ("from .a import K\n"
+PLANTED_B = ("from .a import K, _imported\n"
              "from . import a\n"
              "stored = a._by_attribute\n"
              "print(K().used)\n")
@@ -374,33 +382,26 @@ def process_wide_state(source):
     (as a decorator or a call anywhere), every module- or class-level
     binding of a mutable value except ``__all__``, and every ``global``
     statement: state that outlives one call into the module."""
-    tree = ast.parse(source)
-    functions = [f for f in ast.walk(tree)
-                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    decorators = {id(d) for f in functions for d in f.decorator_list}
-    out = [f"{f.name}:{f.lineno}" for f in functions
-           if any(_called_name(d) in CACHE_NAMES for d in f.decorator_list)]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and id(node) not in decorators \
+    nodes = list(scoped_nodes(ast.parse(source)))
+    decorators = {id(d) for f, _ in nodes if isinstance(f, FUNCTIONS)
+                  for d in f.decorator_list}
+    out = []
+    for node, scope in nodes:
+        if isinstance(node, FUNCTIONS) and any(
+                _called_name(d) in CACHE_NAMES for d in node.decorator_list):
+            out.append(f"{node.name}:{node.lineno}")
+        elif isinstance(node, ast.Call) and id(node) not in decorators \
                 and _called_name(node) in CACHE_NAMES:
             out.append(f"{_called_name(node)}:{node.lineno}")
         elif isinstance(node, ast.Global):
             out += [f"{name}:{node.lineno}" for name in node.names]
-    scopes = [tree.body] + [c.body for c in tree.body if isinstance(c, ast.ClassDef)]
-    for body in scopes:
-        for node in body:
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and len(scope) < 2 \
+                and all(isinstance(d, ast.ClassDef) for d in scope):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names = [t.id for t in targets if isinstance(t, ast.Name)]
-            if names == ["__all__"]:
-                continue
-            if isinstance(value, MUTABLE_NODES) or (
-                    isinstance(value, ast.Call)
-                    and _called_name(value) in MUTABLE_CALLS):
+            if names != ["__all__"] and (isinstance(node.value, MUTABLE_NODES) or (
+                    isinstance(node.value, ast.Call)
+                    and _called_name(node.value) in MUTABLE_CALLS)):
                 out += [f"{name}:{node.lineno}" for name in names or ["?"]]
     return sorted(out)
 
@@ -445,20 +446,9 @@ def test_process_wide_state_is_caught():
 def rule_hits(sources, match):
     """``module.definition`` for every node ``match`` accepts, named by its
     enclosing definitions (``<module>`` outside any)."""
-    out = []
-
-    def visit(node, path):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, path + [child.name])
-                continue
-            if match(child):
-                out.append(".".join(path if len(path) > 1 else path + ["<module>"]))
-            visit(child, path)
-
-    for module, source in sources.items():
-        visit(ast.parse(source), [module])
-    return sorted(out)
+    return sorted(".".join([module, *([d.name for d in scope] or ["<module>"])])
+                  for module, source in sources.items()
+                  for node, scope in scoped_nodes(ast.parse(source)) if match(node))
 
 
 def named(node, kind, names):
@@ -492,9 +482,11 @@ ACTING_BUILDERS = {"dual_datum", "x_action"}
 
 # Each rule forbids what its match accepts in ``modules``, outside the
 # allowed definitions, and each allowed definition must hold a match.  Its
-# planted source shows the definitions that the match finds there.
+# planted source shows the definitions that the match finds there.  A row's
+# key names its two tests, on the package and on the planted source.
 RULES = {
-    "dataclasses-import": (
+    ("test_no_module_imports_dataclasses",
+     "test_dataclasses_import_is_caught"): (
         lambda n: imports(n, {"dataclasses"}), SOURCES, (),
         "records are named tuples: importing dataclasses (which loads inspect, "
         "ast, dis and tokenize) and decorating the classes took longer than "
@@ -505,7 +497,8 @@ RULES = {
         "def f():\n"
         "    from dataclasses import dataclass\n",
         ["m.<module>", "m.f"]),
-    "orbit-point-read": (
+    ("test_pipelines_take_the_type_key_from_rootdata",
+     "test_orbit_point_read_is_caught"): (
         lambda n: named(n, ast.Attribute, {"rep", "modulus", "orbit"}),
         PIPELINES, (),
         "rootdata.stable_point_orbits hands each torus orbit's semisimple type "
@@ -518,7 +511,8 @@ RULES = {
         "def ok(orbit, rep):\n"
         "    return orbit.key, rep, orbit.reps\n",
         ["m.f", "m.f", "m.f"]),
-    "acting-group-builder": (
+    ("test_pipelines_take_the_acting_group_from_rootdata",
+     "test_acting_group_builder_is_caught"): (
         lambda n: imports(n, ACTING_BUILDERS)
         or named(n, ast.Attribute, ACTING_BUILDERS), PIPELINES, (),
         "rootdata.acting_group builds the group acting on the dual torus from "
@@ -531,7 +525,8 @@ RULES = {
         "def ok(spec, x_actions):\n"
         "    return spec.twist.sigma_x, x_actions, x_preserves\n",
         ["m.<module>", "m.f"]),
-    "table-read": (
+    ("test_pipelines_multiply_only_through_groups",
+     "test_table_read_is_caught"): (
         lambda n: named(n, ast.Attribute, {"table", "mul"}), PIPELINES, (),
         "the pipelines multiply group elements only through groups (its twisted "
         "images, classes, subgroups and products), never by table lookups",
@@ -542,7 +537,8 @@ RULES = {
         "    return t[y][x], mul, table, g.inverse, g.tables\n"
         "z = groups.FiniteGroup.mul\n",
         ["m.<module>", "m.act", "m.act"]),
-    "group-constructor": (
+    ("test_every_group_is_built_by_table_group",
+     "test_group_built_outside_table_group_is_caught"): (
         lambda n: named(n, ast.Call, {"FiniteGroup"}), SOURCES,
         ("groups.table_group",),
         "groups.table_group is the one constructor of a group, so every group "
@@ -555,7 +551,8 @@ RULES = {
         "    def make(self):\n"
         "        return groups.FiniteGroup(f(FiniteGroup(1)))\n",
         ["m.<module>", "m.K.make", "m.K.make", "m.table_group"]),
-    "type-string-split": (
+    ("test_only_the_type_parser_splits_type_strings",
+     "test_type_string_split_is_caught"): (
         type_string_split, SOURCES, ("rootdata.parse_type",),
         "rootdata.parse_type is the one reader of a type string: every other "
         "module takes the factors and the torus rank from it, or a SubSystem",
@@ -568,7 +565,8 @@ RULES = {
         "def ok(t):\n"
         "    return t.split(), t.split(','), t.partition(sep)\n",
         ["m.<module>", "m.K.factors", "m.K.factors", "m.label", "m.label"]),
-    "kl-call": (
+    ("test_only_the_standalone_cache_runs_kl",
+     "test_kl_call_is_caught"): (
         lambda n: named(n, ast.Call, {"kl_table", "cells"}), SOURCES,
         ("strata._standalone",),
         "KL polynomials and cells are computed for the four simple types alone; "
@@ -583,76 +581,27 @@ RULES = {
 }
 
 
-def assert_rule(rule, modules=None):
-    """The ``RULES`` row holds on the package, or on ``modules`` alone."""
-    match, scope, allowed, reason, _, _ = RULES[rule]
-    found = rule_hits({m: SOURCES[m] for m in modules or scope}, match)
-    assert set(found) == set(allowed), reason
+def rule_tests(match, modules, allowed, reason, planted, hits):
+    """The two tests of a ``RULES`` row: that the package holds to it, one
+    test per module for a pipeline rule, and that its match finds the
+    planted hits."""
+    def holds(scope):
+        found = rule_hits({m: SOURCES[m] for m in scope}, match)
+        assert set(found) == set(allowed), reason
+
+    def caught():
+        assert rule_hits({"m": planted}, match) == hits
+
+    def per_module(module):
+        holds([module])
+    if modules is PIPELINES:
+        return pytest.mark.parametrize("module", PIPELINES, ids=[
+            f"{m}.py" for m in PIPELINES])(per_module), caught
+    return lambda: holds(modules), caught
 
 
-def assert_planted(rule):
-    """The ``RULES`` row's match finds its planted hits."""
-    match, _, _, _, source, expected = RULES[rule]
-    assert rule_hits({"m": source}, match) == expected
-
-
-def test_no_module_imports_dataclasses():
-    assert_rule("dataclasses-import")
-
-
-def test_dataclasses_import_is_caught():
-    assert_planted("dataclasses-import")
-
-
-@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
-def test_pipelines_take_the_type_key_from_rootdata(module):
-    assert_rule("orbit-point-read", [module])
-
-
-def test_orbit_point_read_is_caught():
-    assert_planted("orbit-point-read")
-
-
-@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
-def test_pipelines_take_the_acting_group_from_rootdata(module):
-    assert_rule("acting-group-builder", [module])
-
-
-def test_acting_group_builder_is_caught():
-    assert_planted("acting-group-builder")
-
-
-@pytest.mark.parametrize("module", PIPELINES, ids=[f"{m}.py" for m in PIPELINES])
-def test_pipelines_multiply_only_through_groups(module):
-    assert_rule("table-read", [module])
-
-
-def test_table_read_is_caught():
-    assert_planted("table-read")
-
-
-def test_every_group_is_built_by_table_group():
-    assert_rule("group-constructor")
-
-
-def test_group_built_outside_table_group_is_caught():
-    assert_planted("group-constructor")
-
-
-def test_only_the_type_parser_splits_type_strings():
-    assert_rule("type-string-split")
-
-
-def test_type_string_split_is_caught():
-    assert_planted("type-string-split")
-
-
-def test_only_the_standalone_cache_runs_kl():
-    assert_rule("kl-call")
-
-
-def test_kl_call_is_caught():
-    assert_planted("kl-call")
+for names, row in RULES.items():
+    globals().update(zip(names, rule_tests(*row)))
 
 
 def name_graph(sources):

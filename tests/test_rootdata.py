@@ -428,14 +428,15 @@ def test_parse_raises_only_package_errors(shape, q, q_in_config):
 
 
 _CASES = load_perfbench("cases")
-GRID_CONFIGS = sorted({label for _, label, _ in _CASES.WORKLOADS["twisted-grid"]})
-KEY_SPECS = [(label, q) for label in GRID_CONFIGS for q in (5, 7)] + [
-    ("b2xb2-swap", 3)]
+GRID = {(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]}
+KEY_SPECS = sorted(GRID | {(label, q) for label, _ in GRID for q in (5, 7)}
+                   | {("b2xb2-swap", 3)})
 KEY_CONFIGS = {"b2xb2-swap": {"type": "B2xB2", "twist": [2, 3, 0, 1]}}
 
 
-# every grid config at q = 5 and 7, and B2xB2 with a Frobenius map that
-# swaps its factors, against the scan of tests/torus_scan.py
+# the one check of the type key against the scan of tests/torus_scan.py: every
+# twisted-grid case (the specs of tests/test_type_table.py), every grid config
+# at q = 5 and 7, and B2xB2 with a Frobenius map that swaps its factors
 @pytest.mark.parametrize("label,q", KEY_SPECS,
                          ids=[f"{label}/F{q}" for label, q in KEY_SPECS])
 def test_type_keys_match_the_three_way_reading(label, q):
