@@ -1,7 +1,8 @@
 """Brute-force irreducible-character counts for the named groups.
 
 Each named group gets two explicit matrix generators over the field tables
-(one for the cyclic torus1); the kernel closes them into the full finite
+(one for the cyclic torus1; pgl2 is gl2 acting by conjugation on the
+trace-zero 2 x 2 matrices); the kernel closes them into the full finite
 group, the order is checked against the classical formula, and the number
 of irreducible characters is obtained as the number of conjugacy classes.
 Nothing here touches the parameter pipelines: this is the independent side
@@ -12,9 +13,10 @@ The kernel first numbers the rows that occur: the closure of the n basis
 rows under right multiplication by the generators.  Each generator then
 acts on row numbers by a list, and a matrix is its n row numbers packed
 into one int.  ``groups.closure`` multiplies a block of elements by one
-generator at a time, mapping every row of the block through the list, and
-spends a Python step only on elements not seen before.  It records the
-products as index tables, and the class count runs on the tables alone.
+generator at a time, mapping the block's rows through the list one row
+position at a time, and spends a Python step only on elements not seen
+before.  It records the products as index tables, and the class count runs
+on the tables alone.
 """
 
 from __future__ import annotations
@@ -36,16 +38,13 @@ BACKEND = "python"
 # The closure maps each row of each (element, generator) product through a
 # list, on top of a fixed cost per product, so the work is counted as
 # order * len(gens) * (n + 12) row steps.  Closure and class count together
-# take about 0.1-0.2 us per row step: 0.9 s for the 5.4 * 10**6 steps of the
-# benchmark's oracle cases (sl2/F49, gl2/F16, gl3/F3, pgl2/F11, sp4/F2),
-# 1.4 s for sl2/F64 and 4.3 s for gl2/F31, the largest admitted.  Where the
-# rows are numbered in a byte (at most 256 rows: every group but sl2 and gl2
-# from q = 17 on), one bytes.translate multiplies a whole element, so the
-# rows cost next to nothing: pgl2/F53 (n = 54) takes 0.04 us per row step,
-# 0.7 s, and the count overstates its work.  ``lpackets oracle`` takes
-# 4.1-4.7 s and 134 MB peak RSS on gl2/F31, 0.6-1.0 s and 44 MB on pgl2/F53,
-# and 1.6-1.7 s and 50 MB on sl2/F64; 2-vCPU x86-64, CPython 3.11.  The
-# limit is about 5 s of work.
+# take about 0.08-0.13 us per row step: 0.41-0.43 s for the 5.4 * 10**6
+# steps of the benchmark's oracle cases (sl2/F49, gl2/F16, gl3/F3, pgl2/F11,
+# sp4/F2), 0.6-0.9 s for sl2/F64 and 0.8-0.9 s for pgl2/F64 (7.3 and
+# 7.9 * 10**6), and 2.5 s for gl2/F31 (2.5 * 10**7), the largest admitted.
+# ``lpackets oracle`` takes 2.6-3.5 s and 134 MB peak RSS on gl2/F31, and
+# 0.7-1.4 s and 50 MB on sl2/F64 and on pgl2/F64; 2-vCPU x86-64,
+# CPython 3.11.  The limit is about 3 s of work.
 MAX_ORACLE_WORK = 25 * 10 ** 6
 
 
@@ -83,18 +82,16 @@ def row_numbering(gens, n: int, q: int, add: bytes, mul: bytes,
     The rows are the closure of the n basis rows (numbers 0 to n - 1) under
     right multiplication by the generators (``groups.closure``), which
     computes each row product once; ``right[k]`` is generator k as a map on
-    row numbers.  A row number takes 8 bits when every number fits in a
-    byte, and otherwise as many as the largest one.  Each basis row's orbit
-    has at most as many rows as the group has elements, so rows beyond
-    ``n * cap`` raise ValueError.
+    row numbers.  A row number takes as many bits as the largest one, and at
+    least one.  Each basis row's orbit has at most as many rows as the group
+    has elements, so rows beyond ``n * cap`` raise ValueError.
     """
     def times(block, g):
         return [_row_times(row, g, n, q, add, mul) for row in block]
 
     basis = [bytes(int(i == j) for j in range(n)) for i in range(n)]
     rows = closure(gens, times, basis, n * cap)
-    width = 8 if len(rows) <= 256 else (len(rows) - 1).bit_length()
-    return rows, width
+    return rows, max(1, (len(rows) - 1).bit_length())
 
 
 def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
@@ -104,37 +101,28 @@ def matrix_closure(gens, n: int, q: int, add: bytes, mul: bytes,
 
     Each element is one int: its n row numbers (``row_numbering``), row i
     at bits ``i * width``.  Right multiplication by a generator maps each row
-    number through a list.  With byte-sized row numbers that is one
-    ``bytes.translate`` of the element's bytes.  Otherwise a block of
-    elements is multiplied one row position at a time: shift the position
-    out of every element, map it through the generator's list, shifted back
-    into place, and OR it into the products.
+    number through a list, one row position at a time for a whole block of
+    elements: shift the position down (not at position 0), mask it off (not
+    at the top position), map it through the generator's list, shifted back
+    into place, and OR it into the products.  The positions chain lazily
+    into one list per block.
     """
     rows, width = row_numbering(gens, n, q, add, mul, cap)
     one = sum(i << (i * width) for i in range(n))
-    if width == 8:
-        tables = [bytes(list(perm)).ljust(256, b"\0") for perm in rows.right]
-
-        def translate(block, table):
-            return list(map(int.from_bytes, map(
-                bytes.translate,
-                map(int.to_bytes, block, repeat(n), repeat("little")),
-                repeat(table)), repeat("little")))
-
-        return closure(tables, translate, [one], cap)
-
     mask = (1 << width) - 1
-    shifts = range(0, n * width, width)
-    steps = [[(s, [r << s for r in perm]) for s in shifts]
+    top = (n - 1) * width
+    steps = [[(s, [r << s for r in perm]) for s in range(0, top + 1, width)]
              for perm in rows.right]
 
     def times(block, step):
-        out = repeat(0)
+        out = None
         for s, perm in step:
-            moved = map(perm.__getitem__,
-                        map(and_, map(rshift, block, repeat(s)), repeat(mask)))
-            out = list(map(or_, out, moved))
-        return out
+            part = map(rshift, block, repeat(s)) if s else block
+            if s != top:
+                part = map(and_, part, repeat(mask))
+            moved = map(perm.__getitem__, part)
+            out = moved if out is None else map(or_, out, moved)
+        return list(out)
 
     return closure(steps, times, [one], cap)
 
@@ -225,8 +213,8 @@ def _gens_gl(f: Field, n: int):
     cycle = _mat(f, [[int(j == (i + 1) % n) for j in range(n)]
                      for i in range(n)])
     if f.gen == 1:
-        return [trans, cycle], n, f
-    return [_diag([f.gen] + [1] * (n - 1)), _mat_mul(f, trans, cycle, n)], n, f
+        return [trans, cycle], n
+    return [_diag([f.gen] + [1] * (n - 1)), _mat_mul(f, trans, cycle, n)], n
 
 
 def _gens_sl2(f: Field):
@@ -234,46 +222,35 @@ def _gens_sl2(f: Field):
     field's generator."""
     torus = _diag([f.gen, f.inv[f.gen]])
     lower = _mat_mul(f, torus, _mat(f, [[1, 0], [1, 1]]), 2)
-    return [_mat(f, [[1, 1], [0, 1]]), lower], 2, f
+    return [_mat(f, [[1, 1], [0, 1]]), lower], 2
 
 
 def _gens_torus1(f: Field):
-    return [_diag([f.gen])], 1, f
+    return [_diag([f.gen])], 1
 
 
 def _gens_o2(f: Field):
-    return [_diag([f.gen, f.inv[f.gen]]), _mat(f, [[0, 1], [1, 0]])], 2, f
+    return [_diag([f.gen, f.inv[f.gen]]), _mat(f, [[0, 1], [1, 0]])], 2
 
 
 def _gens_pgl2(f: Field):
-    """Permutations of the projective line induced by the gl2 generators,
-    encoded as permutation matrices over the two-element field."""
+    """The gl2 generators acting by X -> g X g^-1 on the trace-zero 2 x 2
+    matrices, in the basis E01, E10, diag(1, -1): 3 x 3 matrices over F_q
+    whose rows are the images of the basis.  The kernel of the action is
+    the scalars, so the image is PGL2, characteristic 2 included, where
+    diag(1, -1) is the identity."""
     q = f.q
-    mats, _, _ = _gens_gl(f, 2)
-
-    def point(i):
-        return (1, i) if i < q else (0, 1)
-
-    def index(x, y):
-        if x != 0:
-            return f.mul[y * q + f.inv[x]]
-        return q
-
-    npts = q + 1
+    basis = [_mat(f, [[0, 1], [0, 0]]), _mat(f, [[0, 0], [1, 0]]),
+             _mat(f, [[1, 0], [0, -1]])]
     out = []
-    for m in mats:
-        a, b, c, d = m[0], m[1], m[2], m[3]
-        perm_mat = bytearray(npts * npts)
-        for i in range(npts):
-            x, y = point(i)
-            nx = f.add[f.mul[a * q + x] * q + f.mul[b * q + y]]
-            ny = f.add[f.mul[c * q + x] * q + f.mul[d * q + y]]
-            if nx == 0 and ny == 0:
-                raise ConfigError("projective action hit the origin")
-            j = index(nx, ny)
-            perm_mat[j * npts + i] = 1
-        out.append(bytes(perm_mat))
-    return out, npts, field(2)
+    for g in _gens_gl(f, 2)[0]:
+        a, b, c, d = g
+        det = f.add[f.mul[a * q + d] * q + f.neg[f.mul[b * q + c]]]
+        inv = bytes(f.mul[f.inv[det] * q + x]
+                    for x in (d, f.neg[b], f.neg[c], a))
+        images = (_mat_mul(f, _mat_mul(f, g, x, 2), inv, 2) for x in basis)
+        out.append(bytes(e for y in images for e in (y[1], y[2], y[0])))
+    return out, 3
 
 
 def _gens_sp4(f: Field):
@@ -297,7 +274,7 @@ def _gens_sp4(f: Field):
     for g in gens:
         if not _preserves_form(f, g, jm, 4):
             raise ConfigError("symplectic generator does not preserve the form")
-    return gens, 4, f
+    return gens, 4
 
 
 def _preserves_form(f: Field, m: bytes, jm: bytes, n: int) -> bool:
@@ -326,14 +303,15 @@ def oracle_count(name: str, q: int, cap: int = 1 << 20) -> OracleResult:
     if expected > cap:
         raise ConfigError(
             f"{name} over F_{q} has order {expected}, beyond the cap of {cap}")
-    gens, n, tf = _MODELS[name][1](field(q))
+    f = field(q)
+    gens, n = _MODELS[name][1](f)
     work = expected * len(gens) * (n + 12)
     if work > MAX_ORACLE_WORK:
         raise UnsupportedTypeError(
             f"{name} over F_{q} needs about {work:.1e} row steps "
             f"({expected} elements, {len(gens)} generators of size {n}); "
             f"the limit is {MAX_ORACLE_WORK:.1e}")
-    group = matrix_closure(gens, n, tf.q, tf.add, tf.mul, cap=cap)
+    group = matrix_closure(gens, n, q, f.add, f.mul, cap=cap)
     if len(group) != expected:
         raise ConfigError(
             f"oracle generators for {name}/F_{q} close to {len(group)} "

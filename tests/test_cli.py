@@ -354,18 +354,25 @@ def test_huge_q_is_refused_before_factoring(tmp_path, source):
 
 
 @pytest.mark.parametrize("argv", [
-    ["oracle", "--group", "pgl2", "--q", "64"],
+    ["oracle", "--group", "sp4", "--q", "4"],
     ["oracle", "--group", "gl2", "--q", "32"],
-    ["compare", "--group", "pgl2", "--q", "64"],
+    ["compare", "--group", "gl2", "--q", "32"],
 ])
 def test_oracle_refuses_work_over_its_limit(argv):
-    # pgl2/F64 (65 x 65 permutation matrices) and gl2/F32 (about 7 s and
-    # 135 MB if run) are under the order cap; the message shows that the
-    # work limit refused them before the closure
+    # sp4/F4 (979200 elements) and gl2/F32 (about 2-3 s and 140 MB if run)
+    # are under the order cap; the message shows that the work limit
+    # refused them before the closure, and compare before the pipeline
     proc = run_cli(argv, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "row steps" in proc.stderr
+
+
+def test_compare_admits_pgl2_at_q_64():
+    # 262080 elements of 3 x 3 matrices, under the work limit
+    proc = run_cli(["compare", "--group", "pgl2", "--q", "64"])
+    assert proc.returncode == 0, proc.stderr
+    assert "oracle total: 65 (match)" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,19 @@ RULES = {
         "def ok(cox):\n"
         "    return kl_tables(cox), cox.cells, cells_of(cox)\n",
         ["m.<module>", "m.<module>", "m.K.walk", "m.K.walk"]),
+    ("test_oracle_has_one_block_multiplier",
+     "test_translate_is_caught"): (
+        lambda n: named(n, ast.Attribute, {"translate"}), SOURCES, (),
+        "oracle.matrix_closure multiplies a block by shifting and mapping each "
+        "row position; a bytes.translate path for rows that fit in a byte would "
+        "be a second multiplier for the same products",
+        "def times(block, table):\n"
+        "    return [x.translate(table) for x in block]\n"
+        "moved = map(bytes.translate, rows, tables)\n"
+        "class K:\n"
+        "    def ok(self, t, translate):\n"
+        "        return translate(t), t.transpose(), t.translated\n",
+        ["m.<module>", "m.times"]),
 }
 
 

@@ -5,11 +5,12 @@ from lpackets.fq import field
 from lpackets.oracle import (_MODELS, matrix_class_count, matrix_closure,
                              row_numbering)
 
-# gl2/F7 and gl3/F3 take more than one closure block; sl2/F17 has 288 rows,
-# too many to number in a byte
-CASES = [("sl2", 2), ("sl2", 5), ("gl2", 3), ("pgl2", 3),
+# gl2/F7 and gl3/F3 take more than one closure block; sl2/F17 (288 rows) and
+# pgl2/F17 (594 rows) number their rows in more than a byte; pgl2/F4 is the
+# adjoint model in characteristic 2, where diag(1, -1) is the identity
+CASES = [("sl2", 2), ("sl2", 5), ("gl2", 3), ("pgl2", 3), ("pgl2", 4),
          ("torus1", 7), ("o2", 5), ("sp4", 2),
-         ("gl2", 7), ("gl3", 3), ("sl2", 17)]
+         ("gl2", 7), ("gl3", 3), ("sl2", 17), ("pgl2", 17)]
 
 
 # Reference kernel: schoolbook products of n*n byte matrices.
@@ -93,8 +94,9 @@ def to_bytes(elements, gens, n, q, add, mul):
 
 
 def build(name, q):
-    gens, n, tf = _MODELS[name][1](field(q))
-    return gens, n, tf.q, tf.add, tf.mul
+    f = field(q)
+    gens, n = _MODELS[name][1](f)
+    return gens, n, q, f.add, f.mul
 
 
 def test_backend_name_is_exposed():
@@ -145,7 +147,8 @@ def test_closure_cap():
 
 
 def test_closure_of_a_65_by_65_identity():
-    # 65 x 65 matrices over F_2, the size of pgl2 at q = 64
+    # 65 x 65 matrices over F_2: the products chain 65 row positions, far
+    # more than any oracle group's (sp4 has 4)
     f = field(2)
     out = matrix_closure([_identity(65)], 65, 2, f.add, f.mul)
     assert len(out) == 1
@@ -159,10 +162,12 @@ def test_abelian_group_has_singleton_classes():
 
 
 @pytest.mark.parametrize("name,q,count,width", [
-    ("pgl2", 17, 18, 8), ("pgl2", 53, 54, 8), ("sl2", 17, 288, 9),
-    ("sl2", 49, 2400, 12)])
+    ("pgl2", 17, 594, 10), ("pgl2", 53, 5670, 13), ("sl2", 17, 288, 9),
+    ("sl2", 49, 2400, 12), ("gl2", 16, 255, 8), ("gl3", 3, 26, 5)])
 def test_row_numbering(name, q, count, width):
-    # the rows of sl2 are the nonzero vectors, those of pgl2 the basis rows
+    # the rows of sl2, gl2 and gl3 are the nonzero vectors; those of pgl2
+    # are the q^2 - 1 nonzero nilpotent trace-zero matrices and, for odd q,
+    # the q(q + 1) conjugates of diag(1, -1)
     gens, n, fq, add, mul = build(name, q)
     rows, got = row_numbering(gens, n, fq, add, mul, 1 << 20)
     assert (len(rows), got) == (count, width)

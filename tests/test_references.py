@@ -239,6 +239,31 @@ def test_product_types_match_their_factor_group(label):
     assert totals(parse_group_spec(config, q=q)) == [one ** power] * 2
 
 
+# Identity C: for H = X x X extended by the swap tau of the two factors,
+# Clifford theory and Brauer's permutation lemma give k(H) = (k(G) + 3f)/2,
+# with G = X x X and f = k(X) its tau-stable classes, so
+# k(H) = (k(X)^2 + 3k(X))/2.  k(X) comes from the spectral pipeline on the
+# connected X, which reads no component group; the stratified pipeline
+# counts H with the swap as its component group.
+WREATHS = ([("A1", isogeny, q) for isogeny in ("sc", "ad")
+            for q in (2, 3, 4, 5, 7)]
+           + [("A2", isogeny, q) for isogeny in ("sc", "ad") for q in (2, 3)]
+           + [("B2", "sc", 3)])
+
+
+@pytest.mark.parametrize("factor,isogeny,q", WREATHS,
+                         ids=[f"{f}x{f}-{i}/F{q}" for f, i, q in WREATHS])
+def test_factor_swap_component_group_counts_the_wreath_product(
+        factor, isogeny, q):
+    x = parse_group_spec({"type": factor, "isogeny": isogeny}, q=q)
+    k = spectral_report(x).total
+    n = 2 * x.datum.rank
+    swap = [[int(j == (i + n // 2) % n) for j in range(n)] for i in range(n)]
+    spec = parse_group_spec({"type": f"{factor}x{factor}", "isogeny": isogeny,
+                             "component_group": [swap]}, q=q)
+    assert stratified_report(spec).total == (k * k + 3 * k) // 2
+
+
 def brute_force_class_count(rank, m, component_gens):
     """Conjugacy classes of (Z/m)^rank extended by the matrix group C that
     ``component_gens`` generate, acting on vectors: the group of pairs (t, c)
