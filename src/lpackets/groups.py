@@ -36,8 +36,13 @@ is the per-call memo.  Each pipeline runs its whole body in one
 ``call_scope``; inside it a ``memo`` function (lattice products and
 inverses, reflection groups, integral subsystems, product component groups,
 stratum packets) computes each distinct input once.  The table is dropped
-when the call ends, so no result crosses from one pipeline call to another,
-or to the oracle.  Outside a scope a ``memo`` function runs on every call.
+when the call ends, so no memo result crosses from one pipeline call to
+another, or to the oracle.  What is derived from a spec alone is not a memo
+result: its positive roots (``RootDatum.positive_indices``), sigma on X
+(``FrobeniusTwist.sigma_x``), its acting group and its torus orbits
+(``GroupSpec.acting`` and ``GroupSpec.torus_orbits``) are computed once per
+spec object, kept with it and never changed, so two pipeline calls on one
+spec share them.  Outside a scope a ``memo`` function runs on every call.
 A ``FiniteGroup`` compares and hashes by value, so a group can be part of a
 memo key.
 """
@@ -124,14 +129,14 @@ def strata_by_type(torus_orbits, build) -> list[Stratum]:
     """The strata over every orbit of ``torus_orbits`` (``TorusOrbit``s), in
     orbit order.  ``build(key)`` gives the strata of one semisimple type with
     an empty semisimple label and runs once per ``TorusOrbit.key``; each orbit
-    of that type gets them under ``orbit.label()``."""
+    of that type gets them under ``orbit.label``."""
     by_type: dict[tuple, list[Stratum]] = {}
     strata = []
     for orbit in torus_orbits:
         if orbit.key not in by_type:
             by_type[orbit.key] = build(orbit.key)
-        label = orbit.label()
-        strata += [st._replace(ss_label=label) for st in by_type[orbit.key]]
+        strata += [st._replace(ss_label=orbit.label)
+                   for st in by_type[orbit.key]]
     return strata
 
 

@@ -97,15 +97,27 @@ def render_json(rep: CountReport) -> str:
     return json.dumps(report_dict(rep), indent=2)
 
 
+def _stratum_body(row: Stratum) -> str:
+    """A stratum's text after its ``s=`` label: its labels, group and total,
+    then one line per packet."""
+    labels = " ".join(f"{k}={v}" for k, v in row.labels)
+    return "\n".join([f"{labels} group={row.group_desc}: total {row.total}",
+                      *(f"    x={p.x_label} packet={p.group_label} size={p.size}"
+                        for p in row.packets)])
+
+
 def render_text(rep: CountReport) -> str:
+    """The report as text.  The orbits of one semisimple type share their
+    strata up to the ``s=`` label, so each distinct body is rendered once."""
     lines = [f"group {rep.group} ({rep.cartan}), q = {rep.q}, "
              f"pipeline = {rep.pipeline}"]
+    bodies = {}
     for row in rep.strata:
-        labels = " ".join(f"{k}={v}" for k, v in row.labels)
-        lines.append(f"  s={row.ss_label} {labels} group={row.group_desc}: "
-                     f"total {row.total}")
-        for p in row.packets:
-            lines.append(f"    x={p.x_label} packet={p.group_label} size={p.size}")
+        key = row.labels, row.group_desc, row.packets
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = _stratum_body(row)
+        lines.append(f"  s={row.ss_label} {body}")
     lines.append(f"parameters: {rep.parameter_count}")
     lines.append(f"packet-weighted total: {rep.total}")
     if rep.oracle_total is not None:

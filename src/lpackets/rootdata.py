@@ -20,10 +20,13 @@ every Weyl action, integrality test and comparison is integer arithmetic mod
 N.  ``point_label`` is the one place a point becomes a fraction.  The same
 solver, under the acting group that ``acting_group`` builds from the spec,
 feeds both counting pipelines, and hands each orbit over as a ``TorusOrbit``
-that carries its semisimple type key, read from one integer matrix pass at
-its least point: this is the one place a point's type is read.  That record
-and the others here are immutable named tuples: equal fields make equal
-records, and no field can be reassigned.
+that carries its label and its semisimple type key, read from one integer
+matrix pass at its least point: this is the one place a point's type is
+read.  A spec holds both the acting group and the orbits once built
+(``GroupSpec.acting`` and ``GroupSpec.torus_orbits``), so the two pipelines
+run on one spec enumerate its orbits once.  ``TorusOrbit`` and the other
+records here are immutable named tuples: equal fields make equal records,
+and no field can be reassigned.
 """
 
 from __future__ import annotations
@@ -119,8 +122,14 @@ class FrobeniusTwist(namedtuple("FrobeniusTwist", "q p sigma_y")):
 
 class GroupSpec(namedtuple("GroupSpec", "datum twist components name")):
     """A named group over F_q: its root datum, Frobenius twist, and the
-    Y-matrices of its component group (identity included)."""
-    __slots__ = ()
+    Y-matrices of its component group (identity included).  No
+    ``__slots__``: the spec's derived data, ``acting`` (what
+    ``acting_group`` builds) and ``torus_orbits`` (what
+    ``stable_point_orbits`` builds), is computed on first use, once per
+    spec object, and cached in the instance ``__dict__``, so both pipelines
+    run on one spec read one acting group and one list of orbits.  Nothing
+    is derived at parse time, equality and hashing see the four fields
+    alone, and the cached values are immutable."""
 
     @property
     def connected(self) -> bool:
@@ -129,6 +138,14 @@ class GroupSpec(namedtuple("GroupSpec", "datum twist components name")):
     @property
     def q(self) -> int:
         return self.twist.q
+
+    @cached_property
+    def acting(self) -> tuple[CoxeterGroup, tuple[Matrix, ...]]:
+        return acting_group(self)
+
+    @cached_property
+    def torus_orbits(self) -> tuple[TorusOrbit, ...]:
+        return stable_point_orbits(self)
 
 
 def point_label(v: Vector, modulus: int) -> str:
@@ -632,23 +649,21 @@ def centralizer_subdatum(datum: RootDatum, positions: tuple[int, ...]) -> SubSys
 MAX_TORSION_POINTS = 10 ** 6
 
 
-class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key")):
+class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key label")):
     """An orbit of torsion points of the dual torus; each point v stands
-    for v / modulus and ``rep`` is the least point.  ``key`` is the orbit's
-    semisimple type (see ``stable_point_orbits``): each pipeline builds its
-    strata from the key and reads nothing else of the orbit but its
-    label."""
+    for v / modulus and ``rep`` is the least point, whose ``point_label`` is
+    ``label``.  ``key`` is the orbit's semisimple type (see
+    ``stable_point_orbits``): each pipeline builds its strata from the key
+    and reads nothing else of the orbit but its label."""
     __slots__ = ()
-
-    def label(self) -> str:
-        return point_label(self.rep, self.modulus)
 
 
 @memo
 def acting_group(spec: GroupSpec) -> tuple[CoxeterGroup, tuple[Matrix, ...]]:
     """The dual Weyl group W* and the matrices of W* extended by the
     component group, listed component-major with each coset in W*'s order:
-    for a connected spec, W*'s elements."""
+    for a connected spec, W*'s elements.  ``GroupSpec.acting`` holds it,
+    built once per spec."""
     cox = enumerate_weyl(dual_datum(spec.datum))
     acting = tuple(mat_mul(x_action(g), w)
                    for g in spec.components for w in cox.elements)
@@ -657,9 +672,11 @@ def acting_group(spec: GroupSpec) -> tuple[CoxeterGroup, tuple[Matrix, ...]]:
     return cox, acting
 
 
-def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
-    """Orbits of the spec's ``acting_group`` on the torsion points s of the
-    dual torus with q sigma w (s) = s for some w in the dual Weyl group W*.
+def stable_point_orbits(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
+    """Orbits of the spec's acting group (``GroupSpec.acting``) on the
+    torsion points s of the dual torus with q sigma w (s) = s for some w in
+    the dual Weyl group W*.  ``GroupSpec.torus_orbits`` holds the result,
+    built once per spec.
 
     Every point is an integer vector v with s = v / N, where N is the lcm
     over w of |det(q sigma w - 1)|.  Specs whose solution count
@@ -676,7 +693,7 @@ def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
     the acting matrices of the stabilizer of s, and the index in W*'s
     elements of the first w with w(s) = F(s), or None when there is none.
     """
-    cox, acting = acting_group(spec)
+    cox, acting = spec.acting
     sigma, q = spec.twist.sigma_x, spec.q
     n = len(sigma)
     systems = []
@@ -708,8 +725,9 @@ def stable_point_orbits(spec: GroupSpec) -> list[TorusOrbit]:
         stab = tuple(i for i, v in enumerate(imgs) if v == rep)
         witness = weyl_imgs.index(target) if target in weyl_imgs else None
         key = (tuple(i for i, x in enumerate(values[n:]) if x == 0), stab, witness)
-        out.append(TorusOrbit(rep, tuple(sorted(set(imgs))), modulus, key))
-    return out
+        out.append(TorusOrbit(rep, tuple(sorted(set(imgs))), modulus, key,
+                              point_label(rep, modulus)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ Semisimple classes fall into a few types.  Each class arrives from
 positions, its stabilizer in the dual Weyl group and its first Frobenius
 witness, the first w with w(s) = q sigma(s).  ``_StratumGeometry`` takes the
 spec and the key and no point: the dual Weyl group comes from the spec
-(``rootdata.acting_group``), the centralizer subsystem from the integral
+(``GroupSpec.acting``), the centralizer subsystem from the integral
 positions, the component group pi0 is the group of the based part of the
 stabilizer, and the Frobenius is corrected from the witness.  The geometry
 also holds the factor permutation of every pi0 element and of every
@@ -63,10 +63,8 @@ from .rootdata import (
     GroupSpec,
     SubSystem,
     TorusOrbit,
-    acting_group,
     centralizer_subdatum,
     factor_permutation,
-    stable_point_orbits,
     x_preserves,
 )
 from .springer import (
@@ -96,11 +94,12 @@ def _require_connected(spec: GroupSpec):
 # ---------------------------------------------------------------------------
 # semisimple classes
 
-def enumerate_ss_classes(spec: GroupSpec) -> list[TorusOrbit]:
+def enumerate_ss_classes(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
     """Torsion points of the dual torus with q sigma (s) Weyl-conjugate to s,
-    up to the Weyl group."""
+    up to the Weyl group: the spec's ``torus_orbits``, which the stratified
+    route reads too."""
     _require_connected(spec)
-    return stable_point_orbits(spec)
+    return spec.torus_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,7 @@ class _StratumGeometry:
         positions, stab, witness = key
         if witness is None:
             raise InvariantError("no witness for a supposedly stable orbit")
-        cox = acting_group(spec)[0]
+        cox = spec.acting[0]
         self.sub = centralizer_subdatum(cox.datum, positions)
         pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
         based = [i for i in stab if x_preserves(cox.elements[i], pos_set)]

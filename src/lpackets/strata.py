@@ -29,7 +29,7 @@ Points fall into a few semisimple types.  Each orbit arrives from
 positions, its stabilizer in the acting group and its first Frobenius
 witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the spec
 and the key and no point: the acting group comes from the spec alone
-(``rootdata.acting_group``), the centralizer subsystem from the integral
+(``GroupSpec.acting``), the centralizer subsystem from the integral
 positions, the based complement from the stabilizer, and the Frobenius
 solutions, the w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's
 inverse.  So two orbits with one key have the same strata up to their
@@ -68,10 +68,8 @@ from .rootdata import (
     SubSystem,
     TorusOrbit,
     _build_datum,
-    acting_group,
     centralizer_subdatum,
     factor_permutation,
-    stable_point_orbits,
     x_preserves,
 )
 from .springer import (
@@ -87,10 +85,11 @@ __all__ = ["semisimple_parameters", "stratified_strata"]
 # ---------------------------------------------------------------------------
 # semisimple parameters
 
-def semisimple_parameters(spec: GroupSpec) -> list[TorusOrbit]:
+def semisimple_parameters(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
     """Orbits on the dual torus containing a Frobenius-stable reflection
-    orbit, under the dual reflections extended by the component group."""
-    return stable_point_orbits(spec)
+    orbit, under the dual reflections extended by the component group: the
+    spec's ``torus_orbits``, which the dual route reads too."""
+    return spec.torus_orbits
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ class _PointGeometry:
         positions, stab_idx, witness = key
         if witness is None:
             raise InvariantError("point enumerated without a Frobenius witness")
-        cox, acting = acting_group(spec)
+        cox, acting = spec.acting
         sigma = spec.twist.sigma_x
         self.sub = centralizer_subdatum(cox.datum, positions)
         self.sub_cox, self.cells = _subsystem_cells(self.sub)
@@ -268,7 +267,7 @@ def _point_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
     each orbit of the type gets them under its own label.  Pairs are listed
     c-major, so each orbit's first-seen pair is its least."""
     geo = _PointGeometry(spec, key)
-    cox = acting_group(spec)[0]
+    cox = spec.acting[0]
     pairs = [(ids, b) for ids, _ in geo.cells
              for b, fp in enumerate(geo.beta_perms) if permuted(ids, fp) == ids]
     moves = list(zip(geo.omega_perms, geo.ad))

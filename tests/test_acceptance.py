@@ -176,7 +176,7 @@ def test_criterion_6_structural_checks():
                 coset = {mat_mul(u, wrep) for u in int_set}
                 based = [v for v in coset
                          if geo._based(mat_mul(v, sigma))]
-                assert based == [wrep], (spec.name, ss.label(), ci)
+                assert based == [wrep], (spec.name, ss.label, ci)
 
     # solution counts equal the determinant, which is prime to p
     for name, q in [(n, q) for n, q, _ in ORACLE_CASES] + PIPELINE_EXTRAS:

@@ -27,6 +27,7 @@ from lpackets.rootdata import (
     TorusOrbit,
     acting_group,
     parse_group_spec,
+    point_label,
     stable_point_orbits,
 )
 
@@ -406,9 +407,10 @@ def test_permuted_moves_entry_i_to_slot_perm_i():
 def test_strata_by_type_builds_each_type_once():
     # three orbits of two types: the first type is built once and its strata
     # are handed to each orbit under that orbit's label, in orbit order
-    torus_orbits = [TorusOrbit((0,), ((0,),), 2, "k1"),
-                    TorusOrbit((1,), ((1,),), 2, "k2"),
-                    TorusOrbit((1,), ((1,), (3,)), 4, "k1")]
+    torus_orbits = [TorusOrbit(rep, orbit, modulus, key, point_label(rep, modulus))
+                    for rep, orbit, modulus, key in [((0,), ((0,),), 2, "k1"),
+                                                     ((1,), ((1,),), 2, "k2"),
+                                                     ((1,), ((1,), (3,)), 4, "k1")]]
     built = []
 
     def build(key):

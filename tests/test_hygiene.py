@@ -503,11 +503,11 @@ RULES = {
         PIPELINES, (),
         "rootdata.stable_point_orbits hands each torus orbit's semisimple type "
         "over as TorusOrbit.key; a pipeline reads an orbit only through its key "
-        "and label(), so one that read a point, its modulus or its orbit would "
+        "and label, so one that read a point, its modulus or its orbit would "
         "make a second reading of the type",
         "def f(orbits, o):\n"
         "    pts = [x.rep for x in orbits]\n"
-        "    return o.modulus, len(o.orbit), o.key, o.label(), pts\n"
+        "    return o.modulus, len(o.orbit), o.key, o.label, pts\n"
         "def ok(orbit, rep):\n"
         "    return orbit.key, rep, orbit.reps\n",
         ["m.f", "m.f", "m.f"]),
@@ -683,16 +683,19 @@ SHARED = [
      "mat_mul mat_vec solve_integral transpose",
      "integer matrix arithmetic"),
     ("plumbing", "rootdata",
-     "GroupSpec MAX_TORSION_POINTS RootDatum SubSystem TorusOrbit "
+     "MAX_TORSION_POINTS RootDatum SubSystem TorusOrbit "
      "_classify_component _reduced dual_datum factor_permutation point_label "
      "x_action x_preserves",
-     "the parsed spec, its dual datum, and the torus orbit and subsystem records"),
+     "the root datum, its dual, and the torus orbit and subsystem records"),
     ("plumbing", "springer",
      "SpecialClassRecord _ABAR_GROUPS abar_group assemble_product_group "
      "group_structure_label induced_automorphism",
      "family groups built from their labels, and their names"),
     ("counting", "lattice", "solve_torsion", IDENTITIES_A_B),
-    ("counting", "rootdata", "acting_group centralizer_subdatum stable_point_orbits",
+    # a spec builds its acting group and its torus orbits once, and both
+    # pipelines read them from it
+    ("counting", "rootdata",
+     "GroupSpec acting_group centralizer_subdatum stable_point_orbits",
      IDENTITIES_A_B),
     ("counting", "groups", "FiniteGroup", TWISTED_CLASSES),
     ("counting", "springer", "_TABLES special_classes", UNIPOTENT_COUNTS),

@@ -42,7 +42,7 @@ FIELDS = {cls: tuple(names.split()) for cls, names in {
     GroupSpec: "datum twist components name",
     SubSystem: "ambient root_positions positive_positions simple_positions "
                "factors factor_types",
-    TorusOrbit: "rep orbit modulus key",
+    TorusOrbit: "rep orbit modulus key label",
     ExtendedComponentGroup: "abar f_action description",
     SpecialClassRecord: "type_label class_label dim a_of_u abar_label "
                         "dual_class cell_id",

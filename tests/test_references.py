@@ -67,6 +67,27 @@ def test_totals_match_reference_class_numbers(name):
     assert checked
 
 
+# Class numbers at even q, which ``reference_total`` leaves out.  In
+# characteristic 2 every element of F_q^* is a square and SL2(q) has trivial
+# centre, so SL2(q) = PGL2(q), with q + 1 classes (Jordan 1907, Schur 1907;
+# Dornhoff, *Group representation theory* A, 1971, section 38).  O2 is the
+# dihedral group of order 2(q - 1), q - 1 odd: the identity, (q - 2)/2 pairs
+# of rotations and one class of reflections, (q + 2)/2 in all.
+EVEN_Q_REFERENCES = {"sl2": lambda q: q + 1, "pgl2": lambda q: q + 1,
+                     "o2": lambda q: (q + 2) // 2}
+EVEN_Q = [2, 4, 8, 16, 32, 64]
+
+
+@pytest.mark.parametrize("name", sorted(EVEN_Q_REFERENCES))
+def test_even_q_totals_match_reference_class_numbers(name):
+    # every pipeline that takes the spec, at every even q up to 64; the
+    # parser admits them all, and o2 has the stratified route alone
+    for q in EVEN_Q:
+        got = totals(parse_group_spec(name, q=q))
+        assert got == [EVEN_Q_REFERENCES[name](q)] * len(got), (name, q)
+        assert len(got) == (1 if name == "o2" else 2)
+
+
 # Identity A: each point s of an F-stable orbit solves (q sigma w - 1) s = 0
 # for exactly |Stab_W(s)| elements w of the dual Weyl group W (its witnesses
 # form one coset of its stabilizer), so the solution counts

@@ -80,8 +80,10 @@ def spy_on_weyl_builds(monkeypatch):
 @pytest.mark.parametrize("order", [(spectral_report, stratified_report),
                                    (stratified_report, spectral_report)])
 def test_each_pipeline_call_builds_its_own_weyl_group(monkeypatch, order):
-    # the memo table lives for one pipeline call: the second pipeline builds
-    # the dual Weyl group again instead of reading the first one's
+    # the memo table lives for one pipeline call: the acting group comes from
+    # the spec, but the second pipeline builds the dual Weyl group again, as
+    # the reflection group of the s = 1 centralizer, instead of reading the
+    # first call's
     spec = spec_of("sp4", 3)
     dual = dual_datum(spec.datum)
     builds = spy_on_weyl_builds(monkeypatch)
@@ -98,7 +100,10 @@ def test_a_refused_pipeline_call_leaves_no_memo_table(monkeypatch):
         with pytest.raises(UnsupportedTypeError, match="torsion points"):
             report(spec)
         assert groups._scope is None
-    assert [scoped for _, scoped in builds] == [True, True]
+    # the spec keeps the acting group the first call built inside its scope,
+    # and keeps no orbits, so the second call is refused again
+    assert [scoped for _, scoped in builds] == [True]
+    assert "torus_orbits" not in vars(spec)
 
 
 def test_renders_are_seed_independent():

@@ -46,9 +46,9 @@ def test_disconnected_group_is_rejected():
 
 def test_sl2_f3_ss_classes():
     classes = enumerate_ss_classes(spec_of("sl2", 3))
-    labels = [c.label() for c in classes]
+    labels = [c.label for c in classes]
     assert labels == ["(0)", "(1/4)", "(1/2)"]
-    by_label = {c.label(): c for c in classes}
+    by_label = {c.label: c for c in classes}
     assert len(by_label["(0)"].orbit) == 1
     assert len(by_label["(1/2)"].orbit) == 1
     assert len(by_label["(1/4)"].orbit) == 2

@@ -113,10 +113,11 @@ def test_twisted_a2_cross_pipeline():
 
 
 def test_semisimple_parameters_match_spectral_labels():
-    spec = spec_of("sp4", 3)
+    # one spec holds one list of orbits for both routes, so each route reads
+    # its own parse of the group here
     from lpackets.spectral import enumerate_ss_classes
-    a = sorted(c.label() for c in enumerate_ss_classes(spec))
-    b = sorted(s.label() for s in semisimple_parameters(spec))
+    a = sorted(c.label for c in enumerate_ss_classes(spec_of("sp4", 3)))
+    b = sorted(s.label for s in semisimple_parameters(spec_of("sp4", 3)))
     assert a == b
 
 
@@ -146,7 +147,7 @@ def test_beta_classes_cover_frobenius_cosets():
     strata = stratified_strata(spec)
     zero = [s for s in strata if s.ss_label == "(0)"]
     assert {dict(s.labels)["beta"] for s in zero} == {"e"}
-    [orbit] = [o for o in semisimple_parameters(spec) if o.label() == "(0)"]
+    [orbit] = [o for o in semisimple_parameters(spec) if o.label == "(0)"]
     geo = _PointGeometry(spec, orbit.key)
     assert len(geo.coset_reps) == 1
 

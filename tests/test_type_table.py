@@ -19,7 +19,12 @@ import pytest
 
 from lpackets.groups import call_scope
 from lpackets.lattice import identity, mat_mul
-from lpackets.rootdata import acting_group, parse_group_spec, x_preserves
+from lpackets.rootdata import (
+    acting_group,
+    parse_group_spec,
+    stable_point_orbits,
+    x_preserves,
+)
 from lpackets import spectral, strata
 from perfbench_files import load_perfbench
 from torus_scan import frobenius, key_by_scan, mat_vec_mod
@@ -34,7 +39,7 @@ def _by_orbit(spec, orbits, type_strata):
     with the number of distinct keys and of orbits."""
     with call_scope():
         keys = [key_by_scan(spec, o) for o in orbits]
-        return [st._replace(ss_label=o.label()) for o, key in zip(orbits, keys)
+        return [st._replace(ss_label=o.label) for o, key in zip(orbits, keys)
                 for st in type_strata(spec, key)], len(set(keys)), len(orbits)
 
 
@@ -116,7 +121,8 @@ def test_key_built_geometry_matches_a_scan_at_every_point(label, q):
 
 # each orbit's key is checked against the scan of tests/torus_scan.py by
 # tests/test_rootdata.py::test_type_keys_match_the_three_way_reading; here the
-# two pipelines' orbits, keys included, must be equal
+# two pipelines read one list of orbits from the spec, and it must equal the
+# list that stable_point_orbits builds for a separately parsed spec
 @pytest.mark.parametrize("label,q", SPECS, ids=[f"{l}/F{q}" for l, q in SPECS])
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
 def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
@@ -133,7 +139,10 @@ def test_images_and_keys_match_a_scan_of_the_acting_group(label, q, seed):
             assert o.orbit == tuple(sorted({mat_vec_mod(g, point, o.modulus)
                                             for g in acting}))
         if spec.connected:
-            assert spectral.enumerate_ss_classes(spec) == orbits
+            assert spectral.enumerate_ss_classes(spec) is orbits
+    # outside the scope, so the fresh spec builds its own acting group too
+    fresh = parse_group_spec(_CASES.group_config(label), q=q)
+    assert stable_point_orbits(fresh) == orbits
 
 
 GRID = sorted({(label, q) for _, label, q in _CASES.WORKLOADS["twisted-grid"]})
