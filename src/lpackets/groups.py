@@ -28,9 +28,10 @@ tuples whose fields are strings, numbers and tuples, so equal fields make
 equal records, a record hashes, and a memo result can be shared as it is.
 
 Three pieces of plumbing both pipelines share live here too, and no
-counting: ``strata_by_type`` is the per-type strata table (each semisimple
-type's strata are built once, and every torus orbit of that type gets them
-under its own label), ``permuted`` is the factor-permutation move (entry i of
+counting: ``strata_by_type`` is the per-type strata table (a stratum
+belongs to a semisimple type and carries no class label: each type's strata
+are built once, and a pipeline's rows pair every torus orbit's label with
+its type's strata), ``permuted`` is the factor-permutation move (entry i of
 a per-factor tuple goes to slot perm[i]), and ``call_scope`` with ``memo``
 is the per-call memo.  Each pipeline runs its whole body in one
 ``call_scope``; inside it a ``memo`` function (lattice products and
@@ -39,12 +40,11 @@ stratum packets) computes each distinct input once.  The table is dropped
 when the call ends, so no memo result crosses from one pipeline call to
 another, or to the oracle.  What is derived from a spec alone is not a memo
 result: its positive roots (``RootDatum.positive_indices``), sigma on X
-(``FrobeniusTwist.sigma_x``), its acting group and its torus orbits
-(``GroupSpec.acting`` and ``GroupSpec.torus_orbits``) are computed once per
-spec object, kept with it and never changed, so two pipeline calls on one
-spec share them.  Outside a scope a ``memo`` function runs on every call.
-A ``FiniteGroup`` compares and hashes by value, so a group can be part of a
-memo key.
+(``FrobeniusTwist.sigma_x``) and the derived data ``GroupSpec`` caches are
+computed once per spec object, kept with it and never changed, so two
+pipeline calls on one spec share them.  Outside a scope a ``memo`` function
+runs on every call.  A ``FiniteGroup`` compares and hashes by value, so a
+group can be part of a memo key.
 """
 
 from __future__ import annotations
@@ -66,11 +66,11 @@ class Packet(namedtuple("Packet", "x_label size group_label")):
     __slots__ = ()
 
 
-class Stratum(namedtuple("Stratum", "ss_label labels group_desc packets")):
-    """The parameters over one semisimple label; ``labels`` names the
-    stratum in the pipeline's own terms, as (name, value) pairs in render
-    order, ``group_desc`` the group whose twisted classes are the packets,
-    and ``packets`` is a tuple of ``Packet``."""
+class Stratum(namedtuple("Stratum", "labels group_desc packets")):
+    """The parameters of one stratum of a semisimple type, shared by its
+    classes; ``labels`` names it in the pipeline's own terms, as (name,
+    value) pairs in render order, ``group_desc`` the group whose twisted
+    classes are the packets, and ``packets`` is a tuple of ``Packet``."""
     __slots__ = ()
 
     @property
@@ -125,19 +125,18 @@ def memo(fn):
     return memoized
 
 
-def strata_by_type(torus_orbits, build) -> list[Stratum]:
-    """The strata over every orbit of ``torus_orbits`` (``TorusOrbit``s), in
-    orbit order.  ``build(key)`` gives the strata of one semisimple type with
-    an empty semisimple label and runs once per ``TorusOrbit.key``; each orbit
-    of that type gets them under ``orbit.label``."""
+def strata_by_type(torus_orbits, build) -> list[tuple[str, Stratum]]:
+    """One ``(orbit.label, stratum)`` row per orbit of ``torus_orbits``
+    (``TorusOrbit``s) and stratum of its type, in orbit order.  ``build(key)``
+    gives a type's strata once per ``TorusOrbit.key``, and every row of that
+    type holds those same objects."""
     by_type: dict[tuple, list[Stratum]] = {}
-    strata = []
+    rows = []
     for orbit in torus_orbits:
         if orbit.key not in by_type:
             by_type[orbit.key] = build(orbit.key)
-        strata += [st._replace(ss_label=orbit.label)
-                   for st in by_type[orbit.key]]
-    return strata
+        rows += [(orbit.label, st) for st in by_type[orbit.key]]
+    return rows
 
 
 def permuted(entries, perm) -> tuple:

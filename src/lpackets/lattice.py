@@ -7,16 +7,16 @@ Matrices are tuples of row tuples; vectors are tuples.  A torsion point s of
 the caller fixes, standing for s = v / N; with one N shared by all points,
 integer order on the vectors is the order of the points.
 
-One fraction-free elimination gives the determinant, and with it the
-adjugate, in O(n^3).  ``adjugate`` hands both on, and every inverse runs on
+One fraction-free elimination gives the determinant and the adjugate
+together in O(n^3).  ``adjugate`` hands both on, and every inverse runs on
 it: square rational systems as rows @ adj(a) / det(a), the torsion-point
 solver as the group that the columns of adj(a) / det(a) generate, and the
 unimodular inverse as det(a) * adj(a).
 
-``mat_mul`` and ``mat_inv_unimodular`` are ``groups.memo`` functions: inside
-one pipeline call each distinct product and inverse is computed once, as
-the reflection groups, stabilizers and Frobenius cosets of one spec repeat
-them.
+``mat_mul``, ``adjugate`` and ``mat_inv_unimodular`` are ``groups.memo``
+functions: inside one pipeline call each distinct product, elimination and
+inverse is computed once, as the reflection groups, stabilizers, Frobenius
+cosets and torsion systems of one spec repeat them.
 """
 
 from __future__ import annotations
@@ -48,21 +48,18 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(sum(map(mul, row, v)) for row in a)
 
 
-def _eliminate(a: Matrix, with_adjugate: bool) -> tuple[int, Matrix | None]:
-    """det(a), and adj(a) when asked for and a is nonsingular (else None), by
+def _eliminate(a: Matrix) -> tuple[int, Matrix | None]:
+    """det(a), and adj(a) when a is nonsingular (else None), by
     fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
 
-    For the determinant alone the rows below each pivot are cleared.  For
-    the adjugate the elimination runs Gauss-Jordan style on [a | 1], every
-    row but the pivot row cleared, and ends at [d' 1 | d' a^-1], d' the last
-    pivot and the determinant of the row-swapped a.  After step k every entry
-    is a (k+1)-minor of the matrix the elimination started from, so each
+    The elimination runs Gauss-Jordan style on [a | 1], every row but the
+    pivot row cleared, and ends at [d' 1 | d' a^-1], d' the last pivot and
+    the determinant of the row-swapped a.  After step k every entry is a
+    (k+1)-minor of the matrix the elimination started from, so each
     division by the previous pivot is exact.
     """
     n = len(a)
-    width = 2 * n if with_adjugate else n
-    m = [list(row) + [int(i == j) for j in range(n)] if with_adjugate else list(row)
-         for i, row in enumerate(a)]
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -76,27 +73,26 @@ def _eliminate(a: Matrix, with_adjugate: bool) -> tuple[int, Matrix | None]:
                 return 0, None
         piv = m[k]
         pk = piv[k]
-        for i in range(0 if with_adjugate else k + 1, n):
+        for i in range(n):
             if i != k:
                 row = m[i]
                 f = row[k]
-                for j in range(k + 1, width):
+                for j in range(k + 1, 2 * n):
                     row[j] = (row[j] * pk - f * piv[j]) // prev
         prev = pk
-    if not with_adjugate:
-        return sign * prev, None
     return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 def det(a: Matrix) -> int:
     """Integer determinant."""
-    return _eliminate(a, False)[0]
+    return _eliminate(a)[0]
 
 
+@memo
 def adjugate(a: Matrix) -> tuple[int, Matrix]:
     """(det(a), adj(a)) of a nonsingular a, so that a @ adj(a) = det(a) * 1,
     from one elimination; a singular a is refused."""
-    d, adj = _eliminate(a, True)
+    d, adj = _eliminate(a)
     if adj is None:
         raise InvariantError("singular matrix")
     return d, adj

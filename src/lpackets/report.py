@@ -1,9 +1,9 @@
 """Deterministic count reports.
 
-A report holds the ``groups.Stratum`` records of one pipeline run, as the
-pipeline returned them, and renders them to text or JSON with a fixed field
-order, so identical inputs give byte-identical output whatever exploration
-order the run used internally.
+A report holds the ``(ss_label, groups.Stratum)`` rows of one pipeline run,
+as the pipeline returned them, and renders them to text or JSON with a fixed
+field order, so identical inputs give byte-identical output whatever
+exploration order the run used internally.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from collections import namedtuple
 
 from .groups import Stratum
-from .rootdata import GroupSpec, whittaker_torsor_size
+from .rootdata import GroupSpec
 from .spectral import spectral_strata
 from .springer import TABLE_VERSION
 from .strata import stratified_strata
@@ -25,17 +25,17 @@ class CountReport(namedtuple("CountReport", "group cartan q pipeline strata "
                                               "conventions oracle_total",
                               defaults=(None,))):
     """One pipeline's count for a spec: ``strata`` (a list of
-    ``groups.Stratum``), the ``conventions`` dict, and the oracle's total
-    when it was run."""
+    ``(ss_label, groups.Stratum)`` pairs), the ``conventions`` dict, and the
+    oracle's total when it was run."""
     __slots__ = ()
 
     @property
     def parameter_count(self) -> int:
-        return sum(len(row.packets) for row in self.strata)
+        return sum(len(stratum.packets) for _, stratum in self.strata)
 
     @property
     def total(self) -> int:
-        return sum(row.total for row in self.strata)
+        return sum(stratum.total for _, stratum in self.strata)
 
     @property
     def match(self):
@@ -47,7 +47,7 @@ class CountReport(namedtuple("CountReport", "group cartan q pipeline strata "
 def _report(spec: GroupSpec, pipeline: str, strata, oracle_total) -> CountReport:
     conventions = {
         "q_sqrt": "positive root of q",
-        "whittaker_torsor": whittaker_torsor_size(spec),
+        "whittaker_torsor": spec.whittaker_torsor,
         "table_version": TABLE_VERSION,
     }
     return CountReport(group=spec.name, cartan=spec.datum.cartan_label,
@@ -67,14 +67,14 @@ def stratified_report(spec: GroupSpec, rng=None, oracle_total=None) -> CountRepo
 # ---------------------------------------------------------------------------
 # rendering
 
-def _row_dict(row: Stratum) -> dict:
+def _row_dict(ss_label: str, stratum: Stratum) -> dict:
     return {
-        "ss": row.ss_label,
-        "labels": dict(row.labels),
-        "group": row.group_desc,
+        "ss": ss_label,
+        "labels": dict(stratum.labels),
+        "group": stratum.group_desc,
         "packets": [{"x": p.x_label, "size": p.size, "group": p.group_label}
-                    for p in row.packets],
-        "total": row.total,
+                    for p in stratum.packets],
+        "total": stratum.total,
     }
 
 
@@ -84,7 +84,7 @@ def report_dict(rep: CountReport) -> dict:
         "cartan": rep.cartan,
         "q": rep.q,
         "pipeline": rep.pipeline,
-        "strata": [_row_dict(r) for r in rep.strata],
+        "strata": [_row_dict(*row) for row in rep.strata],
         "parameter_count": rep.parameter_count,
         "total": rep.total,
         "oracle_total": rep.oracle_total,
@@ -97,27 +97,26 @@ def render_json(rep: CountReport) -> str:
     return json.dumps(report_dict(rep), indent=2)
 
 
-def _stratum_body(row: Stratum) -> str:
+def _stratum_body(stratum: Stratum) -> str:
     """A stratum's text after its ``s=`` label: its labels, group and total,
     then one line per packet."""
-    labels = " ".join(f"{k}={v}" for k, v in row.labels)
-    return "\n".join([f"{labels} group={row.group_desc}: total {row.total}",
+    labels = " ".join(f"{k}={v}" for k, v in stratum.labels)
+    return "\n".join([f"{labels} group={stratum.group_desc}: total {stratum.total}",
                       *(f"    x={p.x_label} packet={p.group_label} size={p.size}"
-                        for p in row.packets)])
+                        for p in stratum.packets)])
 
 
 def render_text(rep: CountReport) -> str:
     """The report as text.  The orbits of one semisimple type share their
-    strata up to the ``s=`` label, so each distinct body is rendered once."""
+    strata, so each stratum's body is rendered once, after every ``s=``."""
     lines = [f"group {rep.group} ({rep.cartan}), q = {rep.q}, "
              f"pipeline = {rep.pipeline}"]
     bodies = {}
-    for row in rep.strata:
-        key = row.labels, row.group_desc, row.packets
-        body = bodies.get(key)
+    for ss_label, stratum in rep.strata:
+        body = bodies.get(stratum)
         if body is None:
-            body = bodies[key] = _stratum_body(row)
-        lines.append(f"  s={row.ss_label} {body}")
+            body = bodies[stratum] = _stratum_body(stratum)
+        lines.append(f"  s={ss_label} {body}")
     lines.append(f"parameters: {rep.parameter_count}")
     lines.append(f"packet-weighted total: {rep.total}")
     if rep.oracle_total is not None:

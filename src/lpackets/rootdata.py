@@ -43,6 +43,7 @@ from .groups import closure, memo, orbits, strong_components
 from .lattice import (
     Matrix,
     Vector,
+    adjugate,
     det,
     identity,
     mat_inv_unimodular,
@@ -123,13 +124,13 @@ class FrobeniusTwist(namedtuple("FrobeniusTwist", "q p sigma_y")):
 class GroupSpec(namedtuple("GroupSpec", "datum twist components name")):
     """A named group over F_q: its root datum, Frobenius twist, and the
     Y-matrices of its component group (identity included).  No
-    ``__slots__``: the spec's derived data, ``acting`` (what
-    ``acting_group`` builds) and ``torus_orbits`` (what
-    ``stable_point_orbits`` builds), is computed on first use, once per
-    spec object, and cached in the instance ``__dict__``, so both pipelines
-    run on one spec read one acting group and one list of orbits.  Nothing
-    is derived at parse time, equality and hashing see the four fields
-    alone, and the cached values are immutable."""
+    ``__slots__``: the spec's derived data, ``acting``, ``torus_orbits`` and
+    ``whittaker_torsor`` (what ``acting_group``, ``stable_point_orbits`` and
+    ``whittaker_torsor_size`` build), is computed on first use, once per
+    spec object, and cached in the instance ``__dict__``, so two reports on
+    one spec share it.  Nothing is derived at parse time, equality and
+    hashing see the four fields alone, and the cached values are
+    immutable."""
 
     @property
     def connected(self) -> bool:
@@ -146,6 +147,10 @@ class GroupSpec(namedtuple("GroupSpec", "datum twist components name")):
     @cached_property
     def torus_orbits(self) -> tuple[TorusOrbit, ...]:
         return stable_point_orbits(self)
+
+    @cached_property
+    def whittaker_torsor(self) -> int:
+        return whittaker_torsor_size(self)
 
 
 def point_label(v: Vector, modulus: int) -> str:
@@ -658,7 +663,6 @@ class TorusOrbit(namedtuple("TorusOrbit", "rep orbit modulus key label")):
     __slots__ = ()
 
 
-@memo
 def acting_group(spec: GroupSpec) -> tuple[CoxeterGroup, tuple[Matrix, ...]]:
     """The dual Weyl group W* and the matrices of W* extended by the
     component group, listed component-major with each coset in W*'s order:
@@ -691,7 +695,9 @@ def stable_point_orbits(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
     <alpha, s> mod N.  The orbit's type key is read off these at once: the
     positions in the dual datum of the roots integral at s, the indices in
     the acting matrices of the stabilizer of s, and the index in W*'s
-    elements of the first w with w(s) = F(s), or None when there is none.
+    elements of the first w with w(s) = F(s), which exists (s solves
+    q sigma w (s) = s, so sigma w^-1 sigma^-1 is one) or raises.  A
+    system's determinant and its solve share one ``lattice.adjugate``.
     """
     cox, acting = spec.acting
     sigma, q = spec.twist.sigma_x, spec.q
@@ -701,7 +707,7 @@ def stable_point_orbits(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
         m = mat_mul(sigma, w)
         systems.append(tuple(tuple(q * m[i][j] - (1 if i == j else 0) for j in range(n))
                              for i in range(n)))
-    dets = [abs(det(a)) for a in systems]
+    dets = [abs(adjugate(a)[0]) for a in systems]
     if sum(dets) > MAX_TORSION_POINTS:
         raise UnsupportedTypeError(
             f"{spec.name} at q = {q} needs up to {sum(dets)} torsion points; "
@@ -723,8 +729,10 @@ def stable_point_orbits(spec: GroupSpec) -> tuple[TorusOrbit, ...]:
         target = tuple(values[:n])
         weyl_imgs = imgs[start:start + cox.order]
         stab = tuple(i for i, v in enumerate(imgs) if v == rep)
-        witness = weyl_imgs.index(target) if target in weyl_imgs else None
-        key = (tuple(i for i, x in enumerate(values[n:]) if x == 0), stab, witness)
+        if target not in weyl_imgs:
+            raise InvariantError("torus orbit without a Frobenius witness")
+        key = (tuple(i for i, x in enumerate(values[n:]) if x == 0), stab,
+               weyl_imgs.index(target))
         out.append(TorusOrbit(rep, tuple(sorted(set(imgs))), modulus, key,
                               point_label(rep, modulus)))
     return tuple(out)
@@ -751,9 +759,10 @@ def whittaker_torsor_size(spec: GroupSpec) -> int:
     simples = d.simple_roots
     cartan = tuple(tuple(d.pairing(a, b) for a in simples) for b in d.simple_coroots)
     pi = [simples.index(mat_vec(spec.twist.sigma_x, a)) for a in simples]
-    modulus = abs(det(cartan))  # each c comes as the integer vector modulus * c
+    solutions = solve_torsion(cartan)
+    modulus = len(solutions)  # |det K|: each c comes as modulus * c
     count = 0
-    for c in solve_torsion(cartan):
+    for c in solutions:
         in_x = all(sum(ci * a[t] for ci, a in zip(c, simples)) % modulus == 0
                    for t in range(d.rank))
         if in_x and all(spec.q * c[i] % modulus == c[pi[i]] for i in range(len(c))):

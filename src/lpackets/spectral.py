@@ -10,24 +10,25 @@ parameters in the pair's stratum are the twisted-conjugation classes of that
 extended group and each one's packet size is the number of irreducible
 characters of its twisted centralizer.
 
-``spectral_strata`` returns one ``groups.Stratum`` per pair, labelled by
-its class C, with one ``groups.Packet`` per twisted class.
+``spectral_strata`` returns one row per pair, the label of s and a
+``groups.Stratum`` labelled by C with one ``groups.Packet`` per twisted class.
 
 Semisimple classes fall into a few types.  Each class arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
 positions, its stabilizer in the dual Weyl group and its first Frobenius
-witness, the first w with w(s) = q sigma(s).  ``_StratumGeometry`` takes the
-spec and the key and no point: the dual Weyl group comes from the spec
-(``GroupSpec.acting``), the centralizer subsystem from the integral
-positions, the component group pi0 is the group of the based part of the
-stabilizer, and the Frobenius is corrected from the witness.  The geometry
+witness, the first w with w(s) = q sigma(s), which always exists.
+``_StratumGeometry`` takes the spec and the key and no point: the dual Weyl
+group comes from the spec (``GroupSpec.acting``), the centralizer subsystem
+from the integral positions, the component group pi0 is the group of the
+based part of the stabilizer, and the Frobenius is corrected from the
+witness.  The geometry
 also holds the factor permutation of every pi0 element and of every
 Frobenius candidate c F (c in pi0), so no pair recomputes them.  A special
 class of the centralizer is a tuple of row indices, one per factor, into
 ``springer.special_classes`` of that factor's type; pi0 moves the entries
 between factors (``groups.permuted``).  So two classes with one key have
-the same strata up to their semisimple label: ``spectral_strata`` builds
-them once per key through ``groups.strata_by_type``.
+the same strata, built once per key and shared through
+``groups.strata_by_type``.
 
 Types share more than their keys show: many have one integral subsystem,
 and many pairs one extended group.  ``spectral_strata`` runs in one
@@ -118,8 +119,6 @@ class _StratumGeometry:
 
     def __init__(self, spec: GroupSpec, key: tuple):
         positions, stab, witness = key
-        if witness is None:
-            raise InvariantError("no witness for a supposedly stable orbit")
         cox = spec.acting[0]
         self.sub = centralizer_subdatum(cox.datum, positions)
         pos_set = {cox.datum.roots[i] for i in self.sub.positive_positions}
@@ -259,20 +258,18 @@ def mbar(ext: ExtendedComponentGroup) -> tuple[Packet, ...]:
 # assembly
 
 def _class_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
-    """The strata of one semisimple type, with an empty semisimple label:
-    each class of the type gets them under its own label."""
+    """The strata of one semisimple type, shared by its classes."""
     geo = _StratumGeometry(spec, key)
     strata = []
     for pair in special_pairs(geo, rng=rng):
         ext = extended_group(geo, pair)
-        strata.append(Stratum(ss_label="",
-                              labels=(("class", _class_label(geo, pair)),),
+        strata.append(Stratum(labels=(("class", _class_label(geo, pair)),),
                               group_desc=ext.description,
                               packets=mbar(ext)))
     return strata
 
 
-def spectral_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
+def spectral_strata(spec: GroupSpec, rng=None) -> list[tuple[str, Stratum]]:
     with call_scope():
         return strata_by_type(enumerate_ss_classes(spec),
                               lambda key: _class_strata(spec, key, rng=rng))

@@ -20,20 +20,20 @@ four simple types, once each per process (``_standalone``).
 This route covers disconnected groups: component matrices act on the torus
 alongside the reflections and enter every stabilizer.
 
-``stratified_strata`` returns one ``groups.Stratum`` per (point, orbit of
-pairs), labelled by its cell and beta, with one ``groups.Packet`` per
-twisted class.
+``stratified_strata`` returns one row per (point, orbit of pairs), the
+point's label and a ``groups.Stratum`` labelled by its cell and beta, with
+one ``groups.Packet`` per twisted class.
 
 Points fall into a few semisimple types.  Each orbit arrives from
 ``rootdata.stable_point_orbits`` with its type key: its integral root
 positions, its stabilizer in the acting group and its first Frobenius
-witness, the first w with w(s) = F(s).  ``_PointGeometry`` takes the spec
-and the key and no point: the acting group comes from the spec alone
-(``GroupSpec.acting``), the centralizer subsystem from the integral
-positions, the based complement from the stabilizer, and the Frobenius
-solutions, the w with w(F(s)) = s, are Stab_W(s) w0 for w0 the witness's
-inverse.  So two orbits with one key have the same strata up to their
-semisimple label: ``stratified_strata`` builds them once per key through
+witness, the first w with w(s) = F(s), which always exists.
+``_PointGeometry`` takes the spec and the key and no point: the acting
+group comes from the spec alone (``GroupSpec.acting``), the centralizer
+subsystem from the integral positions, the based complement from the
+stabilizer, and the Frobenius solutions, the w with w(F(s)) = s, are
+Stab_W(s) w0 for w0 the witness's inverse.  So two orbits with one key
+have the same strata, built once per key and shared through
 ``groups.strata_by_type``.
 
 Types share more than their keys show: many have one integral subsystem,
@@ -146,8 +146,6 @@ class _PointGeometry:
 
     def __init__(self, spec: GroupSpec, key: tuple):
         positions, stab_idx, witness = key
-        if witness is None:
-            raise InvariantError("point enumerated without a Frobenius witness")
         cox, acting = spec.acting
         sigma = spec.twist.sigma_x
         self.sub = centralizer_subdatum(cox.datum, positions)
@@ -263,9 +261,8 @@ def _packets(labels: tuple[str, ...], tau_fp: tuple[int, ...], omega_sub,
 # assembly
 
 def _point_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
-    """The strata of one semisimple type, with an empty semisimple label:
-    each orbit of the type gets them under its own label.  Pairs are listed
-    c-major, so each orbit's first-seen pair is its least."""
+    """The strata of one semisimple type, shared by its orbits.  Pairs are
+    listed c-major, so each orbit's first-seen pair is its least."""
     geo = _PointGeometry(spec, key)
     cox = spec.acting[0]
     pairs = [(ids, b) for ids, _ in geo.cells
@@ -281,13 +278,13 @@ def _point_strata(spec: GroupSpec, key: tuple, rng=None) -> list[Stratum]:
         cell_label = "+".join(geo.sub_cox.word_label(members[0])
                               for c, members in geo.cells if c in seen)
         beta_label = cox.word_label(cox.index[geo.coset_reps[beta]])
-        strata.append(Stratum(ss_label="", labels=(("cell", cell_label),
-                                                   ("beta", beta_label)),
+        strata.append(Stratum(labels=(("cell", cell_label),
+                                      ("beta", beta_label)),
                               group_desc=desc, packets=packets))
     return strata
 
 
-def stratified_strata(spec: GroupSpec, rng=None) -> list[Stratum]:
+def stratified_strata(spec: GroupSpec, rng=None) -> list[tuple[str, Stratum]]:
     with call_scope():
         return strata_by_type(semisimple_parameters(spec),
                               lambda key: _point_strata(spec, key, rng=rng))

@@ -73,7 +73,7 @@ def test_criterion_1_oracle_equality(capsys):
 
 def test_criterion_2_sl2_f3_strata():
     strata = spectral_strata(spec_of("sl2", 3))
-    table = {(s.ss_label, dict(s.labels)["class"]): s.total for s in strata}
+    table = {(label, dict(s.labels)["class"]): s.total for label, s in strata}
     assert table == {
         ("(0)", "1"): 1,
         ("(0)", "reg"): 1,
@@ -88,9 +88,9 @@ def test_criterion_3_pipelines_agree():
     cases = [(n, q) for n, q, _ in ORACLE_CASES] + PIPELINE_EXTRAS
     for name, q in cases:
         spec = spec_of(name, q)
-        sp = [(s.ss_label, p) for s in spectral_strata(spec)
+        sp = [(label, p) for label, s in spectral_strata(spec)
               for p in s.packets]
-        st = [(s.ss_label, p) for s in stratified_strata(spec)
+        st = [(label, p) for label, s in stratified_strata(spec)
               for p in s.packets]
         assert len(sp) == len(st), (name, q)
         sub_sp = Counter()
@@ -119,14 +119,14 @@ def test_criterion_4_unipotent_blocks():
     assert mbar_size("S3") == 8
 
     strata = spectral_strata(spec_of("sp4", 3))
-    zero = {dict(s.labels)["class"]: s.total for s in strata
-            if s.ss_label == "(0,0)"}
+    zero = {dict(s.labels)["class"]: s.total for label, s in strata
+            if label == "(0,0)"}
     assert sorted(zero.values()) == sorted([1, 1, mbar_size("Z2")])
     assert sum(zero.values()) == 6
 
     strata = spectral_strata(spec_of("g2", 5))
-    zero = {dict(s.labels)["class"]: s.total for s in strata
-            if s.ss_label == "(0,0)"}
+    zero = {dict(s.labels)["class"]: s.total for label, s in strata
+            if label == "(0,0)"}
     assert sorted(zero.values()) == sorted([1, 1, mbar_size("S3")])
     assert sum(zero.values()) == 10
     print("criterion 4: PASS (B2 block 6 = 1+1+4, G2 block 10 = 1+1+8)")

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpackets import groups
+from lpackets import groups, rootdata
 from lpackets.errors import InvariantError
 from lpackets.groups import (
     CLOSURE_BLOCK,
@@ -270,13 +270,11 @@ def _shear_the_component_block(cox, acting, spec):
 def test_a_broken_acting_group_ends_in_invariant_error(monkeypatch, config,
                                                        breaker):
     # the torus orbits are one ``orbits`` pass, which checks the partition
-    build = acting_group.__wrapped__
-
     def spy(spec):
-        cox, acting = build(spec)
+        cox, acting = acting_group(spec)
         return cox, breaker(cox, acting, spec)
 
-    monkeypatch.setattr(acting_group, "__wrapped__", spy)
+    monkeypatch.setattr(rootdata, "acting_group", spy)
     for q in (3, 5, 7):
         with pytest.raises(InvariantError, match="not a group"):
             stable_point_orbits(parse_group_spec(config, q=q))
@@ -405,8 +403,9 @@ def test_permuted_moves_entry_i_to_slot_perm_i():
 
 
 def test_strata_by_type_builds_each_type_once():
-    # three orbits of two types: the first type is built once and its strata
-    # are handed to each orbit under that orbit's label, in orbit order
+    # three orbits of two types: the first type is built once, and each
+    # orbit pairs its label with its type's strata, the same objects for
+    # every orbit of one type, in orbit order
     torus_orbits = [TorusOrbit(rep, orbit, modulus, key, point_label(rep, modulus))
                     for rep, orbit, modulus, key in [((0,), ((0,),), 2, "k1"),
                                                      ((1,), ((1,),), 2, "k2"),
@@ -415,13 +414,14 @@ def test_strata_by_type_builds_each_type_once():
 
     def build(key):
         built.append(key)
-        return [Stratum("", (("key", key),), "1", (Packet("e", 1, "1"),))]
+        return [Stratum((("key", key),), "1", (Packet("e", 1, "1"),))]
 
-    strata = strata_by_type(torus_orbits, build)
+    rows = strata_by_type(torus_orbits, build)
     assert built == ["k1", "k2"]
-    assert [(st.ss_label, st.labels) for st in strata] == [
+    assert [(label, st.labels) for label, st in rows] == [
         ("(0)", (("key", "k1"),)), ("(1/2)", (("key", "k2"),)),
         ("(1/4)", (("key", "k1"),))]
+    assert rows[0][1] is rows[2][1]
 
 
 def test_groups_compare_and_hash_by_value():

@@ -679,14 +679,15 @@ SHARED = [
      "the orbit and closure loops, the group constructors, the per-call memo "
      "table and the records both pipelines emit"),
     ("plumbing", "lattice",
-     "Matrix Vector _eliminate adjugate det identity mat_inv_unimodular "
+     "Matrix Vector _eliminate adjugate identity mat_inv_unimodular "
      "mat_mul mat_vec solve_integral transpose",
      "integer matrix arithmetic"),
     ("plumbing", "rootdata",
      "MAX_TORSION_POINTS RootDatum SubSystem TorusOrbit "
      "_classify_component _reduced dual_datum factor_permutation point_label "
-     "x_action x_preserves",
-     "the root datum, its dual, and the torus orbit and subsystem records"),
+     "whittaker_torsor_size x_action x_preserves",
+     "the root datum, its dual, the torus orbit and subsystem records, and the "
+     "Whittaker torsor size that a spec keeps for its reports"),
     ("plumbing", "springer",
      "SpecialClassRecord _ABAR_GROUPS abar_group assemble_product_group "
      "group_structure_label induced_automorphism",

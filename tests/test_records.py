@@ -34,7 +34,7 @@ FIELDS = {cls: tuple(names.split()) for cls, names in {
     CellPartition: "cox left_cells right_cells two_sided_cells cell_of",
     Field: "q p k add mul neg inv gen",
     Packet: "x_label size group_label",
-    Stratum: "ss_label labels group_desc packets",
+    Stratum: "labels group_desc packets",
     OracleResult: "name q order class_count",
     CountReport: "group cartan q pipeline strata conventions oracle_total",
     RootDatum: "rank roots coroots simple_indices cartan_label",
@@ -58,7 +58,7 @@ def samples():
     cox = enumerate_weyl(spec.datum)
     kl = kl_table(cox)
     report = spectral_report(spec)
-    stratum = report.strata[0]
+    _, stratum = report.strata[0]
     return {
         CoxeterGroup: cox,
         KLTable: kl,

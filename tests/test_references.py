@@ -357,4 +357,4 @@ def test_tori_extended_by_components_match_brute_force(config, expected):
 def test_sign_flips_act_trivially_at_q3():
     # (Z/2)^3: every point is fixed by all of C = Z2^3
     spec = parse_group_spec({"type": "T3", "component_group": SIGN_FLIPS}, q=3)
-    assert {st.group_desc for st in stratified_strata(spec)} == {"1:Z2^3"}
+    assert {st.group_desc for _, st in stratified_strata(spec)} == {"1:Z2^3"}

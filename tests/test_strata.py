@@ -36,12 +36,12 @@ def spec_of(name, q):
 
 def stratified_packets(spec):
     """Every stratified parameter as (semisimple label, packet)."""
-    return [(s.ss_label, p) for s in stratified_strata(spec) for p in s.packets]
+    return [(label, p) for label, s in stratified_strata(spec) for p in s.packets]
 
 
 def spectral_packets(spec):
     """Every spectral parameter as (semisimple label, packet)."""
-    return [(s.ss_label, p) for s in spectral_strata(spec) for p in s.packets]
+    return [(label, p) for label, s in spectral_strata(spec) for p in s.packets]
 
 
 @pytest.mark.parametrize("name,q", CONNECTED)
@@ -80,10 +80,10 @@ def test_disconnected_orthogonal_total(q, expected):
 def test_sl2_f3_stratified_breakdown():
     strata = stratified_strata(spec_of("sl2", 3))
     table = Counter()
-    for s in strata:
-        table[s.ss_label] += s.total
+    for label, s in strata:
+        table[label] += s.total
     assert table == {"(0)": 2, "(1/2)": 4, "(1/4)": 1}
-    half = [s for s in strata if s.ss_label == "(1/2)"]
+    half = [s for label, s in strata if label == "(1/2)"]
     assert len(half) == 2
     assert {dict(s.labels)["beta"] for s in half} == {"e", "0"}
     assert all(s.total == 2 for s in half)
@@ -91,16 +91,16 @@ def test_sl2_f3_stratified_breakdown():
 
 def test_sp4_f3_stratified_blocks():
     strata = stratified_strata(spec_of("sp4", 3))
-    half = [s for s in strata if s.ss_label == "(1/2,1/2)"]
+    half = [s for label, s in strata if label == "(1/2,1/2)"]
     sizes = sorted(p.size for s in half for p in s.packets)
     assert sizes == [1, 2, 2, 2, 2]
-    zero = sum(s.total for s in strata if s.ss_label == "(0,0)")
+    zero = sum(s.total for label, s in strata if label == "(0,0)")
     assert zero == 6
 
 
 def test_g2_f5_stratified_unipotent_block():
     strata = stratified_strata(spec_of("g2", 5))
-    zero = sum(s.total for s in strata if s.ss_label == "(0,0)")
+    zero = sum(s.total for label, s in strata if label == "(0,0)")
     assert zero == 10
 
 
@@ -145,7 +145,7 @@ def test_beta_classes_cover_frobenius_cosets():
     # only Frobenius coset there, so its twisted class has one coset
     spec = spec_of("sl2", 3)
     strata = stratified_strata(spec)
-    zero = [s for s in strata if s.ss_label == "(0)"]
+    zero = [s for label, s in strata if label == "(0)"]
     assert {dict(s.labels)["beta"] for s in zero} == {"e"}
     [orbit] = [o for o in semisimple_parameters(spec) if o.label == "(0)"]
     geo = _PointGeometry(spec, orbit.key)

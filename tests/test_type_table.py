@@ -39,7 +39,7 @@ def _by_orbit(spec, orbits, type_strata):
     with the number of distinct keys and of orbits."""
     with call_scope():
         keys = [key_by_scan(spec, o) for o in orbits]
-        return [st._replace(ss_label=o.label) for o, key in zip(orbits, keys)
+        return [(o.label, st) for o, key in zip(orbits, keys)
                 for st in type_strata(spec, key)], len(set(keys)), len(orbits)
 
 
@@ -73,7 +73,7 @@ def test_every_stratum_is_a_value():
         if spec.connected:
             pipelines.append(spectral.spectral_strata)
         for pipeline in pipelines:
-            for st in pipeline(spec):
+            for _, st in pipeline(spec):
                 hash(st)
                 assert type(st.labels) is tuple, (label, q)
                 assert type(st.packets) is tuple, (label, q)

@@ -1,12 +1,12 @@
 """Deterministic work counters: parsing a spec enumerates nothing, and the
 two pipelines run on one spec enumerate its torus orbits once between them,
-solving each of the |W| torsion systems once."""
+solving and eliminating each of the |W| torsion systems once."""
 
 import pytest
 
-from lpackets import rootdata
+from lpackets import lattice, rootdata
 from lpackets.report import spectral_report, stratified_report
-from lpackets.rootdata import acting_group, parse_group_spec
+from lpackets.rootdata import parse_group_spec
 from lpackets.spectral import enumerate_ss_classes
 from lpackets.strata import semisimple_parameters
 
@@ -28,11 +28,12 @@ def spy(monkeypatch, owner, name):
 
 def test_parsing_enumerates_no_orbits(monkeypatch):
     orbit_calls = spy(monkeypatch, rootdata, "stable_point_orbits")
-    builds = spy(monkeypatch, acting_group, "__wrapped__")
+    builds = spy(monkeypatch, rootdata, "acting_group")
     for config, q in [("gl3", 7), ("g2", 13), (A1XA1_TWISTED, 5),
                       (A1XA1_SWAP, 5), ("o2", 3)]:
         spec = parse_group_spec(config, q=q)
-        assert not {"acting", "torus_orbits"} & vars(spec).keys()
+        assert not {"acting", "torus_orbits", "whittaker_torsor"} & \
+            vars(spec).keys()
     assert orbit_calls == [] and builds == []
 
 
@@ -44,13 +45,17 @@ def test_both_reports_enumerate_the_orbits_once(monkeypatch, config, q,
     spec = parse_group_spec(config, q=q)
     orbit_calls = spy(monkeypatch, rootdata, "stable_point_orbits")
     solves = spy(monkeypatch, rootdata, "solve_torsion")
-    builds = spy(monkeypatch, acting_group, "__wrapped__")
+    builds = spy(monkeypatch, rootdata, "acting_group")
+    eliminations = spy(monkeypatch, lattice, "_eliminate")
     assert spectral_report(spec).total == stratified_report(spec).total
     assert orbit_calls == [(spec,)]
     assert builds == [(spec,)]
     assert enumerate_ss_classes(spec) is semisimple_parameters(spec)
     # one torsion system per element of W, solved modulo the spec's common
-    # modulus, and the Cartan system of each report's Whittaker torsor
+    # modulus, and the Cartan system of the spec's Whittaker torsor
     torsion = [args for args in solves if len(args) == 2]
     assert len(torsion) == weyl_order
-    assert len(solves) == weyl_order + 2
+    assert len(solves) == weyl_order + 1
+    # each torsion system's determinant and solve share one elimination
+    eliminated = [a for a, in eliminations]
+    assert all(eliminated.count(a) == 1 for a, _ in torsion)
